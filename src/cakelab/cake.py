@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
@@ -38,7 +39,7 @@ from .artin import (
 )
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
-from .smallcancel import bounded_wp_oracle, dehn_reduce
+from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
 from .words import Alphabet, Letter, Word, free_reduce, parse_word, random_reduced_word
 
 __all__ = [
@@ -51,12 +52,14 @@ __all__ = [
     "party_step",
     "finalize",
     "run_exchange",
+    "exchange_on",
     "SandwichConfig",
     "sandwich_setup",
     "sandwich_message",
     "sandwich_key",
     "sandwich_normal_form",
     "sandwich_exchange",
+    "sandwich_exchange_on",
     "bitstream_encode",
     "bitstream_decode",
     "equality_free",
@@ -199,6 +202,11 @@ def run_exchange(seed_setup: int, seed_a: int, seed_b: int, levels: int = 3,
     """Full exchange; returns (transcript, alice_key, bob_key) and insists the
     keys agree."""
     config = setup(seed_setup, levels, max_degree, label_hi, word_len)
+    return exchange_on(config, seed_a, seed_b)
+
+
+def exchange_on(config: ProtocolConfig, seed_a: int, seed_b: int):
+    """run_exchange on a configuration already set up."""
     endo_a, msg_a = party_step(config, "A", seed_a)
     endo_b, msg_b = party_step(config, "B", seed_b)
     key_a = finalize(config, endo_a, msg_b)
@@ -289,6 +297,11 @@ def sandwich_key(config: SandwichConfig, own_pair, peer_message: Word) -> Sessio
 def sandwich_exchange(seed_setup: int, seed_a: int, seed_b: int, size_a: int = 2,
                       size_b: int = 2, word_len: int = 8):
     config = sandwich_setup(seed_setup, size_a, size_b, word_len)
+    return sandwich_exchange_on(config, seed_a, seed_b)
+
+
+def sandwich_exchange_on(config: SandwichConfig, seed_a: int, seed_b: int):
+    """sandwich_exchange on a configuration already set up."""
     pair_a, msg_a = sandwich_message(config, "A", seed_a)
     pair_b, msg_b = sandwich_message(config, "B", seed_b)
     key_a = sandwich_key(config, pair_a, msg_b)
@@ -357,10 +370,15 @@ def equality_free() -> Callable:
 
 
 def equality_dehn(p: Presentation) -> Callable:
-    """Dehn-reduce the quotient; complete on C'(1/6) presentations,
-    a sound-but-blunt heuristic elsewhere (two-valued)."""
-    def eq(a: Word, b: Word) -> bool:
-        return not dehn_reduce(a * b.inverse(), p)
+    """Dehn-reduce the quotient: True when it vanishes.  Otherwise False on
+    C'(1/6) presentations, where Dehn's algorithm is complete, and None
+    (unknown) elsewhere."""
+    complete = check_Cprime(p, Fraction(1, 6))
+
+    def eq(a: Word, b: Word):
+        if not dehn_reduce(a * b.inverse(), p):
+            return True
+        return False if complete else None
 
     return eq
 

@@ -17,13 +17,14 @@ from .cake import (
     ProtocolSetupError,
     bitstream_decode,
     bitstream_encode,
-    config_digest,
     equality_dehn,
     equality_free,
     equality_oracle,
+    exchange_on,
     format_transcript,
-    run_exchange,
-    sandwich_exchange,
+    sandwich_exchange_on,
+    sandwich_setup,
+    setup,
 )
 from .diffusion import DisguiseBudget, disguise, format_move_log
 from .presentations import (
@@ -110,15 +111,8 @@ def _cmd_tietze(args) -> int:
 
 
 def _cmd_cake_run(args) -> int:
-    transcript, key_a, key_b = run_exchange(
-        args.seed, args.seed_a, args.seed_b,
-        levels=args.levels, max_degree=args.max_degree,
-        label_hi=args.label_hi, word_len=args.word_len,
-    )
-    # reconstruct the public config deterministically for display
-    from .cake import setup
-
     config = setup(args.seed, args.levels, args.max_degree, args.label_hi, args.word_len)
+    transcript, key_a, key_b = exchange_on(config, args.seed_a, args.seed_b)
     sys.stdout.write(format_tree(config.platform.tree))
     sys.stdout.write(format_presentation(config.platform.presentation))
     print(f"word: {config.public_word}")
@@ -129,20 +123,12 @@ def _cmd_cake_run(args) -> int:
     if args.transcript:
         alphabet = config.platform.presentation.alphabet
         _write(args.transcript, format_transcript(alphabet, transcript, key_a, key_b))
-    if key_a != key_b:
-        print("error: key mismatch", file=sys.stderr)
-        return 1
     return 0
 
 
 def _cmd_sandwich_run(args) -> int:
-    from .cake import sandwich_setup
-
-    transcript, key_a, key_b = sandwich_exchange(
-        args.seed, args.seed_a, args.seed_b,
-        size_a=args.size_a, size_b=args.size_b, word_len=args.word_len,
-    )
     config = sandwich_setup(args.seed, args.size_a, args.size_b, args.word_len)
+    transcript, key_a, key_b = sandwich_exchange_on(config, args.seed_a, args.seed_b)
     print(f"gens: {' '.join(config.graph.vertices)}")
     print(f"word: {config.public_word}")
     for i, (sender, payload) in enumerate(transcript.messages, 1):
@@ -152,9 +138,6 @@ def _cmd_sandwich_run(args) -> int:
     if args.transcript:
         alphabet = config.presentation.alphabet
         _write(args.transcript, format_transcript(alphabet, transcript, key_a, key_b))
-    if key_a != key_b:
-        print("error: key mismatch", file=sys.stderr)
-        return 1
     return 0
 
 

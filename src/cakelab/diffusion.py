@@ -16,7 +16,7 @@ from random import Random
 
 from .presentations import Presentation, SymmetrizedSet, symmetrize
 from .smallcancel import WspWitness
-from .words import Word, concat, parse_word, random_reduced_word
+from .words import Word, common_prefix_len, concat, parse_word, random_reduced_word
 
 __all__ = [
     "DisguiseBudget",
@@ -93,7 +93,7 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
         raise ValueError("relator is not in the symmetrized set")
     if not 1 <= take <= len(relator):
         raise ValueError("take must cover a non-empty relator prefix")
-    if w.letters[pos : pos + take] != relator.letters[:take]:
+    if not 0 <= pos < len(w) or common_prefix_len(w.letters, relator.letters, pos) < take:
         raise ValueError(f"word does not match the relator prefix at {pos}")
     return concat(concat(w[:pos], relator[take:].inverse()), w[pos + take :])
 
@@ -103,10 +103,8 @@ def find_growth_swaps(w: Word, s: SymmetrizedSet):
     out = []
     for pos in range(len(w)):
         for r in s.ordered:
-            limit = min((len(r) - 1) // 2, len(w) - pos)
-            for take in range(1, limit + 1):
-                if w.letters[pos : pos + take] == r.letters[:take]:
-                    out.append((pos, r, take))
+            k = min((len(r) - 1) // 2, common_prefix_len(w.letters, r.letters, pos))
+            out.extend((pos, r, take) for take in range(1, k + 1))
     return out
 
 
@@ -115,24 +113,21 @@ def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
     cur = w
     log: list[RewriteMove] = []
     for _ in range(budget.moves):
+        # slots: every growth swap, then every (position, element) insert
         swaps = find_growth_swaps(cur, s)
-        slots = [("swap",) + sw for sw in swaps]
-        slots += [
-            ("insert", pos, r)
-            for pos in range(len(cur) + 1)
-            for r in s.ordered
-        ]
+        n_slots = len(swaps) + (len(cur) + 1) * len(s.ordered)
         move = None
         for _ in range(16):  # resample when the length cap rejects a slot
-            kind, *args = slots[rng.randrange(len(slots))]
-            if kind == "swap":
-                pos, rel, take = args
+            k = rng.randrange(n_slots)
+            if k < len(swaps):
+                pos, rel, take = swaps[k]
                 post = subword_swap(cur, p, pos, rel, take)
                 if len(post) > budget.max_word_len:
                     continue
                 move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur, post)
             else:
-                pos, rel = args
+                pos, i = divmod(k - len(swaps), len(s.ordered))
+                rel = s.ordered[i]
                 conj = random_reduced_word(
                     cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng
                 )

@@ -1,22 +1,27 @@
-"""Finite group presentations, symmetrized closures, and Tietze splitting.
+"""Finite group presentations, their compiled symmetrized sets, and Tietze
+splitting.
 
 The splitting move introduces a fresh generator naming the first two letters
 of a long relator; iterating it drives every relator down to length <= 3
 while keeping the group isomorphic.  Histories record each split so that
 words over the final presentation can be translated back to the original
 generators (``lift_word``).
+
+A presentation's symmetrized set is compiled once, on first use, and held by
+the presentation: every verdict and rewrite on it reads that one object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .words import (
     Alphabet,
     Letter,
     Word,
+    common_prefix_len,
     free_reduce,
     parse_word,
     word_sort_key,
@@ -24,6 +29,7 @@ from .words import (
 
 __all__ = [
     "Presentation",
+    "PieceSet",
     "SymmetrizedSet",
     "TietzeStep",
     "PresentationHistory",
@@ -63,22 +69,61 @@ class Presentation:
                 raise ValueError(f"duplicate relator {str(r)!r}")
             seen.add(r)
 
+    @cached_property
+    def _symmetrized(self) -> "SymmetrizedSet":
+        return SymmetrizedSet(self)
+
 
 @dataclass(frozen=True)
+class PieceSet:
+    """All pieces of a symmetrized set, plus the maximal ones.
+
+    The set is prefix-closed and inversion-closed; ``maximal`` holds the
+    pieces that are not a proper prefix of another piece, and ``letters``
+    the pieces' letter tuples.
+    """
+
+    pieces: frozenset
+    maximal: frozenset
+    letters: frozenset
+
+    def __len__(self):
+        return len(self.pieces)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SymmetrizedSet:
-    """All cyclic rotations of the relators and of their inverses."""
+    """The compiled form of a presentation: all cyclic rotations of the
+    relators and of their inverses, in canonical (length, letters) order in
+    ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
+    prefix of ``ordered[i]``.  Pieces and Dehn's table are built on first use.
+    Built from the relators, it is closed under rotation and inversion by
+    construction; :func:`symmetrize` builds it once per presentation.
+    """
 
     alphabet: Alphabet
     elements: frozenset
+    ordered: tuple[Word, ...]
+    piece_lengths: tuple[int, ...]
 
-    def __post_init__(self):
-        for w in self.elements:
-            if not w or not w.is_cyclically_reduced:
-                raise ValueError("symmetrized elements must be non-empty and cyclically reduced")
-            if w.inverse() not in self.elements:
-                raise ValueError("set is not closed under inversion")
-            if not w.cyclic_permutations() <= self.elements:
-                raise ValueError("set is not closed under rotation")
+    def __init__(self, p: Presentation):
+        closure = set()
+        for r in p.relators:
+            closure |= r.cyclic_permutations()
+            closure |= r.inverse().cyclic_permutations()
+        ordered = tuple(sorted(closure, key=word_sort_key))
+        # In letter-lexicographic order the longest common prefix of an
+        # element with any other one is the one with a neighbour.
+        lex = sorted(range(len(ordered)), key=lambda i: ordered[i].letters)
+        lengths = [0] * len(lex)
+        for i, j in zip(lex, lex[1:]):
+            k = common_prefix_len(ordered[i].letters, ordered[j].letters)
+            lengths[i] = max(lengths[i], k)
+            lengths[j] = max(lengths[j], k)
+        object.__setattr__(self, "alphabet", p.alphabet)
+        object.__setattr__(self, "elements", frozenset(closure))
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "piece_lengths", tuple(lengths))
 
     def __len__(self):
         return len(self.elements)
@@ -86,20 +131,41 @@ class SymmetrizedSet:
     def __contains__(self, w: Word) -> bool:
         return w in self.elements
 
-    @property
-    def ordered(self) -> tuple[Word, ...]:
-        """Elements in the canonical (length, letters) order."""
-        return tuple(sorted(self.elements, key=word_sort_key))
+    @cached_property
+    def pieces(self) -> PieceSet:
+        """Common prefixes of distinct elements: each element's prefixes up to its piece length."""
+        letters = {
+            r.letters[:k]
+            for r, m in zip(self.ordered, self.piece_lengths)
+            for k in range(1, m + 1)
+        }
+        maximal = letters - {u[:-1] for u in letters}
+        return PieceSet(
+            frozenset(Word(self.alphabet, u) for u in letters),
+            frozenset(Word(self.alphabet, u) for u in maximal),
+            frozenset(letters),
+        )
+
+    @cached_property
+    def dehn_table(self) -> dict:
+        """prefix u -> replacement v^-1, for every element u v with 2|u| > |u v|.
+
+        Ties on the same prefix keep the earliest element in canonical order.
+        """
+        table: dict[tuple, Word] = {}
+        for r in self.ordered:
+            n = len(r)
+            for take in range(n, n // 2, -1):
+                key = r.letters[:take]
+                if key not in table:
+                    table[key] = r[take:].inverse()
+        return table
 
 
-@lru_cache(maxsize=None)
 def symmetrize(p: Presentation) -> SymmetrizedSet:
-    """Smallest rotation- and inversion-closed superset of the relators."""
-    closure = set()
-    for r in p.relators:
-        closure |= r.cyclic_permutations()
-        closure |= r.inverse().cyclic_permutations()
-    return SymmetrizedSet(p.alphabet, frozenset(closure))
+    """Smallest rotation- and inversion-closed superset of the relators,
+    compiled on first use and held by ``p``."""
+    return p._symmetrized
 
 
 @dataclass(frozen=True)

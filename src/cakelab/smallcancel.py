@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .presentations import Presentation, SymmetrizedSet, symmetrize
-from .words import Word, concat, parse_word, seam_reduced, word_sort_key
+from .presentations import PieceSet, Presentation, SymmetrizedSet, symmetrize
+from .words import Word, common_prefix_len, concat, parse_word
 
 __all__ = [
     "PieceSet",
@@ -40,50 +40,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PieceSet:
-    """All pieces of a symmetrized set, plus the maximal ones.
-
-    The set is prefix-closed and inversion-closed; ``maximal`` holds the
-    pieces that are not a proper prefix of another piece.
-    """
-
-    pieces: frozenset
-    maximal: frozenset
-
-    def __len__(self):
-        return len(self.pieces)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.pieces
-
-    @property
-    def ordered(self) -> tuple[Word, ...]:
-        return tuple(sorted(self.pieces, key=word_sort_key))
-
-
-def _common_prefix_len(a: Word, b: Word) -> int:
-    n = min(len(a), len(b))
-    for k in range(n):
-        if a.letters[k] != b.letters[k]:
-            return k
-    return n
-
-
 def enumerate_pieces(s: SymmetrizedSet) -> PieceSet:
-    """Common prefixes of distinct symmetrized elements, prefix-closed."""
-    elems = s.ordered
-    pieces = set()
-    for i, r1 in enumerate(elems):
-        for r2 in elems[i + 1 :]:
-            k = _common_prefix_len(r1, r2)
-            for take in range(1, k + 1):
-                pieces.add(r1[:take])
-    maximal = {
-        u for u in pieces
-        if not any(len(v) == len(u) + 1 and v[: len(u)] == u for v in pieces)
-    }
-    return PieceSet(frozenset(pieces), frozenset(maximal))
+    """Common prefixes of distinct symmetrized elements, prefix-closed; built once per set."""
+    return s.pieces
 
 
 def min_piece_count(r: Word, ps: PieceSet) -> Optional[int]:
@@ -91,17 +50,9 @@ def min_piece_count(r: Word, ps: PieceSet) -> Optional[int]:
 
     Shortest path over positions 0..len(r).  Prefix-closure makes the piece
     lengths available at each position a contiguous range 1..L, so only the
-    longest match needs finding.
+    longest match needs finding, one letter at a time.
     """
     n = len(r)
-    if n == 0:
-        return 0
-    by_length: dict[int, set] = {}
-    for u in ps.pieces:
-        by_length.setdefault(len(u), set()).add(u.letters)
-    if not by_length:
-        return None
-    max_len = max(by_length)
     INF = n + 1
     dist = [INF] * (n + 1)
     dist[0] = 0
@@ -109,10 +60,8 @@ def min_piece_count(r: Word, ps: PieceSet) -> Optional[int]:
         if dist[pos] == INF:
             continue
         longest = 0
-        for take in range(min(max_len, n - pos), 0, -1):
-            if r.letters[pos : pos + take] in by_length.get(take, ()):
-                longest = take
-                break
+        while pos + longest < n and r.letters[pos : pos + longest + 1] in ps.letters:
+            longest += 1
         for take in range(1, longest + 1):
             if dist[pos] + 1 < dist[pos + take]:
                 dist[pos + take] = dist[pos] + 1
@@ -136,15 +85,6 @@ def check_C(p: Presentation, pbound: int) -> bool:
     return True
 
 
-def _prefix_piece_ratios(p: Presentation):
-    s = symmetrize(p)
-    ps = enumerate_pieces(s)
-    for r in s.ordered:
-        for u in ps.pieces:
-            if len(u) <= len(r) and r[: len(u)] == u:
-                yield Fraction(len(u), len(r))
-
-
 def check_Cprime(p: Presentation, lam: Fraction) -> bool:
     """C'(lam): every piece prefix u of a symmetrized relator r has |u| < lam|r|.
 
@@ -153,12 +93,17 @@ def check_Cprime(p: Presentation, lam: Fraction) -> bool:
     lam = Fraction(lam)
     if not 0 < lam <= 1:
         raise ValueError("lambda must be in (0, 1]")
-    return all(ratio < lam for ratio in _prefix_piece_ratios(p))
+    sup = cprime_sup(p)
+    return sup is None or sup < lam
 
 
 def cprime_sup(p: Presentation) -> Optional[Fraction]:
     """Largest |u|/|r| over piece prefixes, or None when no relator has one."""
-    return max(_prefix_piece_ratios(p), default=None)
+    s = symmetrize(p)
+    return max(
+        (Fraction(m, len(r)) for r, m in zip(s.ordered, s.piece_lengths) if m),
+        default=None,
+    )
 
 
 def check_T4(p: Presentation) -> bool:
@@ -170,12 +115,9 @@ def check_T4(p: Presentation) -> bool:
     are r1 r2, r2 r3, r3 r1.
     """
     elems = symmetrize(p).ordered
-    if not elems:
-        return True
     firsts = [w.letters[0] for w in elems]
     lasts = [w.letters[-1] for w in elems]
     inv = [w.inverse() for w in elems]
-    index = {w: i for i, w in enumerate(elems)}
     n = len(elems)
     for i in range(n):
         for j in range(n):
@@ -216,21 +158,6 @@ def build_report(p: Presentation, c_bounds: Iterable[int] = (4,)) -> Cancellatio
 
 # -- Dehn's algorithm ----------------------------------------------------
 
-def _majority_table(s: SymmetrizedSet):
-    """prefix u -> replacement v^-1, for every s-element u v with 2|u| > |u v|.
-
-    Ties on the same prefix keep the earliest element in canonical order.
-    """
-    table: dict[tuple, Word] = {}
-    for r in s.ordered:
-        n = len(r)
-        for take in range(n, n // 2, -1):
-            key = r.letters[:take]
-            if key not in table:
-                table[key] = r[take:].inverse()
-    return table
-
-
 def dehn_reduce(w: Word, p: Presentation) -> Word:
     """Replace relator-majority subwords u by the shorter complement v^-1
     until none remain.  Leftmost match first, longer matches preferred.
@@ -239,10 +166,10 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     empty exactly when w represents the identity.
     """
     s = symmetrize(p)
-    table = _majority_table(s)
+    table = s.dehn_table
     if not table:
         return w
-    max_take = max(len(k) for k in table)
+    max_take = len(s.ordered[-1])  # the longest element
     cur = w
     changed = True
     while changed:
@@ -287,14 +214,11 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
 
 def _swap_moves(x: Word, elems: tuple):
     """All (post, conjugator, relator, exponent) from one subword swap."""
-    n = len(x)
-    for pos in range(n):
+    for pos in range(len(x)):
         for r in elems:
-            limit = min(len(r), n - pos)
-            for take in range(limit, 0, -1):
-                if x.letters[pos : pos + take] == r.letters[:take]:
-                    post = concat(concat(x[:pos], r[take:].inverse()), x[pos + take :])
-                    yield post, x[:pos], r, -1
+            for take in range(common_prefix_len(x.letters, r.letters, pos), 0, -1):
+                post = concat(concat(x[:pos], r[take:].inverse()), x[pos + take :])
+                yield post, x[:pos], r, -1
 
 
 def _insert_moves(x: Word, elems: tuple):

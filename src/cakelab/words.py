@@ -22,8 +22,10 @@ __all__ = [
     "Alphabet",
     "Letter",
     "Word",
+    "MAX_WORD_LETTERS",
     "free_reduce",
     "concat",
+    "common_prefix_len",
     "seam_reduced",
     "parse_word",
     "word_sort_key",
@@ -33,6 +35,9 @@ __all__ = [
 # Characters that would collide with the word grammar or the line-based file
 # formats if they appeared inside a generator name.
 _FORBIDDEN_IN_NAMES = set("^=@:#")
+
+# The longest word the text grammar accepts; parse_word builds no more letters.
+MAX_WORD_LETTERS = 1_000_000
 
 
 class Letter(NamedTuple):
@@ -166,12 +171,8 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word(self.alphabet)
-        for _ in range(k):
-            out = out * self
-        return out
+        base = self if k >= 0 else self.inverse()
+        return free_reduce(self.alphabet, base.letters * abs(k))
 
     def inverse(self) -> "Word":
         return Word(self.alphabet, tuple(lt.inverse() for lt in reversed(self.letters)))
@@ -251,6 +252,15 @@ def concat(a: Word, b: Word) -> Word:
     return Word(a.alphabet, tuple(out))
 
 
+def common_prefix_len(a: Sequence, b: Sequence, start: int = 0) -> int:
+    """Length of the longest common prefix of ``a[start:]`` and ``b``, without slicing."""
+    n = min(len(a) - start, len(b))
+    k = 0
+    while k < n and a[start + k] == b[k]:
+        k += 1
+    return k
+
+
 def seam_reduced(a: Word, b: Word) -> bool:
     """True when the product ``a*b`` has no cancellation at the seam.
 
@@ -285,7 +295,8 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     ``k`` is a non-zero integer; ``name^-2`` means two inverse letters.  The
     token ``1`` denotes the empty word.  Unknown names and ``^0`` are errors.
     The parsed sequence is freely reduced, so any spelling of a word is
-    accepted and normalised.
+    accepted and normalised.  A spelling of more than ``MAX_WORD_LETTERS``
+    letters is an error, raised before more letters than that are built.
     """
     letters: list[Letter] = []
     for token in text.split():
@@ -302,6 +313,8 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
         else:
             k = 1
         gen = alphabet.index(name)
+        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+            raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         sign = 1 if k > 0 else -1
         letters.extend([Letter(gen, sign)] * abs(k))
     return free_reduce(alphabet, letters)

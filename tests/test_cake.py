@@ -264,6 +264,16 @@ def test_equality_strategies_agree_where_decided():
     oracle = equality_oracle(p, 2)
     assert oracle(u, same) is True
     assert oracle(u, diff) in (False, None)
+    # off C'(1/6) a word Dehn cannot shorten to 1 is unknown, not different
+    x = Alphabet(("x1", "x2", "x3"))
+    ex = Presentation(
+        x,
+        (parse_word(x, "x1^2 x2 x3^2 x2^-1"), parse_word(x, "x2^2 x3 x1^2 x3^-1")),
+    )
+    v = parse_word(x, "x1 x2^-1")
+    ex_dehn = equality_dehn(ex)
+    assert ex_dehn(v * parse_word(x, "x3"), v) is None
+    assert ex_dehn(v * ex.relators[0], v) is True
 
 
 def test_setup_raises_when_viability_is_impossible():

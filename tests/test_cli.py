@@ -42,6 +42,20 @@ def test_check_output_lines(capsys, ex_file):
     ]
 
 
+def test_check_output_on_level3_tree(capsys, tmp_path):
+    pres_f = str(tmp_path / "l3.txt")
+    run(capsys, ["gen", "--levels", "3", "--max-degree", "4", "--seed", "11",
+                 "--out-pres", pres_f])
+    code, out, err = run(capsys, ["check", "--presentation", pres_f])
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "C(4): true",
+        "C'(1/6): false",
+        "T(4): true",
+        "pieces: 138",
+    ] + ["min-pieces: 4"] * 8
+
+
 def test_check_missing_file_is_input_error(capsys):
     code, out, err = run(capsys, ["check", "--presentation", "/no/such/file"])
     assert code == 2
@@ -201,6 +215,14 @@ def test_wp_trivial_with_witness_file(capsys, ex_file, tmp_path):
     with open(wit_f) as fh:
         wit = parse_witness(fh.read(), alphabet)
     assert replay_witness(wit, alphabet) == parse_word(alphabet, "x2 x1^2 x2 x3^2 x2^-2")
+
+
+def test_wp_oversized_word_is_input_error(capsys, ex_file):
+    # refused by the word-size cap before a single letter is built
+    code, out, err = run(capsys, ["wp", "--presentation", ex_file,
+                                  "--word", "x1^100000000000000000000", "--depth", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_wp_unknown_exits_one(capsys, ex_file):

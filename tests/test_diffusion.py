@@ -70,6 +70,11 @@ def test_subword_swap_validates_match():
         subword_swap(w, EX, 0, r, 2)
     with pytest.raises(ValueError):
         subword_swap(w, EX, 0, r, 0)
+    # positions count from the start only: w ends with r's first letter
+    with pytest.raises(ValueError):
+        subword_swap(w, EX, -1, r, 1)
+    with pytest.raises(ValueError):
+        subword_swap(w, EX, len(w), r, 1)
 
 
 def test_growth_swaps_grow_before_seam_cancellation():

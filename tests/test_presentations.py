@@ -1,5 +1,8 @@
 """Presentations, symmetrized closures, Tietze splitting, files."""
 
+import gc
+import weakref
+
 import pytest
 
 from cakelab.presentations import (
@@ -57,6 +60,17 @@ def test_symmetrize_ordered_is_deterministic():
     assert a == b
     assert list(a) == sorted(a, key=word_sort_key)
     assert set(a) == symmetrize(P).elements
+
+
+def test_symmetrize_is_held_by_its_presentation_only():
+    p = Presentation(X, (R1, R2))
+    s = symmetrize(p)
+    assert symmetrize(p) is s  # compiled once per presentation
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None  # no global cache keeps the presentation alive
+    assert len(s) == 24
 
 
 def test_presentation_rejects_bad_relators():

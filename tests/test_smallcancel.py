@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from cakelab.presentations import Presentation, parse_presentation, symmetrize
+from cakelab.artin import artin_from_graph, random_tree
+from cakelab.presentations import (
+    Presentation,
+    braid_presentation,
+    parse_presentation,
+    symmetrize,
+)
 from cakelab.smallcancel import (
     WspWitness,
     bounded_wp_oracle,
@@ -40,6 +46,17 @@ ZSQ = Presentation(AB, (parse_word(AB, "a b a^-1 b^-1"),))
 
 SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
+
+# the level-3 tree platform: |S| = 184, 138 pieces
+L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+
+ORACLE_CASES = [
+    pytest.param(EX, id="EX"),
+    pytest.param(ZSQ, id="ZSQ"),
+    pytest.param(GENUS2, id="GENUS2"),
+    pytest.param(braid_presentation(4), id="braid4"),
+    pytest.param(L3, id="L3"),
+]
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,6 +92,18 @@ def min_pieces_oracle(r, pieces):
     return best[0]
 
 
+def cprime_sup_oracle(p):
+    """Largest |u|/|r| over every oracle piece u that is a prefix of an element r."""
+    pieces = pieces_oracle(p)
+    ratios = [
+        Fraction(len(u), len(r))
+        for r in symmetrize(p).elements
+        for u in pieces
+        if r.letters[: len(u)] == u.letters
+    ]
+    return max(ratios, default=None)
+
+
 def t4_oracle(p):
     """Brute force: search for r1, r2, r3 with all three seams cancelling."""
     closure = symmetrize(p).ordered
@@ -92,9 +121,22 @@ def t4_oracle(p):
 
 # ---------------------------------------------------------------- pieces
 
-def test_pieces_match_oracle():
-    ps = enumerate_pieces(symmetrize(EX))
-    assert ps.pieces == frozenset(pieces_oracle(EX))
+@pytest.mark.parametrize("p", ORACLE_CASES)
+def test_pieces_match_oracle(p):
+    ps = enumerate_pieces(symmetrize(p))
+    assert ps.pieces == frozenset(pieces_oracle(p))
+    assert ps.letters == frozenset(u.letters for u in ps.pieces)
+    # maximal: no piece extends it by one letter
+    assert ps.maximal == frozenset(
+        u for u in ps.pieces
+        if not any(len(v) == len(u) + 1 and v[: len(u)] == u for v in ps.pieces)
+    )
+
+
+def test_pieces_built_once_per_presentation():
+    s = symmetrize(L3)
+    assert len(enumerate_pieces(s)) == 138
+    assert enumerate_pieces(s) is enumerate_pieces(symmetrize(L3))
 
 
 def test_pieces_frozen_values():
@@ -132,9 +174,10 @@ def test_genus2_pieces_are_single_letters():
 
 # ------------------------------------------------------- min piece count
 
-def test_min_piece_count_matches_oracle():
-    ps = enumerate_pieces(symmetrize(EX))
-    for r in symmetrize(EX).ordered:
+@pytest.mark.parametrize("p", ORACLE_CASES)
+def test_min_piece_count_matches_oracle(p):
+    ps = enumerate_pieces(symmetrize(p))
+    for r in symmetrize(p).ordered:
         assert min_piece_count(r, ps) == min_pieces_oracle(r, ps.pieces)
 
 
@@ -177,6 +220,11 @@ def test_cprime_frozen():
     assert cprime_sup(EX) == Fraction(1, 3)
     assert check_Cprime(GENUS2, Fraction(1, 6)) is True
     assert cprime_sup(GENUS2) == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("p", ORACLE_CASES)
+def test_cprime_sup_matches_oracle(p):
+    assert cprime_sup(p) == cprime_sup_oracle(p)
 
 
 def test_cprime_is_strict():

@@ -1,11 +1,13 @@
 """Free-word layer: reduction, algebra, text grammar."""
 
+import doctest
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cakelab.words
 from cakelab.words import (
     Alphabet,
     Letter,
@@ -124,6 +126,23 @@ def test_parse_rejects_garbage():
         parse_word(ABC, "a^0")
     with pytest.raises(ValueError):
         parse_word(ABC, "a^x")
+
+
+def test_parse_caps_word_length_before_allocating():
+    # 10^20 letters could never be built: the cap must refuse it first
+    with pytest.raises(ValueError, match="letters"):
+        parse_word(ABC, "a^100000000000000000000")
+
+
+def test_parse_cap_counts_letters_across_tokens(monkeypatch):
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 5)
+    assert len(parse_word(ABC, "a^3 b^-2")) == 5
+    with pytest.raises(ValueError, match="letters"):
+        parse_word(ABC, "a^3 b^-3")
+
+
+def test_module_doctests():
+    assert doctest.testmod(cakelab.words) == (0, 10)
 
 
 def test_empty_word_prints_and_parses_as_one():
