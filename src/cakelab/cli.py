@@ -45,13 +45,19 @@ from .words import Alphabet, parse_word
 
 __all__ = ["main"]
 
+# The largest input file read; a larger one is refused after reading one byte more.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
+
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"{path} is larger than {MAX_INPUT_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def _write(path: str, text: str) -> None:

@@ -99,10 +99,13 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
 
 
 def find_growth_swaps(w: Word, s: SymmetrizedSet):
-    """All (pos, relator, take) with a strict length gain, i.e. 2*take < |relator|."""
+    """All (pos, relator, take) with a strict length gain, i.e. 2*take < |relator|,
+    by position, then in canonical order among the elements starting there."""
+    elems, starting = s.ordered, s.first_letters.starting
     out = []
     for pos in range(len(w)):
-        for r in s.ordered:
+        for i in starting.get(w.letters[pos], ()):
+            r = elems[i]
             k = min((len(r) - 1) // 2, common_prefix_len(w.letters, r.letters, pos))
             out.extend((pos, r, take) for take in range(1, k + 1))
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import (
     Alphabet,
@@ -91,14 +91,25 @@ class PieceSet:
         return len(self.pieces)
 
 
+class FirstLetterIndex(NamedTuple):
+    """Positions in a symmetrized set's canonical order: ``starting[l]`` the
+    indices of the elements whose first letter is ``l``, ascending (absent
+    letters map to nothing), and ``inverse[i]`` the index of element i's
+    inverse."""
+
+    starting: dict
+    inverse: tuple[int, ...]
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SymmetrizedSet:
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
     ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
-    prefix of ``ordered[i]``.  Pieces and Dehn's table are built on first use.
-    Built from the relators, it is closed under rotation and inversion by
-    construction; :func:`symmetrize` builds it once per presentation.
+    prefix of ``ordered[i]``.  Pieces, Dehn's table and the first-letter
+    index are built on first use.  Built from the relators, it is closed
+    under rotation and inversion by construction; :func:`symmetrize` builds
+    it once per presentation.
     """
 
     alphabet: Alphabet
@@ -160,6 +171,20 @@ class SymmetrizedSet:
                 if key not in table:
                     table[key] = r[take:].inverse()
         return table
+
+    @cached_property
+    def first_letters(self) -> FirstLetterIndex:
+        """Elements grouped by first letter, and each element's inverse, by index."""
+        starting: dict[Letter, list[int]] = {}
+        position = {}
+        for i, r in enumerate(self.ordered):
+            starting.setdefault(r.letters[0], []).append(i)
+            position[r.letters] = i
+        inverse = tuple(
+            position[tuple(lt.inverse() for lt in reversed(r.letters))]
+            for r in self.ordered
+        )
+        return FirstLetterIndex({lt: tuple(ix) for lt, ix in starting.items()}, inverse)
 
 
 def symmetrize(p: Presentation) -> SymmetrizedSet:

@@ -113,22 +113,26 @@ def check_T4(p: Presentation) -> bool:
     Triples (r1, r2, r3) range over the symmetrized set with the adjacency
     constraint r1 != r2^-1, r2 != r3^-1, r3 != r1^-1; the products checked
     are r1 r2, r2 r3, r3 r1.
+
+    The search walks the set's first-letter index: for each r1, only the r2
+    starting with the inverse of r1's last letter, and for each such r2 only
+    the r3 starting with the inverse of r2's last letter, keeping those that
+    end in the inverse of r1's first letter.  The inverse exclusions compare
+    indices.  With d elements per first letter, the cost is the sum over
+    elements of d^2, not |S|^3.
     """
-    elems = symmetrize(p).ordered
-    firsts = [w.letters[0] for w in elems]
-    lasts = [w.letters[-1] for w in elems]
-    inv = [w.inverse() for w in elems]
-    n = len(elems)
-    for i in range(n):
-        for j in range(n):
-            if inv[j] == elems[i]:
+    s = symmetrize(p)
+    starting, inv = s.first_letters
+    lasts = [w.letters[-1] for w in s.ordered]
+    # nexts[i]: the elements whose first letter cancels element i's last one
+    nexts = [starting.get(lt.inverse(), ()) for lt in lasts]
+    for i, r in enumerate(s.ordered):
+        closing = r.letters[0].inverse()
+        for j in nexts[i]:
+            if j == inv[i]:
                 continue
-            if lasts[i] != firsts[j].inverse():
-                continue  # r1 r2 already seam-reduced, triple can't violate
-            for k in range(n):
-                if inv[k] == elems[j] or inv[i] == elems[k]:
-                    continue
-                if lasts[j] == firsts[k].inverse() and lasts[k] == firsts[i].inverse():
+            for k in nexts[j]:
+                if lasts[k] == closing and k != inv[j] and k != inv[i]:
                     return False
     return True
 
@@ -212,10 +216,13 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
     return replay_witness(witness, w.alphabet) == w
 
 
-def _swap_moves(x: Word, elems: tuple):
-    """All (post, conjugator, relator, exponent) from one subword swap."""
+def _swap_moves(x: Word, s: SymmetrizedSet):
+    """All (post, conjugator, relator, exponent) from one subword swap, by
+    position, then in canonical order among the elements starting there."""
+    elems, starting = s.ordered, s.first_letters.starting
     for pos in range(len(x)):
-        for r in elems:
+        for i in starting.get(x.letters[pos], ()):
+            r = elems[i]
             for take in range(common_prefix_len(x.letters, r.letters, pos), 0, -1):
                 post = concat(concat(x[:pos], r[take:].inverse()), x[pos + take :])
                 yield post, x[:pos], r, -1
@@ -229,10 +236,10 @@ def _insert_moves(x: Word, elems: tuple):
             yield concat(concat(prefix, r), suffix), prefix, r, 1
 
 
-def _moves(x: Word, elems: tuple):
+def _moves(x: Word, s: SymmetrizedSet):
     # swaps first: they are the shrinking direction and reach the goal sooner
-    yield from _swap_moves(x, elems)
-    yield from _insert_moves(x, elems)
+    yield from _swap_moves(x, s)
+    yield from _insert_moves(x, s.ordered)
 
 
 def bounded_wp_oracle(
@@ -272,7 +279,7 @@ def bounded_wp_oracle(
             break
         nxt: list[tuple[Word, tuple]] = []
         for x, path in frontier:
-            for post, conj, rel, exp in _moves(x, elems):
+            for post, conj, rel, exp in _moves(x, s):
                 budget -= 1
                 if not post:
                     return _finish_witness(path + ((conj, rel, exp),))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cakelab import cli
 from cakelab.cli import main
 from cakelab.presentations import parse_presentation
 from cakelab.smallcancel import parse_witness, replay_witness
@@ -61,6 +62,17 @@ def test_check_missing_file_is_input_error(capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_check_refuses_file_over_size_cap(capsys, ex_file, monkeypatch):
+    size = len(EX_TEXT.encode())
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    code, out, _ = run(capsys, ["check", "--presentation", ex_file])
+    assert code == 0 and out.startswith("C(4): true")
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    code, out, err = run(capsys, ["check", "--presentation", ex_file])
+    assert code == 2 and out == ""
+    assert err == f"error: {ex_file} is larger than {size - 1} bytes\n"
 
 
 # ------------------------------------------------------------------- gen

@@ -16,7 +16,8 @@ from cakelab.diffusion import (
     parse_move_log,
     subword_swap,
 )
-from cakelab.presentations import Presentation, symmetrize
+from cakelab.artin import artin_from_graph, random_tree
+from cakelab.presentations import Presentation, braid_presentation, symmetrize
 from cakelab.smallcancel import bounded_wp_oracle, dehn_reduce, replay_witness
 from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
 
@@ -28,6 +29,8 @@ EX = Presentation(
 
 SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
+
+L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
 
 
 # ------------------------------------------------------------ primitives
@@ -90,6 +93,35 @@ def test_growth_swaps_grow_before_seam_cancellation():
             raw = len(w) + len(r) - 2 * take
             assert len(v) <= raw and (raw - len(v)) % 2 == 0
             assert len(dehn_reduce(v * ~w, EX)) == 0
+
+
+def naive_growth_swaps(w, s):
+    """Every element tried at every position, matched letter by letter."""
+    out = []
+    for pos in range(len(w)):
+        for r in s.ordered:
+            take = 0
+            while (pos + take < len(w) and 2 * (take + 1) < len(r)
+                   and w.letters[pos + take] == r.letters[take]):
+                take += 1
+            out.extend((pos, r, t) for t in range(1, take + 1))
+    return out
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(EX, id="EX"),
+    pytest.param(braid_presentation(4), id="braid4"),
+    pytest.param(L3, id="L3"),
+])
+def test_growth_swaps_match_naive_scan_in_order(p):
+    # disguise draws its moves by index into this list
+    rng = random.Random(23)
+    s = symmetrize(p)
+    for _ in range(30):
+        r = s.ordered[rng.randrange(len(s))]
+        w = (random_reduced_word(p.alphabet, rng.randint(0, 4), rng) * r[: rng.randint(0, len(r))]
+             * random_reduced_word(p.alphabet, rng.randint(0, 4), rng))
+        assert find_growth_swaps(w, s) == naive_growth_swaps(w, s)
 
 
 def test_rewrite_move_replay_validation():

@@ -19,6 +19,7 @@ from cakelab.presentations import (
 )
 from cakelab.smallcancel import (
     WspWitness,
+    _swap_moves,
     bounded_wp_oracle,
     build_report,
     check_C,
@@ -56,6 +57,31 @@ ORACLE_CASES = [
     pytest.param(GENUS2, id="GENUS2"),
     pytest.param(braid_presentation(4), id="braid4"),
     pytest.param(L3, id="L3"),
+]
+
+
+def random_presentation(rng):
+    """1-4 generators, 1-3 distinct cyclically reduced relators of length 1-6."""
+    alphabet = Alphabet(tuple(f"g{i}" for i in range(1, rng.randint(1, 4) + 1)))
+    relators = []
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            r = random_reduced_word(alphabet, rng.randint(1, 6), rng)
+            if r.is_cyclically_reduced and r not in relators:
+                relators.append(r)
+                break
+    return Presentation(alphabet, tuple(relators))
+
+
+_T4_RNG = random.Random(2024)
+RANDOM_T4 = [random_presentation(_T4_RNG) for _ in range(40)]
+
+T4_CASES = [
+    pytest.param(EX, id="EX"),
+    pytest.param(ZSQ, id="ZSQ"),
+    pytest.param(GENUS2, id="GENUS2"),
+] + [pytest.param(braid_presentation(n), id=f"braid{n}") for n in (3, 4, 5)] + [
+    pytest.param(p, id=f"random{i}") for i, p in enumerate(RANDOM_T4)
 ]
 
 
@@ -239,10 +265,19 @@ def test_cprime_sup_none_without_pieces():
     assert check_Cprime(p, Fraction(1, 6)) is True
 
 
-def test_t4_matches_oracle_on_examples():
-    for p in (EX, ZSQ, GENUS2):
-        verdict, triple = t4_oracle(p)
-        assert check_T4(p) is verdict, (p, triple)
+@pytest.mark.parametrize("p", T4_CASES)
+def test_t4_matches_oracle_on_examples(p):
+    verdict, triple = t4_oracle(p)
+    assert check_T4(p) is verdict, (p, triple)
+
+
+def test_t4_random_batch_has_both_verdicts():
+    assert {check_T4(p) for p in RANDOM_T4} == {True, False}
+
+
+@pytest.mark.parametrize("levels", [4, 5])
+def test_t4_holds_on_deeper_trees(levels):
+    assert check_T4(artin_from_graph(random_tree(levels, 4, 7, seed=11).graph)) is True
 
 
 def test_t4_frozen_values():
@@ -309,6 +344,34 @@ def test_dehn_on_product_of_conjugates():
 
 
 # --------------------------------------------------------------- oracle
+
+def naive_swap_moves(x, s):
+    """Every element tried at every position, matched letter by letter."""
+    for pos in range(len(x)):
+        for r in s.ordered:
+            take = 0
+            while (pos + take < len(x) and take < len(r)
+                   and x.letters[pos + take] == r.letters[take]):
+                take += 1
+            for t in range(take, 0, -1):
+                yield (x[:pos] * ~r[t:]) * x[pos + t :], x[:pos], r, -1
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(EX, id="EX"),
+    pytest.param(braid_presentation(4), id="braid4"),
+    pytest.param(L3, id="L3"),
+])
+def test_swap_moves_match_naive_scan_in_order(p):
+    # the oracle's node order, and so its budget use, rests on this order
+    rng = random.Random(19)
+    s = symmetrize(p)
+    for _ in range(12):
+        r = s.ordered[rng.randrange(len(s))]
+        x = (random_reduced_word(p.alphabet, rng.randint(0, 4), rng) * r[: rng.randint(0, len(r))]
+             * random_reduced_word(p.alphabet, rng.randint(0, 4), rng))
+        assert list(_swap_moves(x, s)) == list(naive_swap_moves(x, s))
+
 
 def test_oracle_empty_word_is_trivial_with_empty_witness():
     wit = bounded_wp_oracle(Word(X, ()), EX, 1)
