@@ -3,9 +3,11 @@
 Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1 (growth direction
-only, |u| < |v|).  Every move is logged with enough context to replay it and
-to convert the whole log into a word-search witness for
-disguised * original^-1.
+only, |u| < |v|).  Swaps are found by the symmetrized set's relator-prefix
+scan (``SymmetrizedSet.matches``) and made by ``presentations.swap``, the
+same scan and swap that Dehn reduction and the oracle use.  Every move is
+logged with enough context to replay it and to convert the whole log into a
+word-search witness for disguised * original^-1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from random import Random
 
-from .presentations import Presentation, SymmetrizedSet, symmetrize
+from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
 from .smallcancel import WspWitness
 from .words import Word, common_prefix_len, concat, parse_word, random_reduced_word
 
@@ -95,20 +97,17 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
         raise ValueError("take must cover a non-empty relator prefix")
     if not 0 <= pos < len(w) or common_prefix_len(w.letters, relator.letters, pos) < take:
         raise ValueError(f"word does not match the relator prefix at {pos}")
-    return concat(concat(w[:pos], relator[take:].inverse()), w[pos + take :])
+    return swap(w, pos, relator, take)
 
 
 def find_growth_swaps(w: Word, s: SymmetrizedSet):
     """All (pos, relator, take) with a strict length gain, i.e. 2*take < |relator|,
     by position, then in canonical order among the elements starting there."""
-    elems, starting = s.ordered, s.first_letters.starting
-    out = []
-    for pos in range(len(w)):
-        for i in starting.get(w.letters[pos], ()):
-            r = elems[i]
-            k = min((len(r) - 1) // 2, common_prefix_len(w.letters, r.letters, pos))
-            out.extend((pos, r, take) for take in range(1, k + 1))
-    return out
+    return [
+        (pos, r, take)
+        for pos, r, k in s.matches(w)
+        for take in range(1, min(k, (len(r) - 1) // 2) + 1)
+    ]
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
@@ -124,7 +123,7 @@ def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
             k = rng.randrange(n_slots)
             if k < len(swaps):
                 pos, rel, take = swaps[k]
-                post = subword_swap(cur, p, pos, rel, take)
+                post = swap(cur, pos, rel, take)
                 if len(post) > budget.max_word_len:
                     continue
                 move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur, post)
@@ -134,7 +133,7 @@ def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
                 conj = random_reduced_word(
                     cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng
                 )
-                post = insert_conjugate(cur, p, pos, conj, rel)
+                post = _replay(cur, pos, conj, rel, 1)
                 if len(post) > budget.max_word_len:
                     continue
                 move = RewriteMove("insert-conjugate", pos, rel, 1, conj, cur, post)
@@ -188,7 +187,12 @@ def format_move_log(log) -> str:
 
 
 def parse_move_log(text: str, p: Presentation, start: Word):
-    """Rebuild a move log by replaying the serialized moves from ``start``."""
+    """Rebuild a move log by replaying the serialized moves from ``start``.
+
+    Every relator must be an element of ``p``'s symmetrized set; a move by
+    any other word would not preserve the group element.
+    """
+    s = symmetrize(p)
     alphabet = start.alphabet
     cur = start
     out = []
@@ -214,6 +218,8 @@ def parse_move_log(text: str, p: Presentation, start: Word):
         if not sep:
             raise ValueError(f"malformed move line {line!r}")
         rel = parse_word(alphabet, rel_text)
+        if rel not in s:
+            raise ValueError(f"relator {str(rel)!r} is not in the symmetrized set")
         exp = int(exp_text.strip())
         conj = parse_word(alphabet, conj_text)
         post = _replay(cur, pos, conj, rel, exp)

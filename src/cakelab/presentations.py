@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator
 
 from .words import (
     Alphabet,
     Letter,
     Word,
     common_prefix_len,
+    concat,
     free_reduce,
     parse_word,
     word_sort_key,
@@ -91,25 +92,19 @@ class PieceSet:
         return len(self.pieces)
 
 
-class FirstLetterIndex(NamedTuple):
-    """Positions in a symmetrized set's canonical order: ``starting[l]`` the
-    indices of the elements whose first letter is ``l``, ascending (absent
-    letters map to nothing), and ``inverse[i]`` the index of element i's
-    inverse."""
-
-    starting: dict
-    inverse: tuple[int, ...]
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SymmetrizedSet:
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
     ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
-    prefix of ``ordered[i]``.  Pieces, Dehn's table and the first-letter
-    index are built on first use.  Built from the relators, it is closed
-    under rotation and inversion by construction; :func:`symmetrize` builds
-    it once per presentation.
+    prefix of ``ordered[i]``.  Pieces and the first-letter index are built
+    on first use.  Built from the relators, it is closed under rotation and
+    inversion by construction; :func:`symmetrize` builds it once per
+    presentation.
+
+    :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
+    oracle's swap moves and disguise's growth swaps all read it, and all
+    rewrite with :func:`swap`.
     """
 
     alphabet: Alphabet
@@ -158,33 +153,29 @@ class SymmetrizedSet:
         )
 
     @cached_property
-    def dehn_table(self) -> dict:
-        """prefix u -> replacement v^-1, for every element u v with 2|u| > |u v|.
-
-        Ties on the same prefix keep the earliest element in canonical order.
-        """
-        table: dict[tuple, Word] = {}
-        for r in self.ordered:
-            n = len(r)
-            for take in range(n, n // 2, -1):
-                key = r.letters[:take]
-                if key not in table:
-                    table[key] = r[take:].inverse()
-        return table
-
-    @cached_property
-    def first_letters(self) -> FirstLetterIndex:
-        """Elements grouped by first letter, and each element's inverse, by index."""
+    def first_letters(self) -> dict:
+        """First letter -> indices of the elements starting with it, ascending."""
         starting: dict[Letter, list[int]] = {}
-        position = {}
         for i, r in enumerate(self.ordered):
             starting.setdefault(r.letters[0], []).append(i)
-            position[r.letters] = i
-        inverse = tuple(
-            position[tuple(lt.inverse() for lt in reversed(r.letters))]
-            for r in self.ordered
-        )
-        return FirstLetterIndex({lt: tuple(ix) for lt, ix in starting.items()}, inverse)
+        return {lt: tuple(ix) for lt, ix in starting.items()}
+
+    def matches(self, w: Word) -> Iterator[tuple[int, Word, int]]:
+        """``(pos, r, k)`` for each element r starting with ``w``'s letter at
+        pos, by position, then in canonical order; k is the length of the
+        common prefix of ``w[pos:]`` and r."""
+        elems, starting, letters = self.ordered, self.first_letters, w.letters
+        for pos, lt in enumerate(letters):
+            for i in starting.get(lt, ()):
+                r = elems[i]
+                yield pos, r, common_prefix_len(letters, r.letters, pos)
+
+
+def swap(w: Word, pos: int, r: Word, take: int) -> Word:
+    """``w[:pos] . r[take:]^-1 . w[pos+take:]``, freely reduced: the matched
+    prefix ``r[:take]`` at pos replaced by the inverted complement.  It
+    equals ``c r^-1 c^-1 . w`` with c = ``w[:pos]``."""
+    return concat(concat(w[:pos], r[take:].inverse()), w[pos + take :])
 
 
 def symmetrize(p: Presentation) -> SymmetrizedSet:

@@ -6,9 +6,11 @@ symmetrized relator set (rotations and inverses count as distinct elements).
 Everything downstream is exact: C'(lambda) compares with Fraction arithmetic
 because interesting presentations sit exactly on the boundary.
 
-The oracle searches breadth-first over relator insertions and subword swaps.
-It can answer Trivial (with a replayable witness) or Unknown, never a false
-Trivial.
+Dehn reduction and the oracle's subword swaps read one relator-prefix scan,
+``SymmetrizedSet.matches``, and rewrite with one swap, ``presentations.swap``;
+disguise's growth swaps share both.  The oracle searches breadth-first over
+relator insertions and subword swaps.  It can answer Trivial (with a
+replayable witness) or Unknown, never a false Trivial.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .presentations import PieceSet, Presentation, SymmetrizedSet, symmetrize
-from .words import Word, common_prefix_len, concat, parse_word
+from .presentations import PieceSet, Presentation, SymmetrizedSet, swap, symmetrize
+from .words import Word, concat, parse_word
 
 __all__ = [
     "PieceSet",
@@ -117,22 +119,24 @@ def check_T4(p: Presentation) -> bool:
     The search walks the set's first-letter index: for each r1, only the r2
     starting with the inverse of r1's last letter, and for each such r2 only
     the r3 starting with the inverse of r2's last letter, keeping those that
-    end in the inverse of r1's first letter.  The inverse exclusions compare
-    indices.  With d elements per first letter, the cost is the sum over
-    elements of d^2, not |S|^3.
+    end in the inverse of r1's first letter.  With d elements per first
+    letter, the cost is the sum over elements of d^2, not |S|^3.
+
+    The adjacency constraint needs no test: every element is cyclically
+    reduced, so none ends in the inverse of its first letter, and each
+    excluded triple with all three seams cancelling would need such an
+    element (r2 = r1^-1 forces it on r3, r3 = r2^-1 on r1, r3 = r1^-1 on r2).
     """
     s = symmetrize(p)
-    starting, inv = s.first_letters
+    starting = s.first_letters
     lasts = [w.letters[-1] for w in s.ordered]
     # nexts[i]: the elements whose first letter cancels element i's last one
     nexts = [starting.get(lt.inverse(), ()) for lt in lasts]
     for i, r in enumerate(s.ordered):
         closing = r.letters[0].inverse()
         for j in nexts[i]:
-            if j == inv[i]:
-                continue
             for k in nexts[j]:
-                if lasts[k] == closing and k != inv[j] and k != inv[i]:
+                if lasts[k] == closing:
                     return False
     return True
 
@@ -164,31 +168,24 @@ def build_report(p: Presentation, c_bounds: Iterable[int] = (4,)) -> Cancellatio
 
 def dehn_reduce(w: Word, p: Presentation) -> Word:
     """Replace relator-majority subwords u by the shorter complement v^-1
-    until none remain.  Leftmost match first, longer matches preferred.
+    until none remain.  Leftmost match first, then the longest u, then the
+    earliest element in canonical order.
 
     Never increases length; for C'(1/6) presentations the fixed point is
     empty exactly when w represents the identity.
     """
     s = symmetrize(p)
-    table = s.dehn_table
-    if not table:
-        return w
-    max_take = len(s.ordered[-1])  # the longest element
     cur = w
-    changed = True
-    while changed:
-        changed = False
-        n = len(cur)
-        for pos in range(n):
-            for take in range(min(max_take, n - pos), 0, -1):
-                repl = table.get(cur.letters[pos : pos + take])
-                if repl is not None:
-                    cur = concat(concat(cur[:pos], repl), cur[pos + take :])
-                    changed = True
-                    break
-            if changed:
+    while True:
+        best = None
+        for pos, r, k in s.matches(cur):
+            if best is not None and best[0] < pos:
                 break
-    return cur
+            if 2 * k > len(r) and (best is None or k > best[2]):
+                best = pos, r, k
+        if best is None:
+            return cur
+        cur = swap(cur, *best)
 
 
 # -- bounded word-problem oracle ------------------------------------------
@@ -219,13 +216,9 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
 def _swap_moves(x: Word, s: SymmetrizedSet):
     """All (post, conjugator, relator, exponent) from one subword swap, by
     position, then in canonical order among the elements starting there."""
-    elems, starting = s.ordered, s.first_letters.starting
-    for pos in range(len(x)):
-        for i in starting.get(x.letters[pos], ()):
-            r = elems[i]
-            for take in range(common_prefix_len(x.letters, r.letters, pos), 0, -1):
-                post = concat(concat(x[:pos], r[take:].inverse()), x[pos + take :])
-                yield post, x[:pos], r, -1
+    for pos, r, k in s.matches(x):
+        for take in range(k, 0, -1):
+            yield swap(x, pos, r, take), x[:pos], r, -1
 
 
 def _insert_moves(x: Word, elems: tuple):
@@ -272,6 +265,8 @@ def bounded_wp_oracle(
     if max_len is None:
         max_len = 2 * len(w) + max(len(r) for r in elems)
     seen = {w}
+    # each path holds its witness factors: a move takes x to C r^e C^-1 x, so
+    # w is the product of the moves' C r^-e C^-1 in move order
     frontier: list[tuple[Word, tuple]] = [(w, ())]
     budget = node_budget
     for _ in range(depth):
@@ -282,20 +277,14 @@ def bounded_wp_oracle(
             for post, conj, rel, exp in _moves(x, s):
                 budget -= 1
                 if not post:
-                    return _finish_witness(path + ((conj, rel, exp),))
+                    return WspWitness(path + ((conj, rel, -exp),))
                 if len(post) <= max_len and post not in seen:
                     seen.add(post)
-                    nxt.append((post, path + ((conj, rel, exp),)))
+                    nxt.append((post, path + ((conj, rel, -exp),)))
                 if budget <= 0:
                     return None
         frontier = nxt
     return None
-
-
-def _finish_witness(path: tuple) -> WspWitness:
-    # moves took w to the empty word: w_i = C r^e C^-1 w_{i-1}, so
-    # w = (C_1 r_1^{-e_1} C_1^-1)(C_2 r_2^{-e_2} C_2^-1) ...
-    return WspWitness(tuple((conj, rel, -exp) for conj, rel, exp in path))
 
 
 # -- witness text format --------------------------------------------------

@@ -238,6 +238,14 @@ def test_parse_move_log_rejects_tampered_positions():
         parse_move_log(bad, EX, w)
 
 
+def test_parse_move_log_rejects_foreign_relator():
+    # c is not a relator: replaying this line would take a b to c a b,
+    # a different element, and its witness would prove a false equality
+    w = parse_word(SURF, "a b")
+    with pytest.raises(ValueError):
+        parse_move_log("move: insert-conjugate @ 0 rel=c exp=1 conj=1\n", GENUS2, w)
+
+
 # --------------------------------------------- oracle and dehn consistency
 
 def test_oracle_undoes_short_disguises():
