@@ -17,7 +17,7 @@ from random import Random
 from typing import Optional
 
 from .presentations import Presentation, alternating_word, symmetrize
-from .words import Alphabet, Letter, Word, free_reduce
+from .words import Alphabet, Letter, Word, free_reduce, read_records
 
 __all__ = [
     "LabeledGraph",
@@ -525,57 +525,39 @@ def format_tree(t: RootedTree) -> str:
 
 def parse_tree(text: str) -> RootedTree:
     root_name = None
-    raw_edges = []
-    order: list[str] = []
+    index: dict[str, int] = {}  # vertex name -> index, in order of appearance
+    edges = set()
 
-    def note(name: str):
-        if name not in order:
-            order.append(name)
+    def root_line(rest: str) -> None:
+        nonlocal root_name
+        if root_name is not None:
+            raise ValueError("duplicate root line")
+        root_name = rest
+        index.setdefault(rest, len(index))
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "root":
-            if root_name is not None:
-                raise ValueError("duplicate root line")
-            root_name = rest
-            note(root_name)
-        elif key == "edge":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed edge line {line!r}")
-            note(parts[0])
-            note(parts[1])
-            raw_edges.append((parts[0], parts[1], int(parts[2])))
-        else:
-            raise ValueError(f"unexpected {key!r} line in tree file")
+    def edge_line(rest: str) -> None:
+        parts = rest.split()
+        if len(parts) != 3:
+            raise ValueError(f"malformed edge line {rest!r}")
+        a = index.setdefault(parts[0], len(index))
+        b = index.setdefault(parts[1], len(index))
+        edges.add((min(a, b), max(a, b), int(parts[2])))
+
+    read_records(text, {"root": root_line, "edge": edge_line})
     if root_name is None:
         raise ValueError("missing root line")
-    index = {name: k for k, name in enumerate(order)}
-    edges = frozenset(
-        (min(index[a], index[b]), max(index[a], index[b]), m) for a, b, m in raw_edges
-    )
-    graph = LabeledGraph(tuple(order), edges)
+    graph = LabeledGraph(tuple(index), frozenset(edges))
     root = index[root_name]
-    parent = [-2] * len(order)
-    parent[root] = -1
+    parent = [-1] * len(index)
+    level = [0] * len(index)
+    level[root] = 1
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # breadth-first; the loop reaches what it appends
         for u in graph.neighbors(v):
-            if parent[u] == -2:
+            if not level[u]:
                 parent[u] = v
+                level[u] = level[v] + 1
                 queue.append(u)
-    if any(p == -2 for p in parent):
+    if not all(level):
         raise ValueError("tree file is not connected")
-    levels = 1
-    for v in range(len(order)):
-        k, u = 1, v
-        while u != root:
-            u = parent[u]
-            k += 1
-        levels = max(levels, k)
-    return RootedTree(graph, root, tuple(parent), levels)
+    return RootedTree(graph, root, tuple(parent), max(level))

@@ -20,6 +20,7 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Callable, Optional
 
@@ -40,7 +41,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Letter, Word, free_reduce, parse_word, random_reduced_word
+from .words import Alphabet, Letter, Word, free_reduce, parse_word, random_reduced_word, read_records
 
 __all__ = [
     "ProtocolSetupError",
@@ -414,33 +415,28 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
 
 def parse_transcript(text: str):
     """Returns (alphabet, Transcript, key_a_hex, key_b_hex)."""
-    alphabet = None
-    digest = None
+    found = {"gens": None, "config": None, "key-a": None, "key-b": None}
     messages = []
-    key_a = key_b = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "gens":
-            alphabet = Alphabet(tuple(rest.split()))
-        elif key == "config":
-            digest = bytes.fromhex(rest)
-        elif key.startswith("msg "):
-            if alphabet is None:
-                raise ValueError("msg line before gens line")
-            parts = key.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed message line {line!r}")
-            messages.append((parts[2], parse_word(alphabet, rest)))
-        elif key == "key-a":
-            key_a = rest
-        elif key == "key-b":
-            key_b = rest
-        else:
-            raise ValueError(f"unexpected {key!r} line in transcript")
-    if alphabet is None or digest is None:
+
+    def gens(rest: str) -> None:
+        found["gens"] = Alphabet(tuple(rest.split()))
+
+    def config(rest: str) -> None:
+        found["config"] = bytes.fromhex(rest)
+
+    def msg(rest: str, _n: str, sender: str) -> None:
+        if found["gens"] is None:
+            raise ValueError("msg line before gens line")
+        messages.append((sender, parse_word(found["gens"], rest)))
+
+    read_records(text, {
+        "gens": gens,
+        "config": config,
+        "msg n sender": msg,
+        "key-a": partial(found.__setitem__, "key-a"),
+        "key-b": partial(found.__setitem__, "key-b"),
+    })
+    if found["gens"] is None or found["config"] is None:
         raise ValueError("transcript missing gens or config line")
-    return alphabet, Transcript(tuple(messages), digest), key_a, key_b
+    transcript = Transcript(tuple(messages), found["config"])
+    return found["gens"], transcript, found["key-a"], found["key-b"]

@@ -2,10 +2,11 @@
 
 Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
-matched relator prefix u for the inverted complement v^-1 (growth direction
-only, |u| < |v|).  Swaps are found by the symmetrized set's relator-prefix
-scan (``SymmetrizedSet.matches``) and made by ``presentations.swap``, the
-same scan and swap that Dehn reduction and the oracle use.  Every move is
+matched relator prefix u for the inverted complement v^-1.  Swap slots come
+from the symmetrized set's relator-prefix scan (``SymmetrizedSet.matches``),
+the scan that Dehn reduction and the oracle use; each has |u| < |v|, but a
+swap's word depends on the whole match, not on |u| (see
+``find_growth_swaps``), so not every swap lengthens the word.  Every move is
 logged with enough context to replay it and to convert the whole log into a
 word-search witness for disguised * original^-1.
 """
@@ -13,12 +14,12 @@ word-search witness for disguised * original^-1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
 from .smallcancel import WspWitness
-from .words import Word, common_prefix_len, concat, parse_word, random_reduced_word
+from .words import Word, common_prefix_len, concat, parse_word, random_reduced_word, read_records
 
 __all__ = [
     "DisguiseBudget",
@@ -44,15 +45,13 @@ class DisguiseBudget:
             raise ValueError("budget fields must be non-negative")
 
 
-def _replay(pre: Word, pos: int, conj: Word, rel: Word, exp: int) -> Word:
-    # uniform move algebra: C r^e C^-1 * pre with C the pre-prefix times conj
-    c = concat(pre[:pos], conj)
-    return c * (rel ** exp) * c.inverse() * pre
-
-
 @dataclass(frozen=True)
 class RewriteMove:
-    """One logged move; replaying it on pre_word always yields post_word."""
+    """One logged move; ``post_word`` is its replay on ``pre_word``.
+
+    A swap has exponent -1 and no conjugator, and its relator matches
+    ``pre_word`` at ``position`` in at least one letter.
+    """
 
     kind: str  # "insert-conjugate" | "subword-swap"
     position: int
@@ -60,20 +59,26 @@ class RewriteMove:
     exponent: int
     conjugator: Word
     pre_word: Word
-    post_word: Word
+    post_word: Word = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("insert-conjugate", "subword-swap"):
             raise ValueError(f"unknown move kind {self.kind!r}")
         if self.exponent not in (1, -1):
             raise ValueError("exponent must be 1 or -1")
-        if self.kind == "subword-swap" and self.conjugator:
-            raise ValueError("swaps carry no conjugator")
         if not 0 <= self.position <= len(self.pre_word):
             raise ValueError("move position out of range")
-        replayed = _replay(self.pre_word, self.position, self.conjugator, self.relator, self.exponent)
-        if replayed != self.post_word:
-            raise ValueError("move does not replay to its post word")
+        if self.kind == "subword-swap":
+            if self.conjugator:
+                raise ValueError("swaps carry no conjugator")
+            if self.exponent != -1:
+                raise ValueError("swaps have exponent -1")
+            if not common_prefix_len(self.pre_word.letters, self.relator.letters, self.position):
+                raise ValueError(f"word does not match the relator prefix at {self.position}")
+        # uniform move algebra: C r^e C^-1 * pre with C the pre-prefix times conj
+        c = concat(self.pre_word[: self.position], self.conjugator)
+        post = c * (self.relator ** self.exponent) * c.inverse() * self.pre_word
+        object.__setattr__(self, "post_word", post)
 
 
 def insert_conjugate(w: Word, p: Presentation, pos: int, conjugator: Word,
@@ -81,16 +86,13 @@ def insert_conjugate(w: Word, p: Presentation, pos: int, conjugator: Word,
     """prefix . c r^e c^-1 . suffix, freely reduced; equals w in the group."""
     if relator not in symmetrize(p):
         raise ValueError("relator is not in the symmetrized set")
-    if not 0 <= pos <= len(w):
-        raise ValueError(f"position {pos} out of range")
-    if exponent not in (1, -1):
-        raise ValueError("exponent must be 1 or -1")
-    return _replay(w, pos, conjugator, relator, exponent)
+    return RewriteMove("insert-conjugate", pos, relator, exponent, conjugator, w).post_word
 
 
 def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -> Word:
     """Replace the matched prefix u = relator[:take] at pos by the inverted
-    complement; equals w in the group.  Growth when 2*take < |relator|."""
+    complement; equals w in the group.  Every take up to the match length
+    gives the same word (see find_growth_swaps)."""
     if relator not in symmetrize(p):
         raise ValueError("relator is not in the symmetrized set")
     if not 1 <= take <= len(relator):
@@ -101,8 +103,11 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
 
 
 def find_growth_swaps(w: Word, s: SymmetrizedSet):
-    """All (pos, relator, take) with a strict length gain, i.e. 2*take < |relator|,
-    by position, then in canonical order among the elements starting there."""
+    """All (pos, relator, take) with 2*take < |relator|, by position, then in
+    canonical order among the elements starting there.  Every take up to the
+    match length k swaps to the same word (free reduction cancels the rest
+    of the match), so a slot lengthens the word by at most |relator| - 2k,
+    and not at all when 2k >= |relator|; disguise draws from every take."""
     return [
         (pos, r, take)
         for pos, r, k in s.matches(w)
@@ -118,27 +123,20 @@ def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
         # slots: every growth swap, then every (position, element) insert
         swaps = find_growth_swaps(cur, s)
         n_slots = len(swaps) + (len(cur) + 1) * len(s.ordered)
-        move = None
         for _ in range(16):  # resample when the length cap rejects a slot
             k = rng.randrange(n_slots)
             if k < len(swaps):
-                pos, rel, take = swaps[k]
-                post = swap(cur, pos, rel, take)
-                if len(post) > budget.max_word_len:
-                    continue
-                move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur, post)
+                pos, rel, _take = swaps[k]
+                move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur)
             else:
                 pos, i = divmod(k - len(swaps), len(s.ordered))
-                rel = s.ordered[i]
                 conj = random_reduced_word(
                     cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng
                 )
-                post = _replay(cur, pos, conj, rel, 1)
-                if len(post) > budget.max_word_len:
-                    continue
-                move = RewriteMove("insert-conjugate", pos, rel, 1, conj, cur, post)
-            break
-        if move is None:
+                move = RewriteMove("insert-conjugate", pos, s.ordered[i], 1, conj, cur)
+            if len(move.post_word) <= budget.max_word_len:
+                break
+        else:  # every draw broke the length cap
             break
         log.append(move)
         cur = move.post_word
@@ -194,35 +192,21 @@ def parse_move_log(text: str, p: Presentation, start: Word):
     """
     s = symmetrize(p)
     alphabet = start.alphabet
-    cur = start
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        if key.strip() != "move":
-            raise ValueError(f"unexpected line {line!r} in move log")
-        head, sep, tail = rest.strip().partition(" rel=")
-        if not sep:
-            raise ValueError(f"malformed move line {line!r}")
-        kind_part, sep, pos_part = head.partition("@")
-        if not sep:
-            raise ValueError(f"malformed move line {line!r}")
-        kind = kind_part.strip()
-        pos = int(pos_part.strip())
-        rel_text, sep, tail = tail.partition(" exp=")
-        if not sep:
-            raise ValueError(f"malformed move line {line!r}")
-        exp_text, sep, conj_text = tail.partition(" conj=")
-        if not sep:
-            raise ValueError(f"malformed move line {line!r}")
+    out: list[RewriteMove] = []
+
+    def move(rest: str) -> None:
+        head, sep1, tail = rest.partition(" rel=")
+        rel_text, sep2, tail = tail.partition(" exp=")
+        exp_text, sep3, conj_text = tail.partition(" conj=")
+        kind, sep4, pos_text = head.partition("@")
+        if not (sep1 and sep2 and sep3 and sep4):
+            raise ValueError(f"malformed move line {rest!r}")
         rel = parse_word(alphabet, rel_text)
         if rel not in s:
             raise ValueError(f"relator {str(rel)!r} is not in the symmetrized set")
-        exp = int(exp_text.strip())
         conj = parse_word(alphabet, conj_text)
-        post = _replay(cur, pos, conj, rel, exp)
-        out.append(RewriteMove(kind, pos, rel, exp, conj, cur, post))
-        cur = post
+        pre = out[-1].post_word if out else start
+        out.append(RewriteMove(kind.strip(), int(pos_text), rel, int(exp_text), conj, pre))
+
+    read_records(text, {"move": move})
     return out

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from . import words
 from .words import (
     Alphabet,
     Letter,
@@ -25,12 +26,12 @@ from .words import (
     concat,
     free_reduce,
     parse_word,
+    read_records,
     word_sort_key,
 )
 
 __all__ = [
     "Presentation",
-    "PieceSet",
     "SymmetrizedSet",
     "TietzeStep",
     "PresentationHistory",
@@ -58,38 +59,26 @@ class Presentation:
     def __post_init__(self):
         relators = tuple(self.relators)
         object.__setattr__(self, "relators", relators)
-        seen = set()
+        added: dict[Word, None] = {}
         for r in relators:
-            if r.alphabet != self.alphabet:
-                raise ValueError("relator uses a different alphabet")
-            if not r:
-                raise ValueError("empty relator")
-            if not r.is_cyclically_reduced:
-                raise ValueError(f"relator {str(r)!r} is not cyclically reduced")
-            if r in seen:
-                raise ValueError(f"duplicate relator {str(r)!r}")
-            seen.add(r)
+            _add_relator(self.alphabet, r, added)
 
     @cached_property
     def _symmetrized(self) -> "SymmetrizedSet":
         return SymmetrizedSet(self)
 
 
-@dataclass(frozen=True)
-class PieceSet:
-    """All pieces of a symmetrized set, plus the maximal ones.
-
-    The set is prefix-closed and inversion-closed; ``maximal`` holds the
-    pieces that are not a proper prefix of another piece, and ``letters``
-    the pieces' letter tuples.
-    """
-
-    pieces: frozenset
-    maximal: frozenset
-    letters: frozenset
-
-    def __len__(self):
-        return len(self.pieces)
+def _add_relator(alphabet: Alphabet, r: Word, relators: dict) -> None:
+    """Add ``r`` to ``relators`` (a dict as ordered set), refusing a bad or duplicate relator."""
+    if r.alphabet != alphabet:
+        raise ValueError("relator uses a different alphabet")
+    if not r:
+        raise ValueError("empty relator")
+    if not r.is_cyclically_reduced:
+        raise ValueError(f"relator {str(r)!r} is not cyclically reduced")
+    if r in relators:
+        raise ValueError(f"duplicate relator {str(r)!r}")
+    relators[r] = None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -138,18 +127,12 @@ class SymmetrizedSet:
         return w in self.elements
 
     @cached_property
-    def pieces(self) -> PieceSet:
-        """Common prefixes of distinct elements: each element's prefixes up to its piece length."""
-        letters = {
+    def pieces(self) -> frozenset:
+        """Letter tuples of the pieces: each element's prefixes up to its piece length."""
+        return frozenset(
             r.letters[:k]
             for r, m in zip(self.ordered, self.piece_lengths)
             for k in range(1, m + 1)
-        }
-        maximal = letters - {u[:-1] for u in letters}
-        return PieceSet(
-            frozenset(Word(self.alphabet, u) for u in letters),
-            frozenset(Word(self.alphabet, u) for u in maximal),
-            frozenset(letters),
         )
 
     @cached_property
@@ -357,39 +340,44 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+class _PresentationRecords:
+    """The ``gens:`` and ``rel:`` handlers of presentation and history files.
+    Each relator is checked on its line, and all of them are capped at
+    ``MAX_WORD_LETTERS`` letters in total, so at most twice the cap is built."""
 
+    def __init__(self):
+        self.alphabet = None
+        self.relators: dict[Word, None] = {}  # in file order
+        self.letters = 0
+        self.built = None  # the presentation; no rel line may follow it
 
-def _split_key(line: str):
-    key, sep, rest = line.partition(":")
-    if not sep:
-        raise ValueError(f"malformed line {line!r}")
-    return key.strip(), rest.strip()
+    def gens(self, rest: str) -> None:
+        if self.alphabet is not None:
+            raise ValueError("duplicate gens line")
+        self.alphabet = Alphabet(tuple(rest.split()))
+
+    def rel(self, rest: str) -> None:
+        if self.alphabet is None or self.built is not None:
+            raise ValueError("rel line must follow the gens line and precede any step line")
+        r = parse_word(self.alphabet, rest)
+        _add_relator(self.alphabet, r, self.relators)
+        self.letters += len(r)
+        if self.letters > words.MAX_WORD_LETTERS:
+            raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
+
+    def presentation(self) -> Presentation:
+        if self.built is None:
+            if self.alphabet is None:
+                raise ValueError("missing gens line")
+            self.built = Presentation(self.alphabet, tuple(self.relators))
+        return self.built
 
 
 def parse_presentation(text: str) -> Presentation:
     """Inverse of format_presentation; '#' starts a comment, blank lines ignored."""
-    alphabet = None
-    relators: list[Word] = []
-    for line in _content_lines(text):
-        key, rest = _split_key(line)
-        if key == "gens":
-            if alphabet is not None:
-                raise ValueError("duplicate gens line")
-            alphabet = Alphabet(tuple(rest.split()))
-        elif key == "rel":
-            if alphabet is None:
-                raise ValueError("rel line before gens line")
-            relators.append(parse_word(alphabet, rest))
-        else:
-            raise ValueError(f"unexpected {key!r} line in presentation file")
-    if alphabet is None:
-        raise ValueError("missing gens line")
-    return Presentation(alphabet, tuple(relators))
+    rec = _PresentationRecords()
+    read_records(text, {"gens": rec.gens, "rel": rec.rel})
+    return rec.presentation()
 
 
 def _format_step(st: TietzeStep) -> str:
@@ -409,31 +397,29 @@ def format_history(h: PresentationHistory) -> str:
 
 
 def parse_history(text: str) -> PresentationHistory:
-    pres_lines = []
-    raw_steps = []
-    for line in _content_lines(text):
-        key, rest = _split_key(line)
-        if key == "step":
-            raw_steps.append(rest)
-        else:
-            pres_lines.append(line)
-    start = parse_presentation("\n".join(pres_lines))
-    cur = start
-    steps = []
-    for rest in raw_steps:
+    """Inverse of format_history: the start presentation, then its steps."""
+    rec = _PresentationRecords()
+    steps: list[TietzeStep] = []
+    cur = None
+
+    def step(rest: str) -> None:
+        nonlocal cur
+        if cur is None:
+            cur = rec.presentation()
         head, sep, tail = rest.partition("=")
-        if not sep:
+        word_text, sep2, idx_text = tail.rpartition("@")
+        if not (sep and sep2):
             raise ValueError(f"malformed step line {rest!r}")
         name = head.strip()
-        word_text, sep, idx_text = tail.rpartition("@")
-        if not sep:
-            raise ValueError(f"malformed step line {rest!r}")
-        idx = int(idx_text.strip())
-        pair = parse_word(cur.alphabet, word_text.strip())
+        idx = int(idx_text)
+        pair = parse_word(cur.alphabet, word_text)
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")
         cur, st = tietze_split(cur, idx, new_name=name)
         if st.defined_as != pair.letters:
             raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
         steps.append(st)
-    return PresentationHistory(start, tuple(steps), cur)
+
+    read_records(text, {"gens": rec.gens, "rel": rec.rel, "step": step})
+    start = rec.presentation()
+    return PresentationHistory(start, tuple(steps), start if cur is None else cur)

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .presentations import PieceSet, Presentation, SymmetrizedSet, swap, symmetrize
-from .words import Word, concat, parse_word
+from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
+from .words import Word, concat, parse_word, read_records
 
 __all__ = [
-    "PieceSet",
     "CancellationReport",
     "WspWitness",
     "enumerate_pieces",
@@ -42,12 +41,12 @@ __all__ = [
 ]
 
 
-def enumerate_pieces(s: SymmetrizedSet) -> PieceSet:
-    """Common prefixes of distinct symmetrized elements, prefix-closed; built once per set."""
+def enumerate_pieces(s: SymmetrizedSet) -> frozenset:
+    """Letter tuples of the common prefixes of distinct elements; built once per set."""
     return s.pieces
 
 
-def min_piece_count(r: Word, ps: PieceSet) -> Optional[int]:
+def min_piece_count(r: Word, pieces: frozenset) -> Optional[int]:
     """Fewest pieces whose concatenation is literally r; None if impossible.
 
     Shortest path over positions 0..len(r).  Prefix-closure makes the piece
@@ -62,7 +61,7 @@ def min_piece_count(r: Word, ps: PieceSet) -> Optional[int]:
         if dist[pos] == INF:
             continue
         longest = 0
-        while pos + longest < n and r.letters[pos : pos + longest + 1] in ps.letters:
+        while pos + longest < n and r.letters[pos : pos + longest + 1] in pieces:
             longest += 1
         for take in range(1, longest + 1):
             if dist[pos] + 1 < dist[pos + take]:
@@ -79,9 +78,9 @@ def check_C(p: Presentation, pbound: int) -> bool:
     if pbound < 2:
         raise ValueError("pbound must be at least 2")
     s = symmetrize(p)
-    ps = enumerate_pieces(s)
+    pieces = enumerate_pieces(s)
     for r in s.ordered:
-        k = min_piece_count(r, ps)
+        k = min_piece_count(r, pieces)
         if k is not None and k < pbound:
             return False
     return True
@@ -153,11 +152,11 @@ class CancellationReport:
 
 def build_report(p: Presentation, c_bounds: Iterable[int] = (4,)) -> CancellationReport:
     s = symmetrize(p)
-    ps = enumerate_pieces(s)
+    pieces = enumerate_pieces(s)
     return CancellationReport(
         source=p,
-        piece_count=len(ps),
-        min_piece_decomposition=tuple(min_piece_count(r, ps) for r in p.relators),
+        piece_count=len(pieces),
+        min_piece_decomposition=tuple(min_piece_count(r, pieces) for r in p.relators),
         c_verdicts={b: check_C(p, b) for b in c_bounds},
         cprime_sup=cprime_sup(p),
         t4=check_T4(p),
@@ -299,26 +298,19 @@ def format_witness(witness: WspWitness) -> str:
 
 def parse_witness(text: str, alphabet) -> WspWitness:
     factors = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        if key.strip() != "factor":
-            raise ValueError(f"unexpected line {line!r} in witness")
-        body = rest.strip()
-        if not body.startswith("conj="):
-            raise ValueError(f"malformed factor line {line!r}")
-        conj_text, sep, tail = body[len("conj=") :].partition(" rel=")
-        if not sep:
-            raise ValueError(f"malformed factor line {line!r}")
-        rel_text, sep, exp_text = tail.partition(" exp=")
-        if not sep:
-            raise ValueError(f"malformed factor line {line!r}")
-        exp = int(exp_text.strip())
+
+    def factor(rest: str) -> None:
+        head, sep1, tail = rest.partition("conj=")
+        conj_text, sep2, tail = tail.partition(" rel=")
+        rel_text, sep3, exp_text = tail.partition(" exp=")
+        if head or not (sep1 and sep2 and sep3):
+            raise ValueError(f"malformed factor line {rest!r}")
+        exp = int(exp_text)
         if exp not in (1, -1):
             raise ValueError("factor exponent must be 1 or -1")
         factors.append(
             (parse_word(alphabet, conj_text), parse_word(alphabet, rel_text), exp)
         )
+
+    read_records(text, {"factor": factor})
     return WspWitness(tuple(factors))

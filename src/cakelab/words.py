@@ -320,6 +320,33 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     return free_reduce(alphabet, letters)
 
 
+def read_records(text: str, handlers: dict) -> None:
+    """Pass each ``key: rest`` line of ``text`` to the handler for its key.
+
+    ``#`` starts a comment; blank lines are skipped.  Pattern ``"gens"`` calls
+    its handler with ``rest``; ``"msg n sender"`` reads ``msg 1 A: <rest>``
+    and calls it with ``rest, "1", "A"``.  A line without ``:``, an unknown
+    key, or a handler's ``ValueError`` raises ``ValueError("line N: ...")``.
+    """
+    table = {}
+    for pattern, handler in handlers.items():
+        name, *args = pattern.split()
+        table[name] = len(args), handler
+    for n, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, rest = line.partition(":")
+        name, *args = key.split() or ("",)
+        nargs, handler = table.get(name, (None, None))
+        try:
+            if not sep or len(args) != nargs:
+                raise ValueError(f"unexpected line {line!r}")
+            handler(rest.strip(), *args)
+        except ValueError as e:
+            raise ValueError(f"line {n}: {e}") from None
+
+
 def word_sort_key(w: Word):
     """Canonical ordering key: by length, then letterwise (generator, sign)."""
     return (len(w.letters), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w.letters))

@@ -2,6 +2,7 @@
 
 import pytest
 
+import cakelab.words
 from cakelab import cli
 from cakelab.cli import main
 from cakelab.presentations import parse_presentation
@@ -73,6 +74,24 @@ def test_check_refuses_file_over_size_cap(capsys, ex_file, monkeypatch):
     code, out, err = run(capsys, ["check", "--presentation", ex_file])
     assert code == 2 and out == ""
     assert err == f"error: {ex_file} is larger than {size - 1} bytes\n"
+
+
+def test_check_caps_relator_letters_in_total(capsys, tmp_path, monkeypatch):
+    # the cap is the words module's, read when the file is parsed
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 10)
+    f = tmp_path / "long.txt"
+    f.write_text("gens: a b\nrel: a^4 b\nrel: a^4 b^-1\nrel: a^4 b^2\n")
+    code, out, err = run(capsys, ["check", "--presentation", str(f)])
+    assert code == 2 and out == ""
+    assert err == "error: line 4: relators longer than 10 letters in total\n"
+
+
+def test_check_malformed_line_names_it(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text(EX_TEXT.replace("x3^2", "x3^two"))
+    code, out, err = run(capsys, ["check", "--presentation", str(f)])
+    assert code == 2 and out == ""
+    assert err == "error: line 2: bad exponent in token 'x3^two'\n"
 
 
 # ------------------------------------------------------------------- gen

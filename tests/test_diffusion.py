@@ -126,15 +126,23 @@ def test_growth_swaps_match_naive_scan_in_order(p):
 
 def test_rewrite_move_replay_validation():
     w = parse_word(X, "x3")
-    r = EX.relators[0]
-    v = insert_conjugate(w, EX, 0, Word(X, ()), r, 1)
-    RewriteMove("insert-conjugate", 0, r, 1, Word(X, ()), w, v)
+    r = EX.relators[0]  # x1^2 x2 x3^2 x2^-1
+    mv = RewriteMove("insert-conjugate", 0, r, 1, Word(X, ()), w)
+    assert mv.post_word == insert_conjugate(w, EX, 0, Word(X, ()), r, 1)
     with pytest.raises(ValueError):
-        RewriteMove("insert-conjugate", 0, r, 1, Word(X, ()), w, w)
+        RewriteMove("subword-swap", 0, r, -1, parse_word(X, "x2"), w)
     with pytest.raises(ValueError):
-        RewriteMove("subword-swap", 0, r, -1, parse_word(X, "x2"), w, v)
-    with pytest.raises(ValueError):
-        RewriteMove("teleport", 0, r, 1, Word(X, ()), w, v)
+        RewriteMove("teleport", 0, r, 1, Word(X, ()), w)
+    # a swap's relator must match at its position, by exponent -1
+    u = parse_word(X, "x1 x3")
+    swap_move = RewriteMove("subword-swap", 0, r, -1, Word(X, ()), u)
+    assert swap_move.post_word == subword_swap(u, EX, 0, r, 1)
+    with pytest.raises(ValueError, match="exponent -1"):
+        RewriteMove("subword-swap", 0, r, 1, Word(X, ()), u)
+    with pytest.raises(ValueError, match="does not match"):
+        RewriteMove("subword-swap", 1, r, -1, Word(X, ()), u)
+    with pytest.raises(ValueError, match="does not match"):
+        RewriteMove("subword-swap", len(u), r, -1, Word(X, ()), u)
 
 
 # --------------------------------------------------------------- disguise
@@ -244,6 +252,15 @@ def test_parse_move_log_rejects_foreign_relator():
     w = parse_word(SURF, "a b")
     with pytest.raises(ValueError):
         parse_move_log("move: insert-conjugate @ 0 rel=c exp=1 conj=1\n", GENUS2, w)
+
+
+@pytest.mark.parametrize("start", ["x3", "x1 x3"])
+def test_parse_move_log_rejects_swap_that_inserts(start):
+    # exp=1 inserts the whole relator, a move no swap makes; over x3 the
+    # relator does not match at 0 either
+    line = "move: subword-swap @ 0 rel=x1^2 x2 x3^2 x2^-1 exp=1 conj=1\n"
+    with pytest.raises(ValueError, match="line 1: "):
+        parse_move_log(line, EX, parse_word(X, start))
 
 
 # --------------------------------------------- oracle and dehn consistency

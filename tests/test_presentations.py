@@ -5,6 +5,8 @@ import weakref
 
 import pytest
 
+import cakelab.words
+
 from cakelab.presentations import (
     Presentation,
     alternating_word,
@@ -191,6 +193,30 @@ def test_parse_presentation_rejects_malformed():
         parse_presentation("gens: x1\nwat: x1\n")
 
 
+def test_parse_presentation_errors_name_their_line():
+    with pytest.raises(ValueError, match=r"^line 3: unknown generator 'x9'"):
+        parse_presentation("gens: x1 x2\n# comment\nrel: x1 x9\n")
+    with pytest.raises(ValueError, match=r"^line 2: unexpected line 'wat: x1'"):
+        parse_presentation("gens: x1\nwat: x1\n")
+    # relator checks run on the relator's own line, not after the file
+    with pytest.raises(ValueError, match=r"^line 2: empty relator"):
+        parse_presentation("gens: x1 x2\nrel: x1 x2 x2^-1 x1^-1\n")
+    with pytest.raises(ValueError, match=r"^line 3: duplicate relator 'x1 x2'"):
+        parse_presentation("gens: x1 x2\nrel: x1 x2\nrel: x1 x2\n")
+    with pytest.raises(ValueError, match=r"^line 2: relator 'x1 x2 x1\^-1' is not cyclically"):
+        parse_presentation("gens: x1 x2\nrel: x1 x2 x1^-1\n")
+
+
+def test_parse_presentation_caps_letters_in_total(monkeypatch):
+    # each relator is under the cap; together they pass it on line 3
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 5)
+    assert len(parse_presentation("gens: a b\nrel: a^2 b\nrel: a b\n").relators) == 2
+    with pytest.raises(ValueError, match=r"^line 3: .*5 letters in total"):
+        parse_presentation("gens: a b\nrel: a^3 b\nrel: a b\n")
+    with pytest.raises(ValueError, match=r"^line 3: .*5 letters in total"):
+        parse_history("gens: a b\nrel: a^3 b\nrel: a b\n")
+
+
 def test_history_file_round_trip():
     h = shorten_all(P)
     text = format_history(h)
@@ -208,5 +234,12 @@ def test_history_step_lines_use_letter_pairs():
 def test_parse_history_rejects_mismatched_definition():
     h = shorten_all(P)
     text = format_history(h).replace("t1 = x1 x1", "t1 = x1 x2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 4: step 't1' does not match"):
         parse_history(text)
+
+
+def test_parse_history_reads_steps_after_the_presentation():
+    text = format_history(shorten_all(P))
+    lines = text.splitlines()
+    with pytest.raises(ValueError, match=r"^line 5: rel line must follow the gens line and precede"):
+        parse_history("\n".join(lines[:4] + [lines[1]] + lines[4:]) + "\n")

@@ -88,13 +88,14 @@ T4_CASES = [
 # ---------------------------------------------------------------- oracles
 
 def pieces_oracle(p):
-    """A proper prefix u is a piece iff two distinct closure elements share it."""
+    """Letter tuples of the pieces: a proper prefix u is a piece iff two
+    distinct closure elements share it."""
     closure = symmetrize(p).ordered
     found = set()
     for r, s in itertools.permutations(closure, 2):
         for k in range(1, min(len(r), len(s)) + 1):
             if r.letters[:k] == s.letters[:k]:
-                found.add(r[:k])
+                found.add(r.letters[:k])
             else:
                 break
     return found
@@ -111,7 +112,7 @@ def min_pieces_oracle(r, pieces):
             best[0] = used
             return
         for k in range(len(r) - i, 0, -1):
-            if r[i : i + k] in pieces:
+            if r.letters[i : i + k] in pieces:
                 go(i + k, used + 1)
 
     go(0, 0)
@@ -125,7 +126,7 @@ def cprime_sup_oracle(p):
         Fraction(len(u), len(r))
         for r in symmetrize(p).elements
         for u in pieces
-        if r.letters[: len(u)] == u.letters
+        if r.letters[: len(u)] == u
     ]
     return max(ratios, default=None)
 
@@ -149,14 +150,7 @@ def t4_oracle(p):
 
 @pytest.mark.parametrize("p", ORACLE_CASES)
 def test_pieces_match_oracle(p):
-    ps = enumerate_pieces(symmetrize(p))
-    assert ps.pieces == frozenset(pieces_oracle(p))
-    assert ps.letters == frozenset(u.letters for u in ps.pieces)
-    # maximal: no piece extends it by one letter
-    assert ps.maximal == frozenset(
-        u for u in ps.pieces
-        if not any(len(v) == len(u) + 1 and v[: len(u)] == u for v in ps.pieces)
-    )
+    assert enumerate_pieces(symmetrize(p)) == frozenset(pieces_oracle(p))
 
 
 def test_pieces_built_once_per_presentation():
@@ -167,8 +161,8 @@ def test_pieces_built_once_per_presentation():
 
 def test_pieces_frozen_values():
     ps = enumerate_pieces(symmetrize(EX))
-    assert len(ps.pieces) == 10
-    names = {str(w) for w in ps.pieces}
+    assert len(ps) == 10
+    names = {str(Word(X, u)) for u in ps}
     assert names == {
         "x1", "x1^-1", "x1^2", "x1^-2",
         "x2", "x2^-1", "x3", "x3^-1",
@@ -180,22 +174,16 @@ def test_pieces_frozen_values():
 
 def test_pieces_closed_under_inverse_and_prefix():
     ps = enumerate_pieces(symmetrize(EX))
-    for u in ps.pieces:
-        assert ~u in ps.pieces
+    for u in ps:
+        assert (~Word(X, u)).letters in ps
         if len(u) > 1:
-            assert u[: len(u) - 1] in ps.pieces
-
-
-def test_maximal_pieces_have_no_extension():
-    ps = enumerate_pieces(symmetrize(EX))
-    for u in ps.maximal:
-        assert not any(len(v) == len(u) + 1 and v[: len(u)] == u for v in ps.pieces)
+            assert u[:-1] in ps
 
 
 def test_genus2_pieces_are_single_letters():
     ps = enumerate_pieces(symmetrize(GENUS2))
-    assert all(len(u) == 1 for u in ps.pieces)
-    assert len(ps.pieces) == 8
+    assert all(len(u) == 1 for u in ps)
+    assert len(ps) == 8
 
 
 # ------------------------------------------------------- min piece count
@@ -204,7 +192,7 @@ def test_genus2_pieces_are_single_letters():
 def test_min_piece_count_matches_oracle(p):
     ps = enumerate_pieces(symmetrize(p))
     for r in symmetrize(p).ordered:
-        assert min_piece_count(r, ps) == min_pieces_oracle(r, ps.pieces)
+        assert min_piece_count(r, ps) == min_pieces_oracle(r, ps)
 
 
 def test_min_piece_count_frozen():
@@ -218,7 +206,7 @@ def test_min_piece_count_none_when_not_coverable():
     # a lone relator has no pieces at all
     p = Presentation(AB, (parse_word(AB, "a b"),))
     ps = enumerate_pieces(symmetrize(p))
-    assert ps.pieces == frozenset()
+    assert ps == frozenset()
     assert min_piece_count(p.relators[0], ps) is None
 
 
