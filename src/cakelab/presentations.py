@@ -102,6 +102,9 @@ class SymmetrizedSet:
     piece_lengths: tuple[int, ...]
 
     def __init__(self, p: Presentation):
+        # each relator r gives at most 2|r| elements of |r| letters
+        if 2 * sum(len(r) ** 2 for r in p.relators) > words.MAX_WORD_LETTERS:
+            raise ValueError(f"symmetrized set longer than {words.MAX_WORD_LETTERS} letters")
         closure = set()
         for r in p.relators:
             closure |= r.cyclic_permutations()

@@ -49,24 +49,22 @@ def enumerate_pieces(s: SymmetrizedSet) -> frozenset:
 def min_piece_count(r: Word, pieces: frozenset) -> Optional[int]:
     """Fewest pieces whose concatenation is literally r; None if impossible.
 
-    Shortest path over positions 0..len(r).  Prefix-closure makes the piece
-    lengths available at each position a contiguous range 1..L, so only the
-    longest match needs finding, one letter at a time.
+    ``pieces`` are those of a symmetrized set: closed under prefixes and, as
+    the set is closed under rotation, under non-empty suffixes.  So the piece
+    lengths at a position form a range 1..L, and pos + L never decreases
+    with pos: taking the longest piece at each step is optimal.
     """
     n = len(r)
-    INF = n + 1
-    dist = [INF] * (n + 1)
-    dist[0] = 0
-    for pos in range(n):
-        if dist[pos] == INF:
-            continue
+    count = pos = 0
+    while pos < n:
         longest = 0
         while pos + longest < n and r.letters[pos : pos + longest + 1] in pieces:
             longest += 1
-        for take in range(1, longest + 1):
-            if dist[pos] + 1 < dist[pos + take]:
-                dist[pos + take] = dist[pos] + 1
-    return dist[n] if dist[n] < INF else None
+        if not longest:
+            return None
+        count += 1
+        pos += longest
+    return count
 
 
 def check_C(p: Presentation, pbound: int) -> bool:
@@ -213,11 +211,10 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
 
 
 def _swap_moves(x: Word, s: SymmetrizedSet):
-    """All (post, conjugator, relator, exponent) from one subword swap, by
-    position, then in canonical order among the elements starting there."""
+    """(post, conjugator, relator, exponent) per match, in scan order: one
+    each, as every take up to the match length k swaps to the word of take k."""
     for pos, r, k in s.matches(x):
-        for take in range(k, 0, -1):
-            yield swap(x, pos, r, take), x[:pos], r, -1
+        yield swap(x, pos, r, k), x[:pos], r, -1
 
 
 def _insert_moves(x: Word, elems: tuple):

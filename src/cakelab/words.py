@@ -1,10 +1,11 @@
 """Freely reduced words over a named generator alphabet.
 
-Every ``Word`` is immutable and freely reduced by construction: the only
-sanctioned ways to build one are ``free_reduce``, the arithmetic on existing
-words, and the text parser.  Raw letter sequences exist only as transient
-input.  Letters are signed generator references; a power like ``x^3`` is
-stored as three letters, which keeps subword matching trivial.
+Every ``Word`` is immutable and freely reduced by construction.  Letters are
+checked once, where a caller hands them in: in ``free_reduce`` (so also the
+text parser and ``**``) and in ``Word(...)``, which calls it.  Slices, inverses,
+products and rotations of Words are reduced because their inputs are, so they
+are built unchecked.  Letters are signed generator references; a power like
+``x^3`` is stored as three letters, which keeps subword matching trivial.
 
 >>> X = Alphabet(("a", "b"))
 >>> w = X.word("a b^-2 a")
@@ -108,22 +109,10 @@ class Alphabet:
         return parse_word(self, text)
 
 
-def _check_letters(alphabet: Alphabet, letters: Sequence[Letter]) -> None:
-    n = len(alphabet.names)
-    prev = None
-    for lt in letters:
-        if not (0 <= lt.gen < n):
-            raise ValueError(f"generator index {lt.gen} out of range")
-        if lt.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {lt.sign}")
-        if prev is not None and prev.gen == lt.gen and prev.sign == -lt.sign:
-            raise ValueError("letter sequence is not freely reduced")
-        prev = lt
-
-
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word.  Construction validates the reduced invariant.
+    """A freely reduced word.  ``Word(alphabet, letters)`` checks its letters
+    with :func:`free_reduce`; arithmetic on Words builds its results unchecked.
 
     >>> X = Alphabet(("x", "y"))
     >>> Word(X, (Letter(0, 1), Letter(0, -1)))
@@ -136,9 +125,11 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        letters = tuple(Letter(lt[0], lt[1]) for lt in self.letters)
+        raw = tuple(self.letters)
+        letters = free_reduce(self.alphabet, raw).letters
+        if len(letters) != len(raw):
+            raise ValueError("letter sequence is not freely reduced")
         object.__setattr__(self, "letters", letters)
-        _check_letters(self.alphabet, letters)
 
     # -- basic container behaviour ------------------------------------
 
@@ -153,7 +144,7 @@ class Word:
         if isinstance(item, slice):
             if item.step not in (None, 1):
                 raise ValueError("words only support contiguous slices")
-            return Word(self.alphabet, self.letters[item])
+            return _word(self.alphabet, self.letters[item])
         return self.letters[item]
 
     def __bool__(self) -> bool:
@@ -175,10 +166,9 @@ class Word:
         return free_reduce(self.alphabet, base.letters * abs(k))
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple(lt.inverse() for lt in reversed(self.letters)))
+        return _word(self.alphabet, tuple(lt.inverse() for lt in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
+    __invert__ = inverse
 
     # -- cyclic structure ----------------------------------------------
 
@@ -200,7 +190,7 @@ class Word:
         while j - i >= 2 and lts[i] == lts[j - 1].inverse():
             i += 1
             j -= 1
-        return Word(self.alphabet, lts[i:j]), Word(self.alphabet, lts[:i])
+        return _word(self.alphabet, lts[i:j]), _word(self.alphabet, lts[:i])
 
     def cyclic_permutations(self) -> frozenset["Word"]:
         """All rotations of a cyclically reduced word, deduplicated.
@@ -213,12 +203,12 @@ class Word:
         lts = self.letters
         rotations = {self}
         for k in range(1, len(lts)):
-            rotations.add(Word(self.alphabet, lts[k:] + lts[:k]))
+            rotations.add(_word(self.alphabet, lts[k:] + lts[:k]))
         return frozenset(rotations)
 
 
 def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
-    """Freely reduce a raw letter sequence into a Word.
+    """Freely reduce a raw letter sequence into a Word, checking each letter.
 
     >>> X = Alphabet(("x", "y"))
     >>> free_reduce(X, [Letter(0, 1), Letter(1, 1), Letter(1, -1)])
@@ -236,20 +226,27 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
             out.pop()
         else:
             out.append(Letter(gen, sign))
-    return Word(alphabet, tuple(out))
+    return _word(alphabet, tuple(out))
+
+
+def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
+    """Unchecked: ``letters`` is a reduced tuple of Letters, as in any slice or product of Words."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def concat(a: Word, b: Word) -> Word:
-    """Product in the free group: concatenate, then cancel across the seam."""
+    """Product in the free group: both factors are reduced, so only the seam cancels."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    out = list(a.letters)
-    for lt in b.letters:
-        if out and out[-1] == lt.inverse():
-            out.pop()
-        else:
-            out.append(lt)
-    return Word(a.alphabet, tuple(out))
+    x, y = a.letters, b.letters
+    n = min(len(x), len(y))
+    k = 0
+    while k < n and x[-1 - k] == y[k].inverse():
+        k += 1
+    return _word(a.alphabet, x[: len(x) - k] + y[k:])
 
 
 def common_prefix_len(a: Sequence, b: Sequence, start: int = 0) -> int:

@@ -86,6 +86,20 @@ def test_check_caps_relator_letters_in_total(capsys, tmp_path, monkeypatch):
     assert err == "error: line 4: relators longer than 10 letters in total\n"
 
 
+def test_check_caps_symmetrized_set(capsys, tmp_path, monkeypatch, ex_file):
+    # 27 bytes, but 2 * 800^2 letters of symmetrized set: refused unbuilt
+    f = tmp_path / "square.txt"
+    f.write_text("gens: a b\nrel: a^400 b^400\n")
+    code, out, err = run(capsys, ["check", "--presentation", str(f)])
+    assert code == 2 and out == ""
+    assert err == "error: symmetrized set longer than 1000000 letters\n"
+    # the cap is read when the set is built; EX needs 144 letters
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 143)
+    code, out, err = run(capsys, ["check", "--presentation", ex_file])
+    assert code == 2 and out == ""
+    assert err == "error: symmetrized set longer than 143 letters\n"
+
+
 def test_check_malformed_line_names_it(capsys, tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text(EX_TEXT.replace("x3^2", "x3^two"))

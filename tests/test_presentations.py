@@ -217,6 +217,15 @@ def test_parse_presentation_caps_letters_in_total(monkeypatch):
         parse_history("gens: a b\nrel: a^3 b\nrel: a b\n")
 
 
+def test_symmetrize_caps_letters_before_building(monkeypatch):
+    # P's relators give 2 * (6^2 + 6^2) = 144 letters of symmetrized set
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 144)
+    assert len(symmetrize(Presentation(X, (R1, R2)))) == 24
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 143)
+    with pytest.raises(ValueError, match="symmetrized set longer than 143 letters"):
+        symmetrize(Presentation(X, (R1, R2)))
+
+
 def test_history_file_round_trip():
     h = shorten_all(P)
     text = format_history(h)

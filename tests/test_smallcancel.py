@@ -178,6 +178,8 @@ def test_pieces_closed_under_inverse_and_prefix():
         assert (~Word(X, u)).letters in ps
         if len(u) > 1:
             assert u[:-1] in ps
+            # S is closed under rotation, so pieces are closed under suffixes
+            assert u[1:] in ps
 
 
 def test_genus2_pieces_are_single_letters():
@@ -188,7 +190,14 @@ def test_genus2_pieces_are_single_letters():
 
 # ------------------------------------------------------- min piece count
 
-@pytest.mark.parametrize("p", ORACLE_CASES)
+# pieces up to 13 letters long: a^k and a^7 b a^5 among them
+LONG_PIECES = Presentation(AB, (parse_word(AB, "a^12 b"), parse_word(AB, "a^7 b a^5 b^-1")))
+
+
+@pytest.mark.parametrize("p", ORACLE_CASES + [
+    pytest.param(Presentation(AB, (parse_word(AB, "a^12 b"),)), id="a12b"),
+    pytest.param(LONG_PIECES, id="long_pieces"),
+])
 def test_min_piece_count_matches_oracle(p):
     ps = enumerate_pieces(symmetrize(p))
     for r in symmetrize(p).ordered:
@@ -387,15 +396,16 @@ def test_dehn_matches_table_reference(p):
 # --------------------------------------------------------------- oracle
 
 def naive_swap_moves(x, s):
-    """Every element tried at every position, matched letter by letter."""
+    """Every element tried at every position, matched letter by letter; one
+    candidate per match."""
     for pos in range(len(x)):
         for r in s.ordered:
             take = 0
             while (pos + take < len(x) and take < len(r)
                    and x.letters[pos + take] == r.letters[take]):
                 take += 1
-            for t in range(take, 0, -1):
-                yield (x[:pos] * ~r[t:]) * x[pos + t :], x[:pos], r, -1
+            if take:
+                yield (x[:pos] * ~r[take:]) * x[pos + take :], x[:pos], r, -1
 
 
 @pytest.mark.parametrize("p", [
@@ -425,6 +435,15 @@ def test_oracle_relator_at_depth_one():
     assert wit is not None
     assert len(wit.factors) == 1
     assert replay_witness(wit) == EX.relators[0]
+
+
+def test_oracle_spends_budget_once_per_swap_match():
+    # a swap of any take up to the match length gives one word; one
+    # candidate per match leaves budget for the second factor
+    w = parse_word(X, "x3 x1^-2 x3^-1 x2^-2 x3 x2^2 x3 x1^2 x3^-2")
+    wit = bounded_wp_oracle(w, EX, 2, node_budget=1000)
+    assert wit is not None and len(wit.factors) == 2
+    assert replay_witness(wit) == w
 
 
 def test_oracle_x1_depth_three_unknown():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakelab.words
+from cakelab.presentations import swap
 from cakelab.words import (
     Alphabet,
     Letter,
@@ -97,16 +98,38 @@ def test_slices_are_words(raw):
             assert free_reduce(ABC, piece.letters) == piece
 
 
+@given(letters_st, letters_st, st.integers(0, 24), st.integers(0, 24))
+def test_unchecked_builds_pass_the_public_check(xs, ys, i, j):
+    # arithmetic builds its results without the check; each must pass it
+    a, b = free_reduce(ABC, xs), free_reduce(ABC, ys)
+    core, conj = a.cyclic_reduce()
+    built = [a[i:j], a.inverse(), concat(a, b), core, conj, *core.cyclic_permutations(),
+             swap(a, min(i, len(a)), b, min(j, len(b)))]
+    for w in built:
+        assert Word(w.alphabet, w.letters) == w
+        assert all(type(lt) is Letter for lt in w.letters)
+
+
 def test_word_validation_rejects_unreduced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not freely reduced"):
         Word(ABC, (Letter(0, 1), Letter(0, -1)))
+    # a plain tuple spelling is checked and rebuilt as Letters
+    w = Word(ABC, ((0, 1), (1, -1)))
+    assert w == parse_word(ABC, "a b^-1")
+    assert all(type(lt) is Letter for lt in w.letters)
+    with pytest.raises(ValueError, match="not freely reduced"):
+        Word(ABC, ((0, 1), (0, -1)))
 
 
 def test_word_validation_rejects_foreign_letters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Word(ABC, (Letter(7, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sign must be"):
         Word(ABC, (Letter(0, 2),))
+    with pytest.raises(ValueError, match="sign must be"):
+        ABC.letter("a", 0)
+    with pytest.raises(ValueError, match="out of range"):
+        random_reduced_word(ABC, 3, random.Random(1), gens=(0, 7))
 
 
 def test_alphabet_name_rules():
