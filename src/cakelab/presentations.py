@@ -87,9 +87,9 @@ class SymmetrizedSet:
     relators and of their inverses, in canonical (length, letters) order in
     ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
     prefix of ``ordered[i]``.  Pieces and the first-letter index are built
-    on first use.  Built from the relators, it is closed under rotation and
-    inversion by construction; :func:`symmetrize` builds it once per
-    presentation.
+    on first use, as is the relator lattice.  Built from the relators, it is
+    closed under rotation and inversion by construction; :func:`symmetrize`
+    builds it once per presentation.
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
     oracle's swap moves and disguise's growth swaps all read it, and all
@@ -97,6 +97,7 @@ class SymmetrizedSet:
     """
 
     alphabet: Alphabet
+    relators: tuple[Word, ...]
     elements: frozenset
     ordered: tuple[Word, ...]
     piece_lengths: tuple[int, ...]
@@ -119,6 +120,7 @@ class SymmetrizedSet:
             lengths[i] = max(lengths[i], k)
             lengths[j] = max(lengths[j], k)
         object.__setattr__(self, "alphabet", p.alphabet)
+        object.__setattr__(self, "relators", p.relators)
         object.__setattr__(self, "elements", frozenset(closure))
         object.__setattr__(self, "ordered", ordered)
         object.__setattr__(self, "piece_lengths", tuple(lengths))
@@ -146,6 +148,37 @@ class SymmetrizedSet:
             starting.setdefault(r.letters[0], []).append(i)
         return {lt: tuple(ix) for lt, ix in starting.items()}
 
+    @cached_property
+    def abelian_rows(self) -> tuple:
+        """Integer echelon basis of the lattice in Z^n that the relators'
+        exponent-sum vectors span: ``(pivot, row)`` by ascending pivot, each
+        row zero before its pivot.  Rotations share a relator's vector and
+        inverses negate it, so one row per relator spans the lattice.
+        Euclid's algorithm on pivot entries keeps each step unimodular."""
+        pivots: dict[int, list[int]] = {}
+        for r in self.relators:
+            v = _exponent_sums(r)
+            for col in range(len(v)):
+                if v[col] and col not in pivots:
+                    pivots[col] = v
+                    break
+                while v[col]:  # Euclid on the two entries at col
+                    q = pivots[col][col] // v[col]
+                    pivots[col], v = v, [a - q * b for a, b in zip(pivots[col], v)]
+        return tuple(sorted(pivots.items()))
+
+    def abelian_trivial(self, w: Word) -> bool:
+        """Whether w's exponent-sum vector lies in the relator lattice.
+        False proves w non-trivial: its image in the abelianization is not 0.
+        Each pivot takes off what it divides; a remainder there, or any entry
+        in a column with no pivot, is left over at the end."""
+        v = _exponent_sums(w)
+        for col, row in self.abelian_rows:
+            q = v[col] // row[col]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return not any(v)
+
     def matches(self, w: Word) -> Iterator[tuple[int, Word, int]]:
         """``(pos, r, k)`` for each element r starting with ``w``'s letter at
         pos, by position, then in canonical order; k is the length of the
@@ -155,6 +188,14 @@ class SymmetrizedSet:
             for i in starting.get(lt, ()):
                 r = elems[i]
                 yield pos, r, common_prefix_len(letters, r.letters, pos)
+
+
+def _exponent_sums(w: Word) -> list[int]:
+    """The image of w in the abelianization Z^n: one exponent sum per generator."""
+    v = [0] * len(w.alphabet)
+    for lt in w.letters:
+        v[lt.gen] += lt.sign
+    return v
 
 
 def swap(w: Word, pos: int, r: Word, take: int) -> Word:

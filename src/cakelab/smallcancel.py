@@ -10,7 +10,8 @@ Dehn reduction and the oracle's subword swaps read one relator-prefix scan,
 ``SymmetrizedSet.matches``, and rewrite with one swap, ``presentations.swap``;
 disguise's growth swaps share both.  The oracle searches breadth-first over
 relator insertions and subword swaps.  It can answer Trivial (with a
-replayable witness) or Unknown, never a false Trivial.
+replayable witness) or Unknown, never a false Trivial.  A word whose
+abelianization lies outside the relator lattice is Unknown without a search.
 """
 
 from __future__ import annotations
@@ -113,27 +114,24 @@ def check_T4(p: Presentation) -> bool:
     constraint r1 != r2^-1, r2 != r3^-1, r3 != r1^-1; the products checked
     are r1 r2, r2 r3, r3 r1.
 
-    The search walks the set's first-letter index: for each r1, only the r2
-    starting with the inverse of r1's last letter, and for each such r2 only
-    the r3 starting with the inverse of r2's last letter, keeping those that
-    end in the inverse of r1's first letter.  With d elements per first
-    letter, the cost is the sum over elements of d^2, not |S|^3.
+    Only each element's first and last letters matter, so the search walks
+    the distinct (first, last) pairs: for a pair (a, b), some c among the
+    last letters of elements starting with b^-1 such that an element starts
+    with c^-1 and ends with a^-1.  It costs at most (2n)^3 for n generators,
+    whatever the relator lengths.
 
     The adjacency constraint needs no test: every element is cyclically
     reduced, so none ends in the inverse of its first letter, and each
     excluded triple with all three seams cancelling would need such an
     element (r2 = r1^-1 forces it on r3, r3 = r2^-1 on r1, r3 = r1^-1 on r2).
     """
-    s = symmetrize(p)
-    starting = s.first_letters
-    lasts = [w.letters[-1] for w in s.ordered]
-    # nexts[i]: the elements whose first letter cancels element i's last one
-    nexts = [starting.get(lt.inverse(), ()) for lt in lasts]
-    for i, r in enumerate(s.ordered):
-        closing = r.letters[0].inverse()
-        for j in nexts[i]:
-            for k in nexts[j]:
-                if lasts[k] == closing:
+    ends: dict = {}  # first letter -> the last letters of elements starting with it
+    for r in symmetrize(p).ordered:
+        ends.setdefault(r.letters[0], set()).add(r.letters[-1])
+    for a, lasts in ends.items():
+        for b in lasts:
+            for c in ends.get(b.inverse(), ()):
+                if a.inverse() in ends.get(c.inverse(), ()):
                     return False
     return True
 
@@ -248,7 +246,10 @@ def bounded_wp_oracle(
 
     Returns a witness whose replay equals w, or None (unknown).  Sound by
     construction: every move multiplies by a conjugated relator, so a word
-    reaching the empty word is genuinely trivial.
+    reaching the empty word is genuinely trivial.  Each move also adds a
+    relator's exponent-sum vector in Z^n, so when w's vector is outside the
+    relator lattice no search can succeed: that returns None before any node
+    is generated, the answer the search would give.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -256,7 +257,7 @@ def bounded_wp_oracle(
         return WspWitness(())
     s = symmetrize(p)
     elems = s.ordered
-    if not elems:
+    if not elems or not s.abelian_trivial(w):
         return None
     if max_len is None:
         max_len = 2 * len(w) + max(len(r) for r in elems)

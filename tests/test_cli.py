@@ -302,6 +302,22 @@ def test_bits_with_presentation_and_dehn(capsys, tmp_path):
     assert "decoded: 101" in out.splitlines()
 
 
+@pytest.mark.filterwarnings("ignore:0-bit words")
+def test_bits_oracle_decodes_ones_and_leaves_zeros_unknown(capsys, ex_file):
+    args = ["bits", "--presentation", ex_file, "--word", "x2 x3", "--bits", "1001",
+            "--seed", "16", "--strategy", "oracle", "--depth", "3"]
+    code, out, err = run(capsys, args)
+    assert code == 1
+    assert out == (
+        "sent 1: x2^3 x3 x1^2\n"
+        "sent 2: x2 x3 x2^-1\n"
+        "sent 3: x2 x3 x2\n"
+        "sent 4: x1^2 x2 x3^3\n"
+        "decoded: 1??1\n"
+    )
+    assert err == "bits: mismatch\n"
+
+
 def test_bits_requires_exactly_one_alphabet_source(capsys, ex_file):
     code, _, err = run(capsys, ["bits", "--word", "x1", "--bits", "1", "--seed", "1"])
     assert code == 2 and err.startswith("error: ")

@@ -9,7 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cakelab import smallcancel
 from cakelab.artin import artin_from_graph, random_tree
 from cakelab.presentations import (
     Presentation,
@@ -270,6 +273,31 @@ def test_t4_matches_oracle_on_examples(p):
     assert check_T4(p) is verdict, (p, triple)
 
 
+def t4_walk_reference(p):
+    """The element walk over the first-letter index: for each r1, the r2
+    starting with the inverse of r1's last letter, then the r3 starting with
+    the inverse of r2's last letter, looking for one that ends in the
+    inverse of r1's first letter."""
+    s = symmetrize(p)
+    lasts = [w.letters[-1] for w in s.ordered]
+    nexts = [s.first_letters.get(lt.inverse(), ()) for lt in lasts]
+    for i, r in enumerate(s.ordered):
+        closing = r.letters[0].inverse()
+        if any(lasts[k] == closing for j in nexts[i] for k in nexts[j]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", T4_CASES + [
+    pytest.param(Presentation(AB, (parse_word(AB, "a^12 b"),)), id="a12b"),
+    pytest.param(Presentation(AB, (parse_word(AB, "a^7 b a^5 b^-1"),)), id="a7ba5b-1"),
+    pytest.param(LONG_PIECES, id="long_pieces"),
+])
+def test_t4_matches_element_walk(p):
+    # the (first, last) pair walk gives the verdict of the element walk
+    assert check_T4(p) is t4_walk_reference(p)
+
+
 def test_t4_random_batch_has_both_verdicts():
     assert {check_T4(p) for p in RANDOM_T4} == {True, False}
 
@@ -496,6 +524,86 @@ def test_oracle_respects_node_budget_determinism():
     a = bounded_wp_oracle(w, EX, 3, node_budget=500)
     b = bounded_wp_oracle(w, EX, 3, node_budget=500)
     assert a is b is None
+
+
+def spy_moves(monkeypatch):
+    """Count the candidates the oracle's search generates."""
+    count = [0]
+    moves = smallcancel._moves
+
+    def spy(x, s):
+        for move in moves(x, s):
+            count[0] += 1
+            yield move
+
+    monkeypatch.setattr(smallcancel, "_moves", spy)
+    return count
+
+
+def test_oracle_commutator_spends_whole_budget(monkeypatch):
+    # its exponent sums are 0, in the relator lattice: the search runs
+    count = spy_moves(monkeypatch)
+    w = parse_word(X, "x1 x2 x1^-1 x2^-1")
+    assert bounded_wp_oracle(w, EX, 3, node_budget=500) is None and count[0] == 500
+    assert bounded_wp_oracle(w, EX, 3, node_budget=500) is None and count[0] == 1000
+
+
+def test_oracle_skips_search_outside_relator_lattice(monkeypatch):
+    # u x1 u^-1 maps to a unit vector; every EX relator vector has even entries
+    count = spy_moves(monkeypatch)
+    u = parse_word(X, "x2 x3^-1 x1")
+    assert bounded_wp_oracle(u * parse_word(X, "x1") * ~u, EX, 3) is None
+    assert count[0] == 0
+    # a relator is in the lattice, and the search finds it
+    assert bounded_wp_oracle(EX.relators[0], EX, 1) is not None and count[0] > 0
+
+
+def test_abelian_rows_one_per_relator_built_once():
+    for p in (EX, GENUS2, braid_presentation(4), L3):
+        s = symmetrize(p)
+        assert len(s.abelian_rows) <= len(p.relators)
+        assert s.abelian_rows is symmetrize(p).abelian_rows
+        pivots = [col for col, _ in s.abelian_rows]
+        assert pivots == sorted(set(pivots))
+        assert all(row[col] and not any(row[:col]) for col, row in s.abelian_rows)
+
+
+def test_abelian_lattice_is_integral_not_rational():
+    # <a | a^2>: Z/2
+    a = Alphabet(("a",))
+    s = symmetrize(Presentation(a, (parse_word(a, "a^2"),)))
+    assert [s.abelian_trivial(parse_word(a, t)) for t in ("a", "a^2", "a^4", "a^-3")] == [
+        False, True, True, False]
+    # a^2 b^2 and a^2 b^-2 span (2, 2) and (2, -2): rationally all of Q^2,
+    # integrally a lattice of index 8 that holds neither (2, 0) nor (0, 2)
+    s = symmetrize(Presentation(AB, (parse_word(AB, "a^2 b^2"), parse_word(AB, "a^2 b^-2"))))
+    for text, inside in [("b^2", False), ("a^2", False), ("a", False), ("a b", False),
+                         ("a^4", True), ("b^4", True), ("a^2 b^2", True),
+                         ("b a^3 b^-1 a", True), ("a^2 b^-2 a^2", False)]:
+        assert s.abelian_trivial(parse_word(AB, text)) is inside, text
+
+
+_RANDOM_LATTICE_RNG = random.Random(808)
+LATTICE_CASES = [EX, GENUS2, braid_presentation(4), L3] + [
+    random_presentation(_RANDOM_LATTICE_RNG) for _ in range(4)
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(LATTICE_CASES), st.data())
+def test_abelian_exit_never_prunes_relator_products(p, data):
+    # every oracle move multiplies by a conjugated relator; a product of them
+    # is trivial, so the quotient test must let it through
+    w = Word(p.alphabet, ())
+    for _ in range(data.draw(st.integers(0, 4))):
+        r = data.draw(st.sampled_from(p.relators))
+        c = Word(p.alphabet, ())
+        for _ in range(data.draw(st.integers(0, 4))):
+            c = c * p.alphabet.letter(data.draw(st.sampled_from(p.alphabet.names)),
+                                      data.draw(st.sampled_from((1, -1))))
+        w = w * c * (r ** data.draw(st.sampled_from((1, -1)))) * ~c
+    assert symmetrize(p).abelian_trivial(w)
+    assert symmetrize(p).abelian_trivial(~w)
 
 
 def test_witness_file_round_trip():
