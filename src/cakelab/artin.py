@@ -248,12 +248,11 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
 @dataclass(frozen=True)
 class SplitPlatform:
     """A rooted tree split at its root: two connected sides plus the shared
-    Artin presentation of the whole tree."""
+    Artin presentation of the whole tree, built on first use."""
 
     tree: RootedTree
     side_a: tuple[int, ...]
     side_b: tuple[int, ...]
-    presentation: Presentation
 
     def __post_init__(self):
         t = self.tree
@@ -269,10 +268,14 @@ class SplitPlatform:
             return self.side_b
         raise ValueError(f"side must be 'A' or 'B', not {which!r}")
 
+    @cached_property
+    def presentation(self) -> Presentation:
+        return artin_from_graph(self.tree.graph)
+
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
     c1, c2 = t.children(t.root)
-    return SplitPlatform(t, t.subtree(c1), t.subtree(c2), artin_from_graph(t.graph))
+    return SplitPlatform(t, t.subtree(c1), t.subtree(c2))
 
 
 @dataclass(frozen=True)
@@ -513,7 +516,6 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
 def format_tree(t: RootedTree) -> str:
     names = t.graph.vertices
     lines = [f"root: {names[t.root]}"]
-    order = [t.root]
     queue = [t.root]
     while queue:
         v = queue.pop(0)

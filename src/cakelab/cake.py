@@ -41,7 +41,9 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Letter, Word, free_reduce, parse_word, random_reduced_word, read_records
+from .words import (
+    Alphabet, Letter, Word, add_letters, free_reduce, parse_word, random_reduced_word, read_records,
+)
 
 __all__ = [
     "ProtocolSetupError",
@@ -145,6 +147,8 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     Trees are resampled until both sides admit elementary moves and the
     sampled public word is actually moved by at least one single move per
     side; that guarantees party_step can always find a non-trivial message.
+    Resampling compiles no relators: a platform builds its presentation on
+    first use, and only the kept one is read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
@@ -414,9 +418,11 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
 
 
 def parse_transcript(text: str):
-    """Returns (alphabet, Transcript, key_a_hex, key_b_hex)."""
+    """Returns (alphabet, Transcript, key_a_hex, key_b_hex).  The messages are
+    capped at ``MAX_WORD_LETTERS`` letters in total."""
     found = {"gens": None, "config": None, "key-a": None, "key-b": None}
     messages = []
+    letters = 0
 
     def gens(rest: str) -> None:
         found["gens"] = Alphabet(tuple(rest.split()))
@@ -425,9 +431,12 @@ def parse_transcript(text: str):
         found["config"] = bytes.fromhex(rest)
 
     def msg(rest: str, _n: str, sender: str) -> None:
+        nonlocal letters
         if found["gens"] is None:
             raise ValueError("msg line before gens line")
-        messages.append((sender, parse_word(found["gens"], rest)))
+        w = parse_word(found["gens"], rest)
+        letters = add_letters(letters, len(w), "messages")
+        messages.append((sender, w))
 
     read_records(text, {
         "gens": gens,

@@ -19,7 +19,9 @@ from random import Random
 
 from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
 from .smallcancel import WspWitness
-from .words import Word, common_prefix_len, concat, parse_word, random_reduced_word, read_records
+from .words import (
+    Word, add_letters, common_prefix_len, concat, parse_word, random_reduced_word, read_records,
+)
 
 __all__ = [
     "DisguiseBudget",
@@ -188,13 +190,17 @@ def parse_move_log(text: str, p: Presentation, start: Word):
     """Rebuild a move log by replaying the serialized moves from ``start``.
 
     Every relator must be an element of ``p``'s symmetrized set; a move by
-    any other word would not preserve the group element.
+    any other word would not preserve the group element.  The parsed words
+    and the replayed post words are capped at ``MAX_WORD_LETTERS`` letters in
+    total, so short lines cannot each hold a copy of one long post word.
     """
     s = symmetrize(p)
     alphabet = start.alphabet
     out: list[RewriteMove] = []
+    letters = 0
 
     def move(rest: str) -> None:
+        nonlocal letters
         head, sep1, tail = rest.partition(" rel=")
         rel_text, sep2, tail = tail.partition(" exp=")
         exp_text, sep3, conj_text = tail.partition(" conj=")
@@ -206,7 +212,9 @@ def parse_move_log(text: str, p: Presentation, start: Word):
             raise ValueError(f"relator {str(rel)!r} is not in the symmetrized set")
         conj = parse_word(alphabet, conj_text)
         pre = out[-1].post_word if out else start
-        out.append(RewriteMove(kind.strip(), int(pos_text), rel, int(exp_text), conj, pre))
+        mv = RewriteMove(kind.strip(), int(pos_text), rel, int(exp_text), conj, pre)
+        letters = add_letters(letters, len(rel) + len(conj) + len(mv.post_word), "move log")
+        out.append(mv)
 
     read_records(text, {"move": move})
     return out

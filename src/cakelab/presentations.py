@@ -405,9 +405,7 @@ class _PresentationRecords:
             raise ValueError("rel line must follow the gens line and precede any step line")
         r = parse_word(self.alphabet, rest)
         _add_relator(self.alphabet, r, self.relators)
-        self.letters += len(r)
-        if self.letters > words.MAX_WORD_LETTERS:
-            raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
+        self.letters = words.add_letters(self.letters, len(r), "relators")
 
     def presentation(self) -> Presentation:
         if self.built is None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
-from .words import Word, concat, parse_word, read_records
+from .words import Word, add_letters, concat, parse_word, read_records
 
 __all__ = [
     "CancellationReport",
@@ -295,9 +295,13 @@ def format_witness(witness: WspWitness) -> str:
 
 
 def parse_witness(text: str, alphabet) -> WspWitness:
+    """Inverse of format_witness; its words are capped at ``MAX_WORD_LETTERS``
+    letters in total."""
     factors = []
+    letters = 0
 
     def factor(rest: str) -> None:
+        nonlocal letters
         head, sep1, tail = rest.partition("conj=")
         conj_text, sep2, tail = tail.partition(" rel=")
         rel_text, sep3, exp_text = tail.partition(" exp=")
@@ -306,9 +310,9 @@ def parse_witness(text: str, alphabet) -> WspWitness:
         exp = int(exp_text)
         if exp not in (1, -1):
             raise ValueError("factor exponent must be 1 or -1")
-        factors.append(
-            (parse_word(alphabet, conj_text), parse_word(alphabet, rel_text), exp)
-        )
+        conj, rel = parse_word(alphabet, conj_text), parse_word(alphabet, rel_text)
+        letters = add_letters(letters, len(conj) + len(rel), "witness")
+        factors.append((conj, rel, exp))
 
     read_records(text, {"factor": factor})
     return WspWitness(tuple(factors))

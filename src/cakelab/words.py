@@ -344,6 +344,16 @@ def read_records(text: str, handlers: dict) -> None:
             raise ValueError(f"line {n}: {e}") from None
 
 
+def add_letters(total: int, n: int, what: str) -> int:
+    """``total + n``, the running letter count of a parser that builds many
+    words from one file; ``ValueError`` on the line that passes
+    ``MAX_WORD_LETTERS``."""
+    total += n
+    if total > MAX_WORD_LETTERS:
+        raise ValueError(f"{what} longer than {MAX_WORD_LETTERS} letters in total")
+    return total
+
+
 def word_sort_key(w: Word):
     """Canonical ordering key: by length, then letterwise (generator, sign)."""
     return (len(w.letters), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w.letters))

@@ -146,6 +146,19 @@ def test_split_at_root_partitions_vertices():
     assert sorted(plat.side_b) == [2]
 
 
+def test_split_platform_builds_its_presentation_on_first_read():
+    t = random_tree(4, 4, 7, seed=11)
+    plat = split_at_root(t)
+    assert "presentation" not in vars(plat)
+    p = plat.presentation
+    assert p == artin_from_graph(t.graph)
+    assert plat.presentation is p
+    # equality and hashing read the tree and the sides, built or not
+    fresh = split_at_root(t)
+    assert fresh == plat and hash(fresh) == hash(plat)
+    assert "presentation" not in vars(fresh)
+
+
 def test_validate_morphism():
     t = small_tree()
     side = induced_subgraph(t.graph, (1, 3, 4))

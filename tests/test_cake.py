@@ -1,11 +1,14 @@
 """Key exchange: tree platform, sandwich variant, bitstream transport."""
 
+import hashlib
 import random
 import warnings
 
 import pytest
 
-from cakelab.artin import apply_endo, split_at_root
+import cakelab.artin
+import cakelab.words
+from cakelab.artin import apply_endo, artin_from_graph, split_at_root
 from cakelab.cake import (
     ProtocolIntegrityError,
     ProtocolSetupError,
@@ -104,6 +107,67 @@ def test_exchange_battery_across_levels():
             assert ka == kb
 
 
+# run_exchange(9000 + i, 100 + i, 200 + i, levels=3 + i % 3, max_degree=4) for
+# i = 0..29: each key, and the SHA-256 of the 30 format_transcript texts in order
+PINNED_KEYS = (
+    "32b30ea12f898b5602dc629b90ef0885dd31dfc8752cab3f32f602d24ed8203e",
+    "a3c00c90c68a39396e997f714d074b4cec0378249d5b0aad85e4bb5f1ebee737",
+    "5d3afe70c248f198b81f49933ab3ffe9311c1a3a8963ef6edd179e1c58f39ea9",
+    "a7f1d9ead52929f5f549b52ffda2ba75c4b648d2cfa0cd9881c3a58d7d2d5b94",
+    "e0d7ba735abd70e43688e0a11d8f1802b759daffc5ac31a9dae9737daab34761",
+    "fdf8b6317ce24c56085cd2166a8fa2db2163812cc4a8e79e3c15cbfbafd7009b",
+    "fa9cf6f9bc03b11c8a24300c2de6ec9aeab0c799da9563e57c45ab8137269d50",
+    "5cdb5c784ddafb2472b3b660653ac779bbec820d3f25439a233a72a6bd1cd12f",
+    "d453e91a898447745bd7cfdb7bf0efba8b43d4c26107228290fc9b1f2ca98100",
+    "c0e7c6b5710fccd5a944c9b425b2835838008b6ff567d9ca1f3b6ae22e2206d6",
+    "4844be766494f9ff812e2eccfa21174bfc23fe573e054eca17fd534a961f250f",
+    "0c60dc7843c7a664a69300f05c6b2aa21492924fb342656a71a55326899d5946",
+    "3f7738cc86677ebc151255650f1e29a872f93ee76f1f1c9f16d116014a5c2c03",
+    "6c8f1c23c4acd1816e48fada0e151b43bccc39d10ff704422ed022c35073c37f",
+    "83b46fc17187f66a0d468e6116fff6a6fd96ba2e7bdc50803cabe4e2c74650bb",
+    "63281947ed9e532b683f2942a357709321ffaf4ef415f3d163ecf79188cd5683",
+    "efb9b228f90634f51da4359d61190a40962f238ecc435b43d7a3fa3ade988934",
+    "18becffb281b59180017f32bcb391acb78bc7f0afa7a8d3d8e9ff6bacfe94ea9",
+    "23bb85d84bb68886aceae73a50528415852ff8f70f62067590c796b60c28683b",
+    "1df678ad8af4459ce38f9c3c413deb56e079e0e8fd4275525660c914691acebd",
+    "a541dc36da8f8e11a71652d01f8fac8dafd84ac685537cdbd83d1097addac30b",
+    "a008b3811fac3e5a9b0ce5fc63c71fadf036f709c0eacdf0902f4932c0da001f",
+    "8ce2429197b5832d7cb0d63131d5b08a933ad4dab0a30d166a18def4c7a905ba",
+    "f4474ec3ea4be95e4f2fc887e928e6cd4380893e06c34bbcd93f34fd7e881b0e",
+    "2cd969375fada147d2a64090f9735083b23520d99938a3e2e236c8a1dace0577",
+    "a101fd6c42fef5f4e8da8b88777e0d740621c2ff0efd314578a1044a5a57a5c8",
+    "bf9ae606e85ddac78f5f46f788759a1bb55eb953c28a20567752ce5f91728ed8",
+    "9aad56afaa3bb8388f392412c293a24e3c6791f65b4ecbf619c919a507cc7b0b",
+    "86179e5e56bc5e4fc6efc3fbda5427ed1039243de3eaf66b6a6426201bd1d5f7",
+    "18a613c8ea9dd25dedc83639172e08f0be81c936988d05afe43aff235b8920a9",
+)
+PINNED_TRANSCRIPTS_SHA256 = "c9fac3bbd4b57b14e114552fb5e4d537aaa03a3d07c346e940c7afdb94ec65ff"
+
+
+def test_exchange_keys_and_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    for i, pinned in enumerate(PINNED_KEYS):
+        transcript, ka, kb = run_exchange(9000 + i, 100 + i, 200 + i,
+                                          levels=3 + i % 3, max_degree=4)
+        assert ka.key_bytes.hex() == pinned, i
+        alphabet = transcript.messages[0][1].alphabet
+        digest.update(format_transcript(alphabet, transcript, ka, kb).encode())
+    assert digest.hexdigest() == PINNED_TRANSCRIPTS_SHA256
+
+
+def test_setup_builds_only_the_kept_presentation(monkeypatch):
+    # rejected trees are split and scanned for moves, but never compiled
+    built = []
+
+    def spy(g):
+        built.append(g)
+        return artin_from_graph(g)
+
+    monkeypatch.setattr(cakelab.artin, "artin_from_graph", spy)
+    cfg = setup(9000, levels=3)
+    assert built == [cfg.platform.tree.graph]
+
+
 def test_derive_key_is_word_determined():
     a = Alphabet(("a", "b"))
     w = parse_word(a, "a b^-1")
@@ -121,6 +185,15 @@ def test_transcript_file_round_trip():
     assert back_tr == transcript
     assert ha == ka.key_bytes.hex() and hb == kb.key_bytes.hex()
     assert format_transcript(back_alpha, back_tr, ha, hb) == text
+
+
+def test_parse_transcript_caps_letters_in_total(monkeypatch):
+    # each message is under the cap; together they pass it on line 4
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 5)
+    head = "gens: a b\nconfig: 00\nmsg 1 alice: a^2 b\n"
+    assert len(parse_transcript(head + "msg 2 bob: a b\n")[1].messages) == 2
+    with pytest.raises(ValueError, match=r"^line 4: messages longer than 5 letters in total"):
+        parse_transcript(head + "msg 2 bob: a^2 b\n")
 
 
 # ------------------------------------------------------------- sandwich

@@ -128,6 +128,52 @@ def test_gen_deterministic_and_writes_files(capsys, tmp_path):
     assert parse_presentation(body).relators
 
 
+GEN_L4_SEED11 = """\
+root: a1
+edge: a1 a2 7
+edge: a1 a3 6
+edge: a2 a4 5
+edge: a2 a5 4
+edge: a2 a6 4
+edge: a3 a7 7
+edge: a3 a8 7
+edge: a3 a9 5
+edge: a4 a10 4
+edge: a4 a11 4
+edge: a4 a12 4
+edge: a5 a13 4
+edge: a6 a14 5
+edge: a7 a15 5
+edge: a7 a16 4
+edge: a7 a17 7
+edge: a8 a18 6
+gens: a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11 a12 a13 a14 a15 a16 a17 a18
+rel: a1 a2 a1 a2 a1 a2 a1 a2^-1 a1^-1 a2^-1 a1^-1 a2^-1 a1^-1 a2^-1
+rel: a1 a3 a1 a3 a1 a3 a1^-1 a3^-1 a1^-1 a3^-1 a1^-1 a3^-1
+rel: a2 a4 a2 a4 a2 a4^-1 a2^-1 a4^-1 a2^-1 a4^-1
+rel: a2 a5 a2 a5 a2^-1 a5^-1 a2^-1 a5^-1
+rel: a2 a6 a2 a6 a2^-1 a6^-1 a2^-1 a6^-1
+rel: a3 a7 a3 a7 a3 a7 a3 a7^-1 a3^-1 a7^-1 a3^-1 a7^-1 a3^-1 a7^-1
+rel: a3 a8 a3 a8 a3 a8 a3 a8^-1 a3^-1 a8^-1 a3^-1 a8^-1 a3^-1 a8^-1
+rel: a3 a9 a3 a9 a3 a9^-1 a3^-1 a9^-1 a3^-1 a9^-1
+rel: a4 a10 a4 a10 a4^-1 a10^-1 a4^-1 a10^-1
+rel: a4 a11 a4 a11 a4^-1 a11^-1 a4^-1 a11^-1
+rel: a4 a12 a4 a12 a4^-1 a12^-1 a4^-1 a12^-1
+rel: a5 a13 a5 a13 a5^-1 a13^-1 a5^-1 a13^-1
+rel: a6 a14 a6 a14 a6 a14^-1 a6^-1 a14^-1 a6^-1 a14^-1
+rel: a7 a15 a7 a15 a7 a15^-1 a7^-1 a15^-1 a7^-1 a15^-1
+rel: a7 a16 a7 a16 a7^-1 a16^-1 a7^-1 a16^-1
+rel: a7 a17 a7 a17 a7 a17 a7 a17^-1 a7^-1 a17^-1 a7^-1 a17^-1 a7^-1 a17^-1
+rel: a8 a18 a8 a18 a8 a18 a8^-1 a18^-1 a8^-1 a18^-1 a8^-1 a18^-1
+"""
+
+
+def test_gen_output_is_pinned(capsys):
+    code, out, err = run(capsys, ["gen", "--levels", "4", "--max-degree", "4", "--seed", "11"])
+    assert (code, err) == (0, "")
+    assert out == GEN_L4_SEED11
+
+
 def test_gen_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--levels", "3", "--max-degree", "4"])

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import cakelab.words
 from cakelab.diffusion import (
     DisguiseBudget,
     RewriteMove,
@@ -261,6 +262,21 @@ def test_parse_move_log_rejects_swap_that_inserts(start):
     line = "move: subword-swap @ 0 rel=x1^2 x2 x3^2 x2^-1 exp=1 conj=1\n"
     with pytest.raises(ValueError, match="line 1: "):
         parse_move_log(line, EX, parse_word(X, start))
+
+
+def test_parse_move_log_caps_letters_in_total(monkeypatch):
+    # line 1 holds 6 + 5 relator and conjugator letters and a 17-letter post
+    # word; line 2 holds only the relator, but replays to a 23-letter post word
+    text = (
+        "move: insert-conjugate @ 0 rel=x1^2 x2 x3^2 x2^-1 exp=1 conj=x1^5\n"
+        "move: insert-conjugate @ 0 rel=x1^2 x2 x3^2 x2^-1 exp=1 conj=1\n"
+    )
+    start = parse_word(X, "x3")
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 57)
+    assert [len(mv.post_word) for mv in parse_move_log(text, EX, start)] == [17, 23]
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 56)
+    with pytest.raises(ValueError, match=r"^line 2: move log longer than 56 letters in total"):
+        parse_move_log(text, EX, start)
 
 
 # --------------------------------------------- oracle and dehn consistency

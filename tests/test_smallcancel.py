@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cakelab.words
 from cakelab import smallcancel
 from cakelab.artin import artin_from_graph, random_tree
 from cakelab.presentations import (
@@ -615,6 +616,15 @@ def test_witness_file_round_trip():
     back = parse_witness(text, X)
     assert back == wit
     assert format_witness(back) == text
+
+
+def test_parse_witness_caps_letters_in_total(monkeypatch):
+    # each factor holds a 6-letter relator; the second adds a 1-letter conjugator
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 12)
+    line = "factor: conj={} rel=x1^2 x2 x3^2 x2^-1 exp=1\n"
+    assert len(parse_witness(line.format("1") * 2, X).factors) == 2
+    with pytest.raises(ValueError, match=r"^line 2: witness longer than 12 letters in total"):
+        parse_witness(line.format("1") + line.format("x2"), X)
 
 
 def test_witness_matches_rejects_wrong_word():
