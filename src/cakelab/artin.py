@@ -6,6 +6,9 @@ two alternating words of the edge's length.  Trees whose labels all sit at 4
 or above ("extra large") split at a degree-2 root into two disjoint sides;
 self-maps touching only one side induce group endomorphisms that commute
 with those of the other side, which is what the key exchange runs on.
+Each such endomorphism sends every generator to a generator, so it is held
+as its vertex map and applied by renaming letters: it needs the alphabet,
+never the relators.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class LabeledGraph:
         for i, j, _ in sorted(self.edges):
             adj[i].append(j)
             adj[j].append(i)
-        return tuple(tuple(sorted(x)) for x in adj)
+        return tuple([tuple(sorted(x)) for x in adj])
 
     def neighbors(self, v: int) -> tuple:
         return self._adjacency[v]
@@ -179,7 +182,7 @@ class RootedTree:
         for v, p in enumerate(self.parent):
             if p >= 0:
                 kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
+        return tuple([tuple(sorted(k)) for k in kids])
 
     def children(self, v: int) -> tuple:
         return self._children[v]
@@ -236,7 +239,7 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
         for v, k in zip(current, counts):
             nxt.extend(add_child(v) for _ in range(k))
         current = nxt
-    names = tuple(f"a{i + 1}" for i in range(len(parent)))
+    names = tuple([f"a{i + 1}" for i in range(len(parent))])
     edges = frozenset(
         (min(v, p), max(v, p), rng.randint(4, label_hi))
         for v, p in enumerate(parent)
@@ -247,8 +250,9 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
 
 @dataclass(frozen=True)
 class SplitPlatform:
-    """A rooted tree split at its root: two connected sides plus the shared
-    Artin presentation of the whole tree, built on first use."""
+    """A rooted tree split at its root into two connected sides.  The tree's
+    alphabet and its Artin presentation are each built on first read; an
+    exchange reads only the alphabet."""
 
     tree: RootedTree
     side_a: tuple[int, ...]
@@ -267,6 +271,10 @@ class SplitPlatform:
         if which == "B":
             return self.side_b
         raise ValueError(f"side must be 'A' or 'B', not {which!r}")
+
+    @cached_property
+    def alphabet(self) -> Alphabet:
+        return self.tree.graph.alphabet()
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -320,69 +328,48 @@ def induced_subgraph(g: LabeledGraph, verts: tuple[int, ...]) -> LabeledGraph:
 
 @dataclass(frozen=True)
 class GroupEndomorphism:
-    """Generator-wise substitution map; images indexed like the alphabet."""
+    """The endomorphism induced by a vertex map: generator g goes to
+    generator ``vertex_map[g]``, indices as in the alphabet."""
 
     alphabet: Alphabet
-    images: tuple[Word, ...]
+    vertex_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != len(self.alphabet.names):
-            raise ValueError("one image per generator required")
-        for img in self.images:
-            if img.alphabet != self.alphabet:
-                raise ValueError("image over a different alphabet")
+        object.__setattr__(self, "vertex_map", tuple(self.vertex_map))
+        n = len(self.alphabet.names)
+        if len(self.vertex_map) != n or not all(0 <= v < n for v in self.vertex_map):
+            raise ValueError("vertex map must send each generator to a generator")
 
     @property
     def moved(self) -> frozenset:
         """Generators whose image is not themselves."""
-        return frozenset(
-            g for g, img in enumerate(self.images)
-            if img.letters != (Letter(g, 1),)
-        )
+        return frozenset(g for g, v in enumerate(self.vertex_map) if v != g)
 
 
 def identity_endo(alphabet: Alphabet) -> GroupEndomorphism:
-    images = tuple(Word(alphabet, (Letter(g, 1),)) for g in range(len(alphabet.names)))
-    return GroupEndomorphism(alphabet, images)
+    return GroupEndomorphism(alphabet, tuple(range(len(alphabet.names))))
 
 
 def apply_endo(w: Word, e: GroupEndomorphism) -> Word:
-    """Homomorphic substitution: inverse letters get inverted images."""
+    """Rename every letter, then reduce: merged generators can cancel."""
     if w.alphabet != e.alphabet:
         raise ValueError("alphabet mismatch")
-    out = []
-    for lt in w.letters:
-        img = e.images[lt.gen]
-        out.extend(img.letters if lt.sign > 0 else img.inverse().letters)
-    return free_reduce(e.alphabet, out)
+    vm = e.vertex_map
+    return free_reduce(e.alphabet, (Letter(vm[lt.gen], lt.sign) for lt in w.letters))
 
 
 def compose(e1: GroupEndomorphism, e2: GroupEndomorphism) -> GroupEndomorphism:
     """e1 after e2: apply_endo(w, compose(e1, e2)) = apply_endo(apply_endo(w, e2), e1)."""
     if e1.alphabet != e2.alphabet:
         raise ValueError("alphabet mismatch")
-    return GroupEndomorphism(
-        e1.alphabet, tuple(apply_endo(img, e1) for img in e2.images)
-    )
+    vm1 = e1.vertex_map
+    return GroupEndomorphism(e1.alphabet, tuple([vm1[v] for v in e2.vertex_map]))
 
 
 def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
-    if e1.alphabet != e2.alphabet:
-        raise ValueError("alphabet mismatch")
-    return all(
-        apply_endo(e1.images[g], e2) == apply_endo(e2.images[g], e1)
-        for g in range(len(e1.alphabet.names))
-    )
-
-
-def _endo_from_vertex_map(p: Presentation, vertex_map) -> GroupEndomorphism:
-    alphabet = p.alphabet
-    images = tuple(
-        Word(alphabet, (Letter(vertex_map[g], 1),))
-        for g in range(len(alphabet.names))
-    )
-    return GroupEndomorphism(alphabet, images)
+    """Distinct generators are distinct elements, so two vertex-map
+    endomorphisms commute exactly when their composites are equal maps."""
+    return compose(e1, e2) == compose(e2, e1)
 
 
 def induce_endomorphism(platform: SplitPlatform, side: str, morphism: GraphMorphism) -> GroupEndomorphism:
@@ -402,7 +389,7 @@ def induce_endomorphism(platform: SplitPlatform, side: str, morphism: GraphMorph
     full_map = list(range(len(platform.tree.graph.vertices)))
     for local, v in enumerate(side_verts):
         full_map[v] = side_verts[morphism.vertex_map[local]]
-    endo = _endo_from_vertex_map(platform.presentation, full_map)
+    endo = GroupEndomorphism(platform.alphabet, full_map)
     _certify(endo, platform.presentation)
     return endo
 
@@ -485,7 +472,7 @@ def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEnd
                 or _shape(t, move.a) != _shape(t, move.b):
             raise ValueError("swap needs label-isomorphic subtrees")
         _pair_subtrees(t, move.a, move.b, vmap)
-    return _endo_from_vertex_map(platform.presentation, vmap)
+    return GroupEndomorphism(platform.alphabet, vmap)
 
 
 def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int = 3) -> GroupEndomorphism:
@@ -495,7 +482,7 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
     if move_budget < 1:
         raise ValueError("move_budget must be at least 1")
     moves = enumerate_side_moves(platform, side)
-    alphabet = platform.presentation.alphabet
+    alphabet = platform.alphabet
     if not moves:
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")
         return identity_endo(alphabet)

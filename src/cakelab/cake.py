@@ -51,6 +51,7 @@ __all__ = [
     "ProtocolConfig",
     "Transcript",
     "SessionKey",
+    "derive_key",
     "setup",
     "party_step",
     "finalize",
@@ -147,8 +148,8 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     Trees are resampled until both sides admit elementary moves and the
     sampled public word is actually moved by at least one single move per
     side; that guarantees party_step can always find a non-trivial message.
-    Resampling compiles no relators: a platform builds its presentation on
-    first use, and only the kept one is read.
+    An exchange compiles no relators: words and endomorphisms need only the
+    platform's alphabet, and the presentation is built only when read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
@@ -160,7 +161,7 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
         moves_b = enumerate_side_moves(platform, "B")
         if not moves_a or not moves_b:
             continue
-        alphabet = platform.presentation.alphabet
+        alphabet = platform.alphabet
         endos_a = [move_endomorphism(platform, m) for m in moves_a]
         endos_b = [move_endomorphism(platform, m) for m in moves_b]
         for _ in range(20):

@@ -32,6 +32,7 @@ from .presentations import (
     format_history,
     format_presentation,
     include_word,
+    lift_word,
     parse_presentation,
     shorten_all,
 )
@@ -107,8 +108,6 @@ def _cmd_tietze(args) -> int:
             print(line)
     sys.stdout.write(format_presentation(h.end))
     if args.lift:
-        from .presentations import lift_word
-
         w = parse_word(h.end.alphabet, args.lift)
         print(f"lift: {lift_word(w, h)}")
     if args.out:
@@ -127,7 +126,7 @@ def _cmd_cake_run(args) -> int:
     print(f"key-a: {key_a.key_bytes.hex()}")
     print(f"key-b: {key_b.key_bytes.hex()}")
     if args.transcript:
-        alphabet = config.platform.presentation.alphabet
+        alphabet = config.platform.alphabet
         _write(args.transcript, format_transcript(alphabet, transcript, key_a, key_b))
     return 0
 

@@ -166,7 +166,8 @@ class Word:
         return free_reduce(self.alphabet, base.letters * abs(k))
 
     def inverse(self) -> "Word":
-        return _word(self.alphabet, tuple(lt.inverse() for lt in reversed(self.letters)))
+        # Built from a list: a generator's tuple is resized, which fills the tuple free lists.
+        return _word(self.alphabet, tuple([lt.inverse() for lt in reversed(self.letters)]))
 
     __invert__ = inverse
 

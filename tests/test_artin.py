@@ -29,7 +29,7 @@ from cakelab.artin import (
     validate_morphism,
 )
 from cakelab.presentations import alternating_word
-from cakelab.words import Alphabet, Word, parse_word
+from cakelab.words import Alphabet, Letter, Word, free_reduce, parse_word
 
 
 def small_tree():
@@ -174,9 +174,9 @@ def test_induce_endomorphism_fixes_root_and_far_side():
     side = induced_subgraph(t.graph, tuple(sorted(plat.side_a)))
     e = induce_endomorphism(plat, "A", GraphMorphism(side, (0, 1, 1)))
     names = plat.presentation.alphabet
-    assert e.images[0] == names.letter("r")
-    assert e.images[2] == names.letter("v")
-    assert e.images[4] == names.letter("p")  # q collapsed onto p
+    assert apply_endo(names.letter("r"), e) == names.letter("r")
+    assert apply_endo(names.letter("v"), e) == names.letter("v")
+    assert apply_endo(names.letter("q"), e) == names.letter("p")  # q collapsed onto p
 
 
 def test_induce_rejects_label_breaking_map():
@@ -201,16 +201,16 @@ def test_merge_endomorphism_identifies_leaves():
     plat = split_at_root(small_tree())
     e = move_endomorphism(plat, ElementaryMove("merge", 3, 4))
     a = plat.presentation.alphabet
-    assert e.images[3] == a.letter("q")
-    assert e.images[4] == a.letter("q")
+    assert apply_endo(a.letter("p"), e) == a.letter("q")
+    assert apply_endo(a.letter("q"), e) == a.letter("q")
 
 
 def test_swap_endomorphism_exchanges_subtrees():
     plat = split_at_root(small_tree())
     e = move_endomorphism(plat, ElementaryMove("swap", 3, 4))
     a = plat.presentation.alphabet
-    assert e.images[3] == a.letter("q")
-    assert e.images[4] == a.letter("p")
+    assert apply_endo(a.letter("p"), e) == a.letter("q")
+    assert apply_endo(a.letter("q"), e) == a.letter("p")
     # involution
     assert compose(e, e) == identity_endo(a)
 
@@ -243,8 +243,8 @@ def test_deeper_swap_pairs_whole_subtrees():
     assert [(m.a, m.b) for m in swaps] == [(3, 4)]
     e = move_endomorphism(plat, swaps[0])
     a = plat.presentation.alphabet
-    assert e.images[3] == a.letter("s2")
-    assert e.images[5] == a.letter("l2")
+    assert apply_endo(a.letter("s1"), e) == a.letter("s2")
+    assert apply_endo(a.letter("l1"), e) == a.letter("l2")
     # merges of non-leaf vertices are not offered
     assert all(m.kind == "swap" or {m.a, m.b} != {3, 4} for m in moves)
 
@@ -283,6 +283,64 @@ def test_opposite_side_endos_commute_fuzz():
         checked += 1
 
 
+def _substitution(e):
+    """The endomorphism as a generator-wise substitution: one one-letter
+    image word per generator."""
+    return [Word(e.alphabet, (Letter(v, 1),)) for v in e.vertex_map]
+
+
+def _substitute(w, images):
+    """Reference substitution: inverse letters get inverted images, then the
+    result is freely reduced."""
+    out = []
+    for lt in w.letters:
+        img = images[lt.gen]
+        out.extend(img.letters if lt.sign > 0 else img.inverse().letters)
+    return free_reduce(w.alphabet, out)
+
+
+def test_vertex_maps_agree_with_word_substitution():
+    from cakelab.words import random_reduced_word
+
+    rng = random.Random(17)
+    seen_commute = set()
+    pairs = 0
+    for seed in range(30):
+        plat = split_at_root(random_tree(3 + seed % 3, 4, 7, seed=seed))
+        endos = [move_endomorphism(plat, m)
+                 for side in "AB" for m in enumerate_side_moves(plat, side)]
+        if not endos:
+            continue
+        a = plat.alphabet
+        for _ in range(12):
+            e1, e2 = rng.choice(endos), rng.choice(endos)
+            if rng.random() < 0.5:
+                e1 = compose(rng.choice(endos), e1)
+            s1, s2 = _substitution(e1), _substitution(e2)
+            w = random_reduced_word(a, rng.randint(0, 24), rng)
+            assert apply_endo(w, e1) == _substitute(w, s1)
+            assert _substitution(compose(e1, e2)) == [_substitute(img, s1) for img in s2]
+            assert apply_endo(w, compose(e1, e2)) == _substitute(_substitute(w, s2), s1)
+            commute = all(_substitute(s1[g], s2) == _substitute(s2[g], s1) for g in range(len(a)))
+            assert endos_commute(e1, e2) == commute
+            seen_commute.add(commute)
+            pairs += 1
+    assert pairs >= 200 and seen_commute == {True, False}
+    # a merge can cancel letters: p q^-1 goes to q q^-1 = 1
+    plat = split_at_root(small_tree())
+    merge = move_endomorphism(plat, ElementaryMove("merge", 3, 4))
+    w = parse_word(plat.alphabet, "p q^-1")
+    assert apply_endo(w, merge) == _substitute(w, _substitution(merge)) == Word(plat.alphabet)
+
+
+def test_endomorphism_rejects_malformed_vertex_map():
+    a = Alphabet(("x", "y", "z"))
+    assert GroupEndomorphism(a, (1, 1, 2)).moved == frozenset({0})
+    for bad in [(0, 1), (0, 1, 2, 0), (0, 1, 3), (-1, 1, 2)]:
+        with pytest.raises(ValueError):
+            GroupEndomorphism(a, bad)
+
+
 def test_same_side_composition_stays_on_side():
     plat = split_at_root(small_tree())
     a = plat.presentation.alphabet
@@ -291,7 +349,7 @@ def test_same_side_composition_stays_on_side():
     for m in moves[1:]:
         e = compose(move_endomorphism(plat, m), e)
     for v in (0, 2):  # root and side B never move
-        assert e.images[v] == a.letter(a.names[v])
+        assert apply_endo(a.letter(a.names[v]), e) == a.letter(a.names[v])
 
 
 def test_random_endo_deterministic_and_nontrivial():

@@ -156,7 +156,8 @@ def test_exchange_keys_and_transcripts_are_pinned():
 
 
 def test_setup_builds_only_the_kept_presentation(monkeypatch):
-    # rejected trees are split and scanned for moves, but never compiled
+    # an exchange compiles no relators; the kept platform builds its
+    # presentation once, when it is read
     built = []
 
     def spy(g):
@@ -164,7 +165,11 @@ def test_setup_builds_only_the_kept_presentation(monkeypatch):
         return artin_from_graph(g)
 
     monkeypatch.setattr(cakelab.artin, "artin_from_graph", spy)
+    run_exchange(9000, 100, 200)
+    assert built == []
     cfg = setup(9000, levels=3)
+    assert built == []
+    assert cfg.platform.presentation is cfg.platform.presentation
     assert built == [cfg.platform.tree.graph]
 
 

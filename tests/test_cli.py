@@ -1,5 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import hashlib
+
 import pytest
 
 import cakelab.words
@@ -231,6 +233,20 @@ def test_cake_run_deterministic(capsys):
     _, out1, _ = run(capsys, args)
     _, out2, _ = run(capsys, args)
     assert out1 == out2
+
+
+# SHA-256 of the 39-line stdout: the tree, its presentation, the public
+# word, both messages and both keys.
+CAKE_RUN_L4_SEED11_SHA256 = "251df305437822401413254543bbfa5d98f2cee7eab722077a5343c67c461897"
+
+
+def test_cake_run_output_is_pinned(capsys):
+    code, out, err = run(capsys, ["cake", "run", "--levels", "4", "--max-degree", "4",
+                                  "--seed", "11", "--seed-a", "7", "--seed-b", "8"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "key-b: e55fd584ec008997d2d111d687efd7c14d2f595d731e92d23354dab46b111157")
+    assert hashlib.sha256(out.encode()).hexdigest() == CAKE_RUN_L4_SEED11_SHA256
 
 
 def test_sandwich_run_output(capsys):
