@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (key mismatch, oracle unknown
-where a decision was required, bit mismatch), 2 input errors.  Every
-randomized command takes an explicit --seed; repeated runs are byte-identical.
+where a decision was required, bit mismatch) or stdout closed by its reader
+before the output was written, 2 input errors.  Every randomized command
+takes an explicit --seed; repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -294,7 +296,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; with stdout on devnull the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ProtocolIntegrityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -9,9 +9,9 @@ because interesting presentations sit exactly on the boundary.
 Dehn reduction and the oracle's subword swaps read one relator-prefix scan,
 ``SymmetrizedSet.matches``, and rewrite with one swap, ``presentations.swap``;
 disguise's growth swaps share both.  The oracle searches breadth-first over
-relator insertions and subword swaps.  It can answer Trivial (with a
-replayable witness) or Unknown, never a false Trivial.  A word whose
-abelianization lies outside the relator lattice is Unknown without a search.
+subword swaps alone.  It can answer Trivial (with a replayable witness) or
+Unknown, never a false Trivial.  A word whose abelianization lies outside the
+relator lattice is Unknown without a search.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
-from .words import Word, add_letters, concat, parse_word, read_records
+from .words import Word, add_letters, parse_word, read_records
 
 __all__ = [
     "CancellationReport",
@@ -209,24 +209,10 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
 
 
 def _swap_moves(x: Word, s: SymmetrizedSet):
-    """(post, conjugator, relator, exponent) per match, in scan order: one
-    each, as every take up to the match length k swaps to the word of take k."""
+    """(post, conjugator, relator) per match, in scan order: one each, as
+    every take up to the match length k swaps to the word of take k."""
     for pos, r, k in s.matches(x):
-        yield swap(x, pos, r, k), x[:pos], r, -1
-
-
-def _insert_moves(x: Word, elems: tuple):
-    for pos in range(len(x) + 1):
-        prefix = x[:pos]
-        suffix = x[pos:]
-        for r in elems:
-            yield concat(concat(prefix, r), suffix), prefix, r, 1
-
-
-def _moves(x: Word, s: SymmetrizedSet):
-    # swaps first: they are the shrinking direction and reach the goal sooner
-    yield from _swap_moves(x, s)
-    yield from _insert_moves(x, s.ordered)
+        yield swap(x, pos, r, k), x[:pos], r
 
 
 def bounded_wp_oracle(
@@ -238,9 +224,11 @@ def bounded_wp_oracle(
 ) -> Optional[WspWitness]:
     """Search for a proof that w is trivial modulo the relators.
 
-    Breadth-first over at most ``depth`` moves, each move either inserting a
-    symmetrized relator at some position or swapping a matched relator prefix
-    for the inverted complement.  Intermediate words are capped at
+    Breadth-first over at most ``depth`` moves, each swapping a matched
+    prefix of a symmetrized relator for its inverted complement, the rewrite
+    Dehn reduction and disguise use.  No relator is inserted: a swap of a
+    whole element removes it, and inserts would cost |S| candidates at each
+    of a node's |x| + 1 positions.  Intermediate words are capped at
     ``max_len`` (default 2|w| + longest relator) and the whole search at
     ``node_budget`` generated candidates.
 
@@ -262,8 +250,8 @@ def bounded_wp_oracle(
     if max_len is None:
         max_len = 2 * len(w) + max(len(r) for r in elems)
     seen = {w}
-    # each path holds its witness factors: a move takes x to C r^e C^-1 x, so
-    # w is the product of the moves' C r^-e C^-1 in move order
+    # each path holds its witness factors: a move takes x to C r^-1 C^-1 x, so
+    # w is the product of the moves' C r C^-1 in move order
     frontier: list[tuple[Word, tuple]] = [(w, ())]
     budget = node_budget
     for _ in range(depth):
@@ -271,13 +259,13 @@ def bounded_wp_oracle(
             break
         nxt: list[tuple[Word, tuple]] = []
         for x, path in frontier:
-            for post, conj, rel, exp in _moves(x, s):
+            for post, conj, rel in _swap_moves(x, s):
                 budget -= 1
                 if not post:
-                    return WspWitness(path + ((conj, rel, -exp),))
+                    return WspWitness(path + ((conj, rel, 1),))
                 if len(post) <= max_len and post not in seen:
                     seen.add(post)
-                    nxt.append((post, path + ((conj, rel, -exp),)))
+                    nxt.append((post, path + ((conj, rel, 1),)))
                 if budget <= 0:
                     return None
         frontier = nxt

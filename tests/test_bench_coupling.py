@@ -1,9 +1,14 @@
-"""The benchmark's tracer wraps cakelab functions by name: each must exist."""
+"""The benchmark reaches cakelab by name: each name it uses must exist."""
 
+import functools
 import importlib.util
+import re
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import cakelab
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_traced_functions_exist():
@@ -17,3 +22,22 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"cakelab.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_bench_package_names_resolve():
+    # the workloads and probes call cakelab as `lab.<name>`, dotted names too
+    names = {
+        name
+        for path in sorted(BENCH.glob("*.py"))
+        for name in re.findall(r"\blab\.(\w+(?:\.\w+)*)", path.read_text())
+    }
+    assert "presentations.symmetrize" in names
+
+    def resolves(name):
+        try:
+            functools.reduce(getattr, name.split("."), cakelab)
+        except AttributeError:
+            return False
+        return True
+
+    assert sorted(n for n in names if not resolves(n)) == []

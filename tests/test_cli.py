@@ -411,3 +411,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+
+
+def test_closed_stdout_exits_one_without_traceback(ex_file):
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cakelab", "check", "--presentation", ex_file],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

@@ -434,7 +434,7 @@ def naive_swap_moves(x, s):
                    and x.letters[pos + take] == r.letters[take]):
                 take += 1
             if take:
-                yield (x[:pos] * ~r[take:]) * x[pos + take :], x[:pos], r, -1
+                yield (x[:pos] * ~r[take:]) * x[pos + take :], x[:pos], r
 
 
 @pytest.mark.parametrize("p", [
@@ -497,7 +497,7 @@ def test_oracle_finds_conjugates_and_witness_replays():
 
 
 def test_oracle_insert_only_case():
-    # the inverse relator needs an insert move, not a swap
+    # ~r is an element of S: one whole-element swap empties it, no insert needed
     w = ~EX.relators[0]
     wit = bounded_wp_oracle(w, EX, 1)
     assert wit is not None
@@ -520,24 +520,31 @@ def test_oracle_never_trivial_on_free_group():
         assert bounded_wp_oracle(w, free, 3) is None
 
 
-def test_oracle_respects_node_budget_determinism():
-    w = parse_word(X, "x1")
+def test_oracle_respects_node_budget_determinism(monkeypatch):
+    # the commutator's exponent sums are 0, in the relator lattice: the
+    # search runs, unlike for x1, which the abelianization decides first
+    count = spy_moves(monkeypatch)
+    w = parse_word(X, "x1 x2 x1^-1 x2^-1")
     a = bounded_wp_oracle(w, EX, 3, node_budget=500)
+    first = count[0]
     b = bounded_wp_oracle(w, EX, 3, node_budget=500)
-    assert a is b is None
+    assert a == b and count[0] == 2 * first > 0
+    w = parse_word(X, "x3 x1^-2 x3^-1 x2^-2 x3 x2^2 x3 x1^2 x3^-2")
+    a = bounded_wp_oracle(w, EX, 2, node_budget=1000)
+    assert a is not None and a == bounded_wp_oracle(w, EX, 2, node_budget=1000)
 
 
 def spy_moves(monkeypatch):
     """Count the candidates the oracle's search generates."""
     count = [0]
-    moves = smallcancel._moves
+    moves = smallcancel._swap_moves
 
     def spy(x, s):
         for move in moves(x, s):
             count[0] += 1
             yield move
 
-    monkeypatch.setattr(smallcancel, "_moves", spy)
+    monkeypatch.setattr(smallcancel, "_swap_moves", spy)
     return count
 
 
@@ -557,6 +564,77 @@ def test_oracle_skips_search_outside_relator_lattice(monkeypatch):
     assert count[0] == 0
     # a relator is in the lattice, and the search finds it
     assert bounded_wp_oracle(EX.relators[0], EX, 1) is not None and count[0] > 0
+
+
+def insert_and_swap_reference(w, p, depth, node_budget):
+    """The oracle's search as it was with relator insertions: each node's
+    swaps, then every element of S inserted at every position, both spending
+    budget."""
+    if not w:
+        return WspWitness(())
+    s = symmetrize(p)
+    if not s.ordered or not s.abelian_trivial(w):
+        return None
+    max_len = 2 * len(w) + max(len(r) for r in s.ordered)
+    seen = {w}
+    frontier = [(w, ())]
+    budget = node_budget
+    for _ in range(depth):
+        nxt = []
+        for x, path in frontier:
+            swaps = ((post, c, r, 1) for post, c, r in naive_swap_moves(x, s))
+            inserts = ((x[:pos] * r * x[pos:], x[:pos], r, -1)
+                       for pos in range(len(x) + 1) for r in s.ordered)
+            for post, c, r, e in itertools.chain(swaps, inserts):
+                budget -= 1
+                if not post:
+                    return WspWitness(path + ((c, r, e),))
+                if len(post) <= max_len and post not in seen:
+                    seen.add(post)
+                    nxt.append((post, path + ((c, r, e),)))
+                if budget <= 0:
+                    return None
+        frontier = nxt
+    return None
+
+
+def oracle_corpus(p, rng, n):
+    """(is a relator product, word): products of one or two conjugated
+    relators, random words, and a conjugated relator times one letter;
+    conjugators have at most 2 letters."""
+    def conjugate():
+        c = random_reduced_word(p.alphabet, rng.randint(0, 2), rng)
+        return c * (rng.choice(p.relators) ** rng.choice((1, -1))) * ~c
+
+    for i in range(n):
+        if i % 3 == 0:
+            yield True, conjugate() * (conjugate() if rng.random() < 0.5 else Word(p.alphabet))
+        elif i % 3 == 1:
+            yield False, random_reduced_word(p.alphabet, rng.randint(1, 10), rng)
+        else:
+            letter = p.alphabet.letter(rng.choice(p.alphabet.names), rng.choice((1, -1)))
+            yield False, conjugate() * letter
+
+
+@pytest.mark.parametrize("p, products_decided", [
+    pytest.param(EX, True, id="EX"),
+    pytest.param(GENUS2, True, id="GENUS2"),
+    pytest.param(braid_presentation(4), True, id="braid4"),
+    pytest.param(L3, False, id="L3"),
+])
+def test_swap_only_oracle_loses_no_answer(p, products_decided):
+    # every word the insert-and-swap search decides is decided, with the
+    # same witness; over the first three, every relator product is decided
+    rng = random.Random(7)
+    for product, w in oracle_corpus(p, rng, 30):
+        ref = insert_and_swap_reference(w, p, 2, 3000)
+        got = bounded_wp_oracle(w, p, 2, node_budget=3000)
+        if ref is not None:
+            assert got == ref, w
+        if got is not None:
+            assert replay_witness(got, p.alphabet) == w
+        if product and products_decided:
+            assert got is not None, w
 
 
 def test_abelian_rows_one_per_relator_built_once():
