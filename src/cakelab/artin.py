@@ -19,6 +19,7 @@ from functools import cached_property
 from random import Random
 from typing import Optional
 
+from . import words
 from .presentations import Presentation, alternating_word, symmetrize
 from .words import Alphabet, Letter, Word, free_reduce, read_records
 
@@ -100,7 +101,10 @@ class LabeledGraph:
 def artin_from_graph(g: LabeledGraph) -> Presentation:
     """One relator per edge: the alternating word a_i a_j a_i ... of length m
     times the inverse of its mirror a_j a_i a_j ...; length 2m, cyclically
-    reduced."""
+    reduced.  Labels implying more than ``MAX_WORD_LETTERS`` letters in all
+    are refused before any word is built."""
+    if sum(2 * m for _, _, m in g.edges) > words.MAX_WORD_LETTERS:
+        raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
     alphabet = g.alphabet()
     relators = []
     for i, j, m in sorted(g.edges):
@@ -112,6 +116,23 @@ def artin_from_graph(g: LabeledGraph) -> Presentation:
 
 def is_extra_large(g: LabeledGraph) -> bool:
     return all(m >= 4 for _, _, m in g.edges)
+
+
+def _children_lists(parent) -> list:
+    """Each vertex's children, in index order."""
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    return kids
+
+
+def _breadth_first(kids, v: int) -> list:
+    """v and the vertices below it, parents before children."""
+    out = [v]
+    for u in out:  # the loop reaches what it appends
+        out.extend(kids[u])
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,26 +199,25 @@ class RootedTree:
 
     @cached_property
     def _children(self) -> tuple:
-        kids = [[] for _ in self.graph.vertices]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                kids[p].append(v)
-        return tuple([tuple(sorted(k)) for k in kids])
+        return tuple([tuple(k) for k in _children_lists(self.parent)])
 
     def children(self, v: int) -> tuple:
         return self._children[v]
+
+    @cached_property
+    def _shapes(self) -> tuple:
+        """Every vertex's parent-edge label and shape, as two lists, for the move rule."""
+        labels = [0] * len(self.parent)
+        for v, p in enumerate(self.parent):
+            if p >= 0:
+                labels[v] = self.graph.label(v, p)
+        return labels, _shape_ids(self._children, labels, self.root)
 
     def is_leaf(self, v: int) -> bool:
         return not self._children[v]
 
     def subtree(self, v: int) -> tuple:
-        out = [v]
-        stack = [v]
-        while stack:
-            for c in self.children(stack.pop()):
-                out.append(c)
-                stack.append(c)
-        return tuple(sorted(out))
+        return tuple(sorted(_breadth_first(self._children, v)))
 
     def edge_label(self, a: int, b: int) -> int:
         m = self.graph.label(a, b)
@@ -206,28 +226,27 @@ class RootedTree:
         return m
 
 
-def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) -> RootedTree:
-    """Seed-deterministic rooted tree: root degree 2, internal degrees at most
-    max_degree, vertex levels exactly ``levels``, labels uniform in [4, label_hi].
-    Vertices are named a1, a2, ... in breadth-first order."""
+def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple[list, list]:
+    """The raw arrays of ``random_tree``'s tree, drawn in its order: the
+    parent array (root 0, its children 1 and 2, then breadth-first) and the
+    label of each vertex's parent edge (0 for the root).
+
+    A tree with more than ``MAX_WORD_LETTERS // 8`` edges would have a
+    presentation longer than ``MAX_WORD_LETTERS`` letters, since every edge's
+    relator has at least 8; the level that would pass that is refused before
+    it is built.
+    """
     if levels < 2:
         raise ValueError("need at least 2 levels")
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     if label_hi < 4:
         raise ValueError("label_hi must be at least 4")
+    max_vertices = words.MAX_WORD_LETTERS // 8 + 1
     rng = Random(seed)
-    parent = [-1]
-    level_of = [1]
-
-    def add_child(p: int) -> int:
-        v = len(parent)
-        parent.append(p)
-        level_of.append(level_of[p] + 1)
-        return v
-
-    current = [add_child(0), add_child(0)]  # root degree exactly 2
-    for lvl in range(2, levels):
+    parent = [-1, 0, 0]  # root degree exactly 2
+    current = range(1, 3)
+    for _ in range(2, levels):
         cap = max_degree - 1  # one slot is taken by the parent edge
         for _ in range(1000):
             counts = [rng.randint(0, cap) for _ in current]
@@ -235,24 +254,35 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
                 break
         else:
             raise ValueError("could not extend the tree to the requested depth")
-        nxt = []
+        n = len(parent)
+        if n + sum(counts) > max_vertices:
+            raise ValueError(f"tree would have more than {max_vertices} vertices")
         for v, k in zip(current, counts):
-            nxt.extend(add_child(v) for _ in range(k))
-        current = nxt
+            parent += [v] * k
+        current = range(n, len(parent))
+    labels = [rng.randint(4, label_hi) if p >= 0 else 0 for p in parent]
+    return parent, labels
+
+
+def build_tree(parent: list, labels: list, levels: int) -> RootedTree:
+    """The validated tree of ``sample_tree``'s arrays, vertices named a1, a2, ..."""
     names = tuple([f"a{i + 1}" for i in range(len(parent))])
-    edges = frozenset(
-        (min(v, p), max(v, p), rng.randint(4, label_hi))
-        for v, p in enumerate(parent)
-        if p >= 0
-    )
+    edges = frozenset([(p, v, labels[v]) for v, p in enumerate(parent) if p >= 0])
     return RootedTree(LabeledGraph(names, edges), 0, tuple(parent), levels)
+
+
+def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) -> RootedTree:
+    """Seed-deterministic rooted tree: root degree 2, internal degrees at most
+    max_degree, vertex levels exactly ``levels``, labels uniform in [4, label_hi].
+    Vertices are named a1, a2, ... in breadth-first order."""
+    return build_tree(*sample_tree(levels, max_degree, label_hi, seed), levels)
 
 
 @dataclass(frozen=True)
 class SplitPlatform:
     """A rooted tree split at its root into two connected sides.  The tree's
-    alphabet and its Artin presentation are each built on first read; an
-    exchange reads only the alphabet."""
+    alphabet, its Artin presentation and each side's moves are each built on
+    first read; an exchange never reads the presentation."""
 
     tree: RootedTree
     side_a: tuple[int, ...]
@@ -279,6 +309,16 @@ class SplitPlatform:
     @cached_property
     def presentation(self) -> Presentation:
         return artin_from_graph(self.tree.graph)
+
+    @cached_property
+    def _moves(self) -> dict:
+        return {}
+
+    def moves(self, which: str) -> tuple[ElementaryMove, ...]:
+        """The side's elementary moves, enumerated on its first read."""
+        if which not in self._moves:
+            self._moves[which] = enumerate_side_moves(self, which)
+        return self._moves[which]
 
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
@@ -422,32 +462,61 @@ class ElementaryMove:
             raise ValueError("move endpoints must differ")
 
 
-def _shape(tree: RootedTree, v: int):
-    return tuple(sorted((tree.edge_label(v, c), _shape(tree, c)) for c in tree.children(v)))
+def _shape_ids(kids, labels: list, root: int) -> list:
+    """Every vertex's shape, computed bottom-up: two vertices share a shape
+    exactly when their subtrees are isomorphic by a map that keeps edge
+    labels.  Leaves have shape 0; an inner vertex's shape numbers the sorted
+    list of its children's (parent-edge label, shape) pairs, each pair coded
+    as label * n + shape for n vertices (there are fewer than n shapes)."""
+    n = len(labels)
+    shape = [0] * n
+    ids: dict = {}
+    for v in reversed(_breadth_first(kids, root)):
+        if kids[v]:
+            key = tuple(sorted([labels[c] * n + shape[c] for c in kids[v]]))
+            shape[v] = ids.setdefault(key, len(ids) + 1)
+    return shape
+
+
+def _sibling_pairs(kids, labels: list, shape: list, parents):
+    """The move rule: children x < y of one of ``parents`` whose parent edges
+    carry one label and whose subtrees have one shape.  Each pair is a swap,
+    and two merges when x and y are leaves; a side whose vertices have no
+    such pair admits no elementary move."""
+    for p in parents:
+        ks = kids[p]
+        for i in range(1, len(ks)):
+            y = ks[i]
+            for x in ks[:i]:
+                if labels[x] == labels[y] and shape[x] == shape[y]:
+                    yield x, y
+
+
+def both_sides_move(parent: list, labels: list) -> bool:
+    """Whether each side of ``sample_tree``'s arrays admits an elementary
+    move, decided by the move rule before any tree is built."""
+    kids = _children_lists(parent)
+    shape = _shape_ids(kids, labels, 0)
+    return all(next(_sibling_pairs(kids, labels, shape, _breadth_first(kids, top)), None)
+               for top in (1, 2))
 
 
 def enumerate_side_moves(platform: SplitPlatform, side: str) -> tuple[ElementaryMove, ...]:
     """Every legal elementary move whose support lies in the chosen side."""
     t = platform.tree
+    labels, shape = t._shapes
     moves = []
-    for p in platform.side(side):
-        kids = t.children(p)
-        for x in kids:
-            for y in kids:
-                if x != y and t.is_leaf(x) and t.is_leaf(y) \
-                        and t.edge_label(p, x) == t.edge_label(p, y):
-                    moves.append(ElementaryMove("merge", x, y))
-        for ix, x in enumerate(kids):
-            for y in kids[ix + 1 :]:
-                if t.edge_label(p, x) == t.edge_label(p, y) \
-                        and _shape(t, x) == _shape(t, y):
-                    moves.append(ElementaryMove("swap", x, y))
+    for x, y in _sibling_pairs(t._children, labels, shape, platform.side(side)):
+        moves.append(ElementaryMove("swap", x, y))
+        if not shape[x]:
+            moves += [ElementaryMove("merge", x, y), ElementaryMove("merge", y, x)]
     return tuple(sorted(moves, key=lambda m: (m.kind, m.a, m.b)))
 
 
 def _pair_subtrees(tree: RootedTree, a: int, b: int, out: list) -> None:
     out[a], out[b] = b, a
-    key = lambda c: (tree.edge_label(c, tree.parent[c]), _shape(tree, c), tree.graph.vertices[c])
+    labels, shape = tree._shapes
+    key = lambda c: (labels[c], shape[c], tree.graph.vertices[c])
     for ca, cb in zip(sorted(tree.children(a), key=key), sorted(tree.children(b), key=key)):
         _pair_subtrees(tree, ca, cb, out)
 
@@ -468,8 +537,8 @@ def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEnd
         if t.parent[move.a] != t.parent[move.b]:
             raise ValueError("swap endpoints must be siblings")
         p = t.parent[move.a]
-        if t.edge_label(p, move.a) != t.edge_label(p, move.b) \
-                or _shape(t, move.a) != _shape(t, move.b):
+        shape = t._shapes[1]
+        if t.edge_label(p, move.a) != t.edge_label(p, move.b) or shape[move.a] != shape[move.b]:
             raise ValueError("swap needs label-isomorphic subtrees")
         _pair_subtrees(t, move.a, move.b, vmap)
     return GroupEndomorphism(platform.alphabet, vmap)
@@ -481,7 +550,7 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
     it warns and returns the identity."""
     if move_budget < 1:
         raise ValueError("move_budget must be at least 1")
-    moves = enumerate_side_moves(platform, side)
+    moves = platform.moves(side)
     alphabet = platform.alphabet
     if not moves:
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")

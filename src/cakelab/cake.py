@@ -31,11 +31,12 @@ from .artin import (
     SplitPlatform,
     apply_endo,
     artin_from_graph,
-    enumerate_side_moves,
+    both_sides_move,
+    build_tree,
     format_tree,
     move_endomorphism,
     random_endo,
-    random_tree,
+    sample_tree,
     split_at_root,
 )
 from .diffusion import DisguiseBudget, disguise
@@ -148,19 +149,21 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     Trees are resampled until both sides admit elementary moves and the
     sampled public word is actually moved by at least one single move per
     side; that guarantees party_step can always find a non-trivial message.
-    An exchange compiles no relators: words and endomorphisms need only the
-    platform's alphabet, and the presentation is built only when read.
+    A draw whose sides cannot both move costs only its RNG draws and one
+    pass of the move rule over the sampler's arrays: only a tree that passes
+    is built, split and has its moves listed.  An exchange compiles no
+    relators: words and endomorphisms need only the platform's alphabet, and
+    the presentation is built only when read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
     rng = Random(seed)
     for _ in range(1000):
-        tree = random_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))
-        platform = split_at_root(tree)
-        moves_a = enumerate_side_moves(platform, "A")
-        moves_b = enumerate_side_moves(platform, "B")
-        if not moves_a or not moves_b:
+        parent, labels = sample_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))
+        if not both_sides_move(parent, labels):
             continue
+        platform = split_at_root(build_tree(parent, labels, levels))
+        moves_a, moves_b = platform.moves("A"), platform.moves("B")
         alphabet = platform.alphabet
         endos_a = [move_endomorphism(platform, m) for m in moves_a]
         endos_b = [move_endomorphism(platform, m) for m in moves_b]

@@ -278,6 +278,16 @@ class PresentationHistory:
             raise ValueError("steps do not replay from start to end")
 
 
+def _unchecked_history(start: Presentation, steps: list, end: Presentation) -> PresentationHistory:
+    """Unchecked: ``steps`` were just made by ``tietze_split`` from ``start``
+    to ``end``, which is the replay ``PresentationHistory`` would repeat."""
+    h = object.__new__(PresentationHistory)
+    object.__setattr__(h, "start", start)
+    object.__setattr__(h, "steps", tuple(steps))
+    object.__setattr__(h, "end", end)
+    return h
+
+
 def _replay(start: Presentation, steps: Iterable[TietzeStep]) -> Presentation:
     cur = start
     for st in steps:
@@ -301,7 +311,7 @@ def shorten_all(p: Presentation) -> PresentationHistory:
             break
         cur, st = tietze_split(cur, idx)
         steps.append(st)
-    return PresentationHistory(p, tuple(steps), cur)
+    return _unchecked_history(p, steps, cur)
 
 
 def _definition_table(h: PresentationHistory) -> dict:
@@ -439,7 +449,9 @@ def format_history(h: PresentationHistory) -> str:
 
 
 def parse_history(text: str) -> PresentationHistory:
-    """Inverse of format_history: the start presentation, then its steps."""
+    """Inverse of format_history: the start presentation, then its steps.
+    Each step is replayed once, on its own line, so a forged step fails as
+    ``line N: ...``."""
     rec = _PresentationRecords()
     steps: list[TietzeStep] = []
     cur = None
@@ -464,4 +476,4 @@ def parse_history(text: str) -> PresentationHistory:
 
     read_records(text, {"gens": rec.gens, "rel": rec.rel, "step": step})
     start = rec.presentation()
-    return PresentationHistory(start, tuple(steps), start if cur is None else cur)
+    return _unchecked_history(start, steps, start if cur is None else cur)

@@ -5,6 +5,8 @@ import warnings
 
 import pytest
 
+import cakelab.artin
+import cakelab.words
 from cakelab.artin import (
     ElementaryMove,
     GraphMorphism,
@@ -13,6 +15,7 @@ from cakelab.artin import (
     RootedTree,
     apply_endo,
     artin_from_graph,
+    both_sides_move,
     compose,
     endos_commute,
     enumerate_side_moves,
@@ -25,6 +28,7 @@ from cakelab.artin import (
     parse_tree,
     random_endo,
     random_tree,
+    sample_tree,
     split_at_root,
     validate_morphism,
 )
@@ -118,6 +122,28 @@ def test_random_tree_rejects_bad_arguments():
         random_tree(3, 1)
     with pytest.raises(ValueError):
         random_tree(3, 4, label_hi=3)
+
+
+def test_random_tree_caps_vertices_before_building(monkeypatch):
+    # every edge's relator has at least 8 letters, so n vertices need a cap
+    # of 8 (n - 1) letters; the level that passes it is refused unbuilt
+    t = random_tree(4, 4, 7, seed=3)
+    n = len(t.parent)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 8 * (n - 1))
+    assert random_tree(4, 4, 7, seed=3) == t
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 8 * (n - 1) - 1)
+    with pytest.raises(ValueError, match=f"more than {n - 1} vertices"):
+        random_tree(4, 4, 7, seed=3)
+
+
+def test_artin_from_graph_caps_letters_before_building(monkeypatch):
+    g = random_tree(3, 4, 7, seed=3).graph
+    letters = sum(2 * m for _, _, m in g.edges)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", letters)
+    assert len(artin_from_graph(g).relators) == len(g.edges)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", letters - 1)
+    with pytest.raises(ValueError, match=f"longer than {letters - 1} letters"):
+        artin_from_graph(g)
 
 
 def test_tree_file_round_trip():
@@ -247,6 +273,110 @@ def test_deeper_swap_pairs_whole_subtrees():
     assert apply_endo(a.letter("l1"), e) == a.letter("l2")
     # merges of non-leaf vertices are not offered
     assert all(m.kind == "swap" or {m.a, m.b} != {3, 4} for m in moves)
+
+
+def _shape_reference(t, v):
+    return tuple(sorted((t.edge_label(v, c), _shape_reference(t, c)) for c in t.children(v)))
+
+
+def side_moves_reference(platform, side):
+    """The enumeration the array move rule replaced: a recursive nested-tuple
+    shape, recomputed for every sibling pair."""
+    t = platform.tree
+    moves = []
+    for p in platform.side(side):
+        kids = t.children(p)
+        for x in kids:
+            for y in kids:
+                if x != y and t.is_leaf(x) and t.is_leaf(y) \
+                        and t.edge_label(p, x) == t.edge_label(p, y):
+                    moves.append(ElementaryMove("merge", x, y))
+        for ix, x in enumerate(kids):
+            for y in kids[ix + 1:]:
+                if t.edge_label(p, x) == t.edge_label(p, y) \
+                        and _shape_reference(t, x) == _shape_reference(t, y):
+                    moves.append(ElementaryMove("swap", x, y))
+    return tuple(sorted(moves, key=lambda m: (m.kind, m.a, m.b)))
+
+
+def swap_map_reference(t, a, b):
+    """The vertex map of swapping a and b, children paired by label, nested
+    shape and name."""
+    out = list(range(len(t.graph.vertices)))
+
+    def pair(a, b):
+        out[a], out[b] = b, a
+        key = lambda c: (t.edge_label(c, t.parent[c]), _shape_reference(t, c), t.graph.vertices[c])
+        for ca, cb in zip(sorted(t.children(a), key=key), sorted(t.children(b), key=key)):
+            pair(ca, cb)
+
+    pair(a, b)
+    return tuple(out)
+
+
+def renumbered(t, rng):
+    """``t`` re-read from its file with shuffled edge lines and fresh names,
+    so parse_tree numbers the vertices in an order that is not breadth-first."""
+    names = [f"v{k}" for k in rng.sample(range(100, 1000), len(t.graph.vertices))]
+    rename = dict(zip(t.graph.vertices, names))
+    lines = format_tree(t).splitlines()
+    edges = lines[1:]
+    rng.shuffle(edges)
+    out = [f"root: {rename[lines[0].split()[1]]}"]
+    for line in edges:
+        _, a, b, m = line.split()
+        out.append(f"edge: {rename[a]} {rename[b]} {m}")
+    return parse_tree("\n".join(out) + "\n")
+
+
+def move_rule_corpus():
+    rng = random.Random(21)
+    for levels in range(2, 7):
+        for max_degree in range(2, 6):
+            for label_hi in range(4, 9):
+                seed = rng.getrandbits(32)
+                t = random_tree(levels, max_degree, label_hi, seed=seed)
+                yield t, sample_tree(levels, max_degree, label_hi, seed)
+                yield renumbered(t, rng), None
+
+
+def test_move_rule_matches_recursive_shapes():
+    corpus = list(move_rule_corpus())
+    assert any(p > v for t, _ in corpus for v, p in enumerate(t.parent))  # not breadth-first
+    swaps = viable = 0
+    for t, arrays in corpus:
+        plat = split_at_root(t)
+        if arrays is not None:
+            both = bool(side_moves_reference(plat, "A") and side_moves_reference(plat, "B"))
+            assert both_sides_move(*arrays) == both
+            viable += both
+        for side in ("A", "B"):
+            moves = enumerate_side_moves(plat, side)
+            assert moves == side_moves_reference(plat, side)
+            for m in moves:
+                if m.kind == "swap":
+                    swaps += 1
+                    e = move_endomorphism(plat, m)
+                    assert e.vertex_map == swap_map_reference(t, m.a, m.b)
+    assert swaps > 100 and 10 < viable < 90
+
+
+def test_platform_lists_each_sides_moves_once(monkeypatch):
+    plat = split_at_root(small_tree())
+    calls = []
+
+    def spy(platform, side):
+        calls.append(side)
+        return enumerate_side_moves(platform, side)
+
+    monkeypatch.setattr(cakelab.artin, "enumerate_side_moves", spy)
+    for seed in range(5):
+        random_endo(plat, "A", seed=seed)
+    assert plat.moves("A") == enumerate_side_moves(plat, "A")
+    assert plat.moves("B") == ()
+    assert calls == ["A", "B"]
+    with pytest.raises(ValueError):
+        plat.moves("C")
 
 
 # ----------------------------------------------------------- commutation

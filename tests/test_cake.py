@@ -7,9 +7,13 @@ import warnings
 import pytest
 
 import cakelab.artin
+import cakelab.cake
 import cakelab.words
-from cakelab.artin import apply_endo, artin_from_graph, split_at_root
+from cakelab.artin import (
+    apply_endo, artin_from_graph, enumerate_side_moves, move_endomorphism, random_tree, split_at_root,
+)
 from cakelab.cake import (
+    ProtocolConfig,
     ProtocolIntegrityError,
     ProtocolSetupError,
     SandwichConfig,
@@ -171,6 +175,59 @@ def test_setup_builds_only_the_kept_presentation(monkeypatch):
     assert built == []
     assert cfg.platform.presentation is cfg.platform.presentation
     assert built == [cfg.platform.tree.graph]
+
+
+def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
+    # rejected draws are decided on the sampler's arrays: one tree is built
+    # and split, and each side's moves are enumerated once for the whole
+    # exchange, however many trees were drawn and however often the parties
+    # draw their endomorphisms
+    calls = {"sample_tree": 0, "build_tree": 0, "split_at_root": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(cakelab.cake, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cakelab.cake, name, spy)
+    sides = []
+
+    def spy_moves(platform, side):
+        sides.append(side)
+        return enumerate_side_moves(platform, side)
+
+    monkeypatch.setattr(cakelab.artin, "enumerate_side_moves", spy_moves)
+    run_exchange(9000, 100, 200)
+    assert calls["sample_tree"] > 1
+    assert calls["build_tree"] == calls["split_at_root"] == 1
+    assert sorted(sides) == ["A", "B"]
+
+
+def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
+    """The setup loop that built, split and enumerated every drawn tree."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        tree = random_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))
+        platform = split_at_root(tree)
+        moves_a = enumerate_side_moves(platform, "A")
+        moves_b = enumerate_side_moves(platform, "B")
+        if not moves_a or not moves_b:
+            continue
+        endos_a = [move_endomorphism(platform, m) for m in moves_a]
+        endos_b = [move_endomorphism(platform, m) for m in moves_b]
+        for _ in range(20):
+            w = random_reduced_word(platform.alphabet, word_len, rng)
+            sup = {lt.gen for lt in w.letters}
+            if not (sup & set(platform.side_a)) or not (sup & set(platform.side_b)):
+                continue
+            if any(apply_endo(w, e) != w for e in endos_a) and \
+                    any(apply_endo(w, e) != w for e in endos_b):
+                return ProtocolConfig(platform, w, moves_a, moves_b, seed)
+    raise ProtocolSetupError("could not sample a viable platform")
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_setup_matches_the_build_everything_loop(levels):
+    for seed in range(200):
+        assert setup(seed, levels=levels) == setup_reference(seed, levels), seed
 
 
 def test_derive_key_is_word_determined():
@@ -355,11 +412,10 @@ def test_equality_strategies_agree_where_decided():
 
 
 def test_setup_raises_when_viability_is_impossible():
-    # max_degree 2 gives a path; the two sides are bare chains with
-    # distinct random labels most of the time, but the loop must either
-    # succeed or raise the dedicated error, never hang
-    try:
-        cfg = setup(1, levels=2, max_degree=2)
-    except ProtocolSetupError:
-        return
-    assert cfg.moves("A") and cfg.moves("B")
+    # two levels leave each side one bare vertex, and max_degree 2 at three
+    # levels gives each side a path: no vertex has two children, so no side
+    # ever has a move and all 1,000 draws are rejected
+    with pytest.raises(ProtocolSetupError):
+        setup(1, levels=2, max_degree=4)
+    with pytest.raises(ProtocolSetupError):
+        setup(1, levels=3, max_degree=2)

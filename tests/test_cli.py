@@ -429,3 +429,21 @@ def test_closed_stdout_exits_one_without_traceback(ex_file):
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--levels", "40", "--max-degree", "4", "--seed", "1"],
+    ["cake", "run", "--levels", "30", "--seed", "1", "--seed-a", "1", "--seed-b", "2"],
+    ["gen", "--levels", "3", "--max-degree", "4", "--label-hi", "1000000000", "--seed", "1"],
+])
+def test_oversized_trees_are_input_errors(argv):
+    # the first two trees would pass the vertex cap and the third one's
+    # labels the letter cap; each is refused before it is built
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

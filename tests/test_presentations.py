@@ -5,10 +5,12 @@ import weakref
 
 import pytest
 
+import cakelab.presentations
 import cakelab.words
 
 from cakelab.presentations import (
     Presentation,
+    PresentationHistory,
     alternating_word,
     braid_presentation,
     format_history,
@@ -155,8 +157,6 @@ def test_lift_of_definition_relators_is_trivial_or_original():
 
 def test_history_replay_is_validated():
     h = shorten_all(P)
-    from cakelab.presentations import PresentationHistory
-
     with pytest.raises(ValueError):
         PresentationHistory(h.start, h.steps[:-1], h.end)
 
@@ -245,6 +245,25 @@ def test_parse_history_rejects_mismatched_definition():
     text = format_history(h).replace("t1 = x1 x1", "t1 = x1 x2")
     with pytest.raises(ValueError, match=r"^line 4: step 't1' does not match"):
         parse_history(text)
+
+
+def test_parse_history_replays_each_step_once(monkeypatch):
+    # the step handler replays and checks each step on its line; the history
+    # it returns is not replayed again, but one built directly still is
+    h = shorten_all(P)
+    text = format_history(h)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return tietze_split(*args, **kwargs)
+
+    monkeypatch.setattr(cakelab.presentations, "tietze_split", spy)
+    assert parse_history(text) == h
+    assert len(calls) == len(h.steps) > 1
+    calls.clear()
+    PresentationHistory(h.start, h.steps, h.end)
+    assert len(calls) == len(h.steps)
 
 
 def test_parse_history_reads_steps_after_the_presentation():
