@@ -106,12 +106,10 @@ def artin_from_graph(g: LabeledGraph) -> Presentation:
     if sum(2 * m for _, _, m in g.edges) > words.MAX_WORD_LETTERS:
         raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
     alphabet = g.alphabet()
-    relators = []
-    for i, j, m in sorted(g.edges):
-        rel = alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
-        if rel not in relators:
-            relators.append(rel)
-    return Presentation(alphabet, tuple(relators))
+    # a graph has one edge per vertex pair, so the relators are distinct
+    return Presentation(alphabet, tuple([
+        alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
+        for i, j, m in sorted(g.edges)]))
 
 
 def is_extra_large(g: LabeledGraph) -> bool:
@@ -168,38 +166,22 @@ class RootedTree:
             parent_edges.add((min(v, p), max(v, p)))
         if parent_edges != {(i, j) for i, j, _ in g.edges}:
             raise ValueError("parent table disagrees with the edge set")
-        if not self._reaches_root():
+        kids = tuple([tuple(k) for k in _children_lists(self.parent)])
+        object.__setattr__(self, "_children", kids)
+        # parent chains reach the root exactly when a walk down from it meets every vertex
+        order = _breadth_first(kids, self.root)
+        if len(order) != n:
             raise ValueError("parent chains do not reach the root")
         if g.degree(self.root) != 2:
             raise ValueError("root degree must be exactly 2")
         if not is_extra_large(g):
             raise ValueError("tree labels must all be >= 4")
-        deepest = max(self.level(v) for v in range(n))
+        level = [1] * n
+        for v in order[1:]:
+            level[v] = level[self.parent[v]] + 1
+        deepest = max(level)
         if deepest != self.levels:
             raise ValueError(f"levels field says {self.levels} but depth is {deepest}")
-
-    def _reaches_root(self) -> bool:
-        # cycle guard: every vertex must reach the root in < n steps
-        n = len(self.graph.vertices)
-        for v in range(n):
-            hops = 0
-            while v != self.root:
-                v = self.parent[v]
-                hops += 1
-                if hops >= n:
-                    return False
-        return True
-
-    def level(self, v: int) -> int:
-        k = 1
-        while v != self.root:
-            v = self.parent[v]
-            k += 1
-        return k
-
-    @cached_property
-    def _children(self) -> tuple:
-        return tuple([tuple(k) for k in _children_lists(self.parent)])
 
     def children(self, v: int) -> tuple:
         return self._children[v]
@@ -572,12 +554,8 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
 def format_tree(t: RootedTree) -> str:
     names = t.graph.vertices
     lines = [f"root: {names[t.root]}"]
-    queue = [t.root]
-    while queue:
-        v = queue.pop(0)
-        for c in t.children(v):
-            lines.append(f"edge: {names[v]} {names[c]} {t.edge_label(v, c)}")
-            queue.append(c)
+    for v in _breadth_first(t._children, t.root):
+        lines.extend([f"edge: {names[v]} {names[c]} {t.edge_label(v, c)}" for c in t.children(v)])
     return "\n".join(lines) + "\n"
 
 

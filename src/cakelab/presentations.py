@@ -14,20 +14,21 @@ the presentation: every verdict and rewrite on it reads that one object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import words
 from .words import (
     Alphabet,
     Letter,
     Word,
+    _word,
     common_prefix_len,
     concat,
     free_reduce,
     parse_word,
     read_records,
-    word_sort_key,
 )
 
 __all__ = [
@@ -81,15 +82,29 @@ def _add_relator(alphabet: Alphabet, r: Word, relators: dict) -> None:
     relators[r] = None
 
 
+class _Verdicts(NamedTuple):  # the small-cancellation table of a symmetrized set
+    min_pieces: tuple  # per element of ``ordered``: fewest pieces spelling it, or None
+    relator_pieces: tuple  # the same per relator
+    piece_count: int  # distinct pieces
+    cprime_sup: Optional[Fraction]  # largest piece-prefix length over element length
+    t4: bool
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SymmetrizedSet:
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
     ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
-    prefix of ``ordered[i]``.  Pieces and the first-letter index are built
-    on first use, as is the relator lattice.  Built from the relators, it is
-    closed under rotation and inversion by construction; :func:`symmetrize`
-    builds it once per presentation.
+    prefix of ``ordered[i]``.  Built from the relators, it is closed under
+    rotation and inversion by construction; :func:`symmetrize` builds it
+    once per presentation.
+
+    It is compiled in letter codes ``2*gen + (sign < 0)`` (in canonical
+    letter order; a letter's inverse is ``code ^ 1``): the rotations are
+    sorted once as code tuples, and a Word is built per distinct element.
+    ``verdicts``, the table every small-cancellation verdict reads, is
+    compiled from the codes on first use, as are the element set, the
+    pieces, the first-letter index and the relator lattice.
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
     oracle's swap moves and disguise's growth swaps all read it, and all
@@ -98,7 +113,6 @@ class SymmetrizedSet:
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
-    elements: frozenset
     ordered: tuple[Word, ...]
     piece_lengths: tuple[int, ...]
 
@@ -106,30 +120,78 @@ class SymmetrizedSet:
         # each relator r gives at most 2|r| elements of |r| letters
         if 2 * sum(len(r) ** 2 for r in p.relators) > words.MAX_WORD_LETTERS:
             raise ValueError(f"symmetrized set longer than {words.MAX_WORD_LETTERS} letters")
-        closure = set()
+        cycles = []  # the rotations of each relator and of its inverse, in turn
         for r in p.relators:
-            closure |= r.cyclic_permutations()
-            closure |= r.inverse().cyclic_permutations()
-        ordered = tuple(sorted(closure, key=word_sort_key))
-        # In letter-lexicographic order the longest common prefix of an
-        # element with any other one is the one with a neighbour.
-        lex = sorted(range(len(ordered)), key=lambda i: ordered[i].letters)
-        lengths = [0] * len(lex)
-        for i, j in zip(lex, lex[1:]):
-            k = common_prefix_len(ordered[i].letters, ordered[j].letters)
-            lengths[i] = max(lengths[i], k)
-            lengths[j] = max(lengths[j], k)
+            c = tuple([2 * g + (s < 0) for g, s in r.letters])
+            for w in (c, tuple([x ^ 1 for x in reversed(c)])):
+                cycles.append([w[k:] + w[:k] for k in range(len(w))])
+        lex = sorted(set().union(*cycles))
+        # an element's longest common prefix with any other is one with a lex neighbour
+        shared = [0] + [common_prefix_len(a, b) for a, b in zip(lex, lex[1:])] + [0]
+        # a stable sort by length keeps lex order within a length: (length, codes)
+        order = sorted(range(len(lex)), key=[len(c) for c in lex].__getitem__)
+        letter = [Letter(g, s) for g in range(len(p.alphabet)) for s in (1, -1)]
+        codes = tuple([lex[i] for i in order])
         object.__setattr__(self, "alphabet", p.alphabet)
         object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "elements", frozenset(closure))
-        object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "piece_lengths", tuple(lengths))
+        object.__setattr__(self, "ordered", tuple(
+            [_word(p.alphabet, tuple([letter[x] for x in c])) for c in codes]))
+        object.__setattr__(self, "piece_lengths", tuple(
+            [max(shared[i], shared[i + 1]) for i in order]))
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_cycles", cycles)
+        # pieces are prefixes up to the piece length, less those the lex predecessor shares
+        object.__setattr__(self, "_piece_count", sum(
+            [max(0, b - a) for a, b in zip(shared, shared[1:])]))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ordered)
 
     def __contains__(self, w: Word) -> bool:
         return w in self.elements
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self.ordered)
+
+    @cached_property
+    def verdicts(self) -> _Verdicts:
+        """The small-cancellation table, compiled from the codes.
+
+        Pieces are closed under prefixes and, as the set is closed under
+        rotation, under non-empty suffixes, so the longest piece at position
+        pos of r, the piece prefix of r's rotation at pos, is an optimal step.
+        T(4) fails when, for a (first, last) letter pair (a, b), some c among
+        the last letters of elements starting with b^-1 has an element
+        starting with c^-1 and ending with a^-1: at most (2n)^3 steps for n
+        generators.  Admissibility needs no test: each excluded triple with
+        all three seams cancelling would need an element ending in the
+        inverse of its first letter, and every element is cyclically reduced.
+        """
+        codes, lengths = self._codes, self.piece_lengths
+        where = {c: i for i, c in enumerate(codes)}
+        fewest: list = [None] * len(codes)
+        top, of = 0, 1  # the largest piece length over element length, by cross-multiplying
+        for cycle in self._cycles:
+            at = [where[c] for c in cycle]
+            n = len(at)
+            ahead = [lengths[i] for i in at] * 2  # the piece length at each position, twice round
+            for k in range(n):
+                count = pos = 0
+                while pos < n and ahead[k + pos]:
+                    pos += ahead[k + pos]  # past the end only on the last step
+                    count += 1
+                fewest[at[k]] = count if pos >= n else None
+            if max(ahead) * of > top * n:
+                top, of = max(ahead), n
+        ends: dict[int, set] = {}  # first letter -> the last letters of elements starting with it
+        for c in codes:
+            ends.setdefault(c[0], set()).add(c[-1])
+        t4 = not any(a ^ 1 in ends.get(c ^ 1, ())
+                     for a, lasts in ends.items() for b in lasts for c in ends.get(b ^ 1, ()))
+        relator_pieces = tuple([fewest[where[cycle[0]]] for cycle in self._cycles[::2]])
+        return _Verdicts(tuple(fewest), relator_pieces, self._piece_count,
+                         Fraction(top, of) if top else None, t4)
 
     @cached_property
     def pieces(self) -> frozenset:

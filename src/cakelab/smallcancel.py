@@ -3,8 +3,11 @@ bounded word-problem oracle.
 
 A piece is a non-empty common prefix of two *distinct* elements of the
 symmetrized relator set (rotations and inverses count as distinct elements).
-Everything downstream is exact: C'(lambda) compares with Fraction arithmetic
-because interesting presentations sit exactly on the boundary.
+The verdicts C(p), C'(lambda), T(4) and the report read one table compiled
+with the symmetrized set, ``SymmetrizedSet.verdicts``, and never the piece set
+that ``enumerate_pieces`` and ``min_piece_count`` keep for arbitrary words.
+Everything is exact: C'(lambda) compares with Fraction arithmetic because
+interesting presentations sit exactly on the boundary.
 
 Dehn reduction and the oracle's subword swaps read one relator-prefix scan,
 ``SymmetrizedSet.matches``, and rewrite with one swap, ``presentations.swap``;
@@ -76,13 +79,7 @@ def check_C(p: Presentation, pbound: int) -> bool:
     """
     if pbound < 2:
         raise ValueError("pbound must be at least 2")
-    s = symmetrize(p)
-    pieces = enumerate_pieces(s)
-    for r in s.ordered:
-        k = min_piece_count(r, pieces)
-        if k is not None and k < pbound:
-            return False
-    return True
+    return all(k is None or k >= pbound for k in symmetrize(p).verdicts.min_pieces)
 
 
 def check_Cprime(p: Presentation, lam: Fraction) -> bool:
@@ -99,11 +96,7 @@ def check_Cprime(p: Presentation, lam: Fraction) -> bool:
 
 def cprime_sup(p: Presentation) -> Optional[Fraction]:
     """Largest |u|/|r| over piece prefixes, or None when no relator has one."""
-    s = symmetrize(p)
-    return max(
-        (Fraction(m, len(r)) for r, m in zip(s.ordered, s.piece_lengths) if m),
-        default=None,
-    )
+    return symmetrize(p).verdicts.cprime_sup
 
 
 def check_T4(p: Presentation) -> bool:
@@ -112,28 +105,10 @@ def check_T4(p: Presentation) -> bool:
 
     Triples (r1, r2, r3) range over the symmetrized set with the adjacency
     constraint r1 != r2^-1, r2 != r3^-1, r3 != r1^-1; the products checked
-    are r1 r2, r2 r3, r3 r1.
-
-    Only each element's first and last letters matter, so the search walks
-    the distinct (first, last) pairs: for a pair (a, b), some c among the
-    last letters of elements starting with b^-1 such that an element starts
-    with c^-1 and ends with a^-1.  It costs at most (2n)^3 for n generators,
-    whatever the relator lengths.
-
-    The adjacency constraint needs no test: every element is cyclically
-    reduced, so none ends in the inverse of its first letter, and each
-    excluded triple with all three seams cancelling would need such an
-    element (r2 = r1^-1 forces it on r3, r3 = r2^-1 on r1, r3 = r1^-1 on r2).
+    are r1 r2, r2 r3, r3 r1.  ``SymmetrizedSet.verdicts`` walks the
+    elements' (first, last) letter pairs.
     """
-    ends: dict = {}  # first letter -> the last letters of elements starting with it
-    for r in symmetrize(p).ordered:
-        ends.setdefault(r.letters[0], set()).add(r.letters[-1])
-    for a, lasts in ends.items():
-        for b in lasts:
-            for c in ends.get(b.inverse(), ()):
-                if a.inverse() in ends.get(c.inverse(), ()):
-                    return False
-    return True
+    return symmetrize(p).verdicts.t4
 
 
 @dataclass(frozen=True)
@@ -147,12 +122,11 @@ class CancellationReport:
 
 
 def build_report(p: Presentation, c_bounds: Iterable[int] = (4,)) -> CancellationReport:
-    s = symmetrize(p)
-    pieces = enumerate_pieces(s)
+    table = symmetrize(p).verdicts
     return CancellationReport(
         source=p,
-        piece_count=len(pieces),
-        min_piece_decomposition=tuple(min_piece_count(r, pieces) for r in p.relators),
+        piece_count=table.piece_count,
+        min_piece_decomposition=table.relator_pieces,
         c_verdicts={b: check_C(p, b) for b in c_bounds},
         cprime_sup=cprime_sup(p),
         t4=check_T4(p),

@@ -193,20 +193,6 @@ class Word:
             j -= 1
         return _word(self.alphabet, lts[i:j]), _word(self.alphabet, lts[:i])
 
-    def cyclic_permutations(self) -> frozenset["Word"]:
-        """All rotations of a cyclically reduced word, deduplicated.
-
-        Raises ``ValueError`` if the word is not cyclically reduced.  The
-        result always contains the word itself (also for the empty word).
-        """
-        if not self.is_cyclically_reduced:
-            raise ValueError("word is not cyclically reduced")
-        lts = self.letters
-        rotations = {self}
-        for k in range(1, len(lts)):
-            rotations.add(_word(self.alphabet, lts[k:] + lts[:k]))
-        return frozenset(rotations)
-
 
 def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
     """Freely reduce a raw letter sequence into a Word, checking each letter.

@@ -97,6 +97,27 @@ def test_tree_validation_rejects_wrong_levels():
     assert t.levels == 2
 
 
+def test_tree_validation_rejects_cyclic_parent_table():
+    # a triangle apart from the root: every parent edge is a graph edge, yet
+    # the chains of w, x, y go round it and never reach r
+    g = LabeledGraph(("r", "u", "v", "w", "x", "y"),
+                     frozenset({(0, 1, 4), (0, 2, 4), (3, 4, 4), (4, 5, 4), (3, 5, 4)}))
+    with pytest.raises(ValueError, match="^parent chains do not reach the root$"):
+        RootedTree(g, 0, (-1, 0, 0, 4, 5, 3), 2)
+
+
+def test_deep_thin_tree_builds_and_formats_in_linear_time():
+    # 20,000 levels on 20,001 vertices, well under the vertex cap: walking
+    # each vertex's parent chain would take about 2 * 10^8 steps
+    t = random_tree(20_000, 2, 7, seed=1)
+    assert t.levels == 20_000 and len(t.parent) == 20_001
+    text = format_tree(t)
+    assert text.count("\n") == 20_001
+    assert format_tree(parse_tree(text)) == text
+    with pytest.raises(ValueError, match="^levels field says 19999 but depth is 20000$"):
+        RootedTree(t.graph, t.root, t.parent, 19_999)
+
+
 def test_random_tree_invariants():
     for seed in range(25):
         levels = 2 + seed % 4

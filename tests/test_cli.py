@@ -1,14 +1,15 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 import cakelab.words
 from cakelab import cli
 from cakelab.cli import main
-from cakelab.presentations import parse_presentation
-from cakelab.smallcancel import parse_witness, replay_witness
+from cakelab.presentations import parse_presentation, symmetrize
+from cakelab.smallcancel import build_report, check_Cprime, parse_witness, replay_witness
 from cakelab.words import parse_word
 
 EX_TEXT = """\
@@ -58,6 +59,36 @@ def test_check_output_on_level3_tree(capsys, tmp_path):
         "T(4): true",
         "pieces: 138",
     ] + ["min-pieces: 4"] * 8
+
+
+@pytest.mark.parametrize("levels, pieces, relators", [(4, 252, 17), (5, 462, 30)])
+def test_check_output_on_deeper_trees(capsys, tmp_path, levels, pieces, relators):
+    pres_f = str(tmp_path / f"l{levels}.txt")
+    run(capsys, ["gen", "--levels", str(levels), "--max-degree", "4", "--seed", "11",
+                 "--out-pres", pres_f])
+    code, out, err = run(capsys, ["check", "--presentation", pres_f])
+    assert (code, err) == (0, "")
+    assert out == (f"C(4): true\nC'(1/6): false\nT(4): true\npieces: {pieces}\n"
+                   + "min-pieces: 4\n" * relators)
+
+
+def test_check_output_on_long_relator(capsys, tmp_path):
+    # 1002 elements of 501 letters, with pieces up to 499 letters long
+    f = tmp_path / "long.txt"
+    f.write_text("gens: a b\nrel: a^500 b\n")
+    code, out, err = run(capsys, ["check", "--presentation", str(f)])
+    assert (code, err) == (0, "")
+    assert out == ("C(4): true\nC'(1/6): false\nT(4): true\npieces: 998\n"
+                   "min-pieces: not-a-piece-product\n")
+
+
+def test_check_verdicts_build_no_piece_set():
+    # what check computes reads the verdict table, never the piece set
+    p = parse_presentation(EX_TEXT)
+    build_report(p)
+    check_Cprime(p, Fraction(1, 6))
+    assert "verdicts" in symmetrize(p).__dict__
+    assert "pieces" not in symmetrize(p).__dict__
 
 
 def test_check_missing_file_is_input_error(capsys):

@@ -38,7 +38,14 @@ from cakelab.smallcancel import (
     replay_witness,
     witness_matches,
 )
-from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
+from cakelab.words import (
+    Alphabet,
+    Word,
+    common_prefix_len,
+    parse_word,
+    random_reduced_word,
+    word_sort_key,
+)
 
 X = Alphabet(("x1", "x2", "x3"))
 EX = Presentation(
@@ -64,13 +71,14 @@ ORACLE_CASES = [
 ]
 
 
-def random_presentation(rng):
-    """1-4 generators, 1-3 distinct cyclically reduced relators of length 1-6."""
-    alphabet = Alphabet(tuple(f"g{i}" for i in range(1, rng.randint(1, 4) + 1)))
+def random_presentation(rng, gens=4, rels=3, length=6):
+    """1-gens generators, 1-rels distinct cyclically reduced relators of
+    length 1-length."""
+    alphabet = Alphabet(tuple(f"g{i}" for i in range(1, rng.randint(1, gens) + 1)))
     relators = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, rels)):
         while True:
-            r = random_reduced_word(alphabet, rng.randint(1, 6), rng)
+            r = random_reduced_word(alphabet, rng.randint(1, length), rng)
             if r.is_cyclically_reduced and r not in relators:
                 relators.append(r)
                 break
@@ -148,6 +156,39 @@ def t4_oracle(p):
         ):
             return False, (r1, r2, r3)
     return True, None
+
+
+def symmetrize_reference(p):
+    """The symmetrized set as it was built before it was compiled in letter
+    codes: every rotation a Word, sorted by ``word_sort_key``, and piece
+    lengths from neighbours in an order of Letter tuples."""
+    closure = set()
+    for r in p.relators:
+        for w in (r, r.inverse()):
+            closure |= {w[k:] * w[:k] for k in range(len(w))}
+    ordered = tuple(sorted(closure, key=word_sort_key))
+    lex = sorted(range(len(ordered)), key=lambda i: ordered[i].letters)
+    lengths = [0] * len(lex)
+    for i, j in zip(lex, lex[1:]):
+        k = common_prefix_len(ordered[i].letters, ordered[j].letters)
+        lengths[i] = max(lengths[i], k)
+        lengths[j] = max(lengths[j], k)
+    return ordered, tuple(lengths)
+
+
+def min_piece_count_reference(r, pieces):
+    """The greedy walk over a frozenset of pieces, growing tuple slices."""
+    n = len(r)
+    count = pos = 0
+    while pos < n:
+        longest = 0
+        while pos + longest < n and r.letters[pos : pos + longest + 1] in pieces:
+            longest += 1
+        if not longest:
+            return None
+        count += 1
+        pos += longest
+    return count
 
 
 # ---------------------------------------------------------------- pieces
@@ -326,6 +367,34 @@ def test_t4_known_counterexample_triple():
     assert r1.letters[-1] == r2.letters[0].inverse()
     assert r2.letters[-1] == r3.letters[0].inverse()
     assert r3.letters[-1] == r1.letters[0].inverse()
+
+
+def verdict_corpus():
+    rng = random.Random(1313)
+    cases = [random_presentation(rng, gens=3, rels=4, length=14) for _ in range(600)]
+    cases += [braid_presentation(n) for n in (3, 4, 5)]
+    return cases + [artin_from_graph(random_tree(lv, 4, 7, seed=11).graph) for lv in (3, 4, 5)]
+
+
+def test_verdict_table_matches_references():
+    # the compiled table against the Word-and-frozenset build it replaced
+    for p in verdict_corpus():
+        ordered, lengths = symmetrize_reference(p)
+        s = symmetrize(p)
+        assert (s.ordered, s.piece_lengths) == (ordered, lengths), p
+        pieces = frozenset(r.letters[:k] for r, m in zip(ordered, lengths) for k in range(1, m + 1))
+        mins = [min_piece_count_reference(r, pieces) for r in ordered]
+        report = build_report(p, range(2, 9))
+        assert "pieces" not in s.__dict__
+        assert report.piece_count == len(pieces)
+        assert list(s.verdicts.min_pieces) == mins
+        assert report.min_piece_decomposition == tuple(
+            min_piece_count_reference(r, pieces) for r in p.relators)
+        assert report.c_verdicts == {
+            b: all(k is None or k >= b for k in mins) for b in range(2, 9)}
+        assert report.cprime_sup == max(
+            (Fraction(m, len(r)) for r, m in zip(ordered, lengths) if m), default=None)
+        assert report.t4 is t4_walk_reference(p)
 
 
 def test_report_bundle():

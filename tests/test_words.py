@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakelab.words
-from cakelab.presentations import swap
+from cakelab.presentations import Presentation, swap, symmetrize
 from cakelab.words import (
     Alphabet,
     Letter,
@@ -103,7 +103,8 @@ def test_unchecked_builds_pass_the_public_check(xs, ys, i, j):
     # arithmetic builds its results without the check; each must pass it
     a, b = free_reduce(ABC, xs), free_reduce(ABC, ys)
     core, conj = a.cyclic_reduce()
-    built = [a[i:j], a.inverse(), concat(a, b), core, conj, *core.cyclic_permutations(),
+    rotations = symmetrize(Presentation(ABC, (core,) if core else ())).ordered
+    built = [a[i:j], a.inverse(), concat(a, b), core, conj, *rotations,
              swap(a, min(i, len(a)), b, min(j, len(b)))]
     for w in built:
         assert Word(w.alphabet, w.letters) == w
