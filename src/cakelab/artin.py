@@ -20,7 +20,7 @@ from random import Random
 from typing import Optional
 
 from . import words
-from .presentations import Presentation, alternating_word, symmetrize
+from .presentations import Presentation, alternating_word
 from .words import Alphabet, Letter, Word, free_reduce, read_records
 
 __all__ = [
@@ -263,8 +263,9 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
 @dataclass(frozen=True)
 class SplitPlatform:
     """A rooted tree split at its root into two connected sides.  The tree's
-    alphabet, its Artin presentation and each side's moves are each built on
-    first read; an exchange never reads the presentation."""
+    alphabet, its Artin presentation and each side's moves with their
+    endomorphisms are each built on first read.  Only ``cake run``'s printout
+    reads the presentation: an exchange and certification never do."""
 
     tree: RootedTree
     side_a: tuple[int, ...]
@@ -296,11 +297,20 @@ class SplitPlatform:
     def _moves(self) -> dict:
         return {}
 
-    def moves(self, which: str) -> tuple[ElementaryMove, ...]:
-        """The side's elementary moves, enumerated on its first read."""
+    def _listed(self, which: str) -> tuple:
+        """The side's moves and their endomorphisms, built on its first read."""
         if which not in self._moves:
-            self._moves[which] = enumerate_side_moves(self, which)
+            moves = enumerate_side_moves(self, which)
+            self._moves[which] = moves, tuple([move_endomorphism(self, m) for m in moves])
         return self._moves[which]
+
+    def moves(self, which: str) -> tuple[ElementaryMove, ...]:
+        """The side's elementary moves."""
+        return self._listed(which)[0]
+
+    def move_endos(self, which: str) -> tuple[GroupEndomorphism, ...]:
+        """The endomorphisms of ``moves(which)``, in the same order."""
+        return self._listed(which)[1]
 
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
@@ -398,34 +408,21 @@ def induce_endomorphism(platform: SplitPlatform, side: str, morphism: GraphMorph
     """Extend a side-subtree self-map to the whole group: the chosen side's
     generators move per the morphism, the root and the other side stay fixed.
 
-    Certification: the image of every relator must be syntactically trivial
-    (empty or a symmetrized relator); anything unresolved goes to the bounded
-    oracle at depth 3, and failure rejects the morphism naming the relator.
+    Certification: the extended map must keep every tree edge and its label.
+    The only edge beyond the side's own is the root edge; a map that moves
+    the side's top vertex sends its relator to a non-trivial element of a
+    free parabolic subgroup (van der Lek 1983), so no endomorphism is lost.
     """
     side_verts = platform.side(side)
     expected = induced_subgraph(platform.tree.graph, side_verts)
     if morphism.domain != expected:
         raise ValueError("morphism domain must be the chosen side's subtree")
-    if not validate_morphism(morphism.domain, morphism.vertex_map):
-        raise ValueError("vertex map is not label- and edge-preserving")
     full_map = list(range(len(platform.tree.graph.vertices)))
     for local, v in enumerate(side_verts):
         full_map[v] = side_verts[morphism.vertex_map[local]]
-    endo = GroupEndomorphism(platform.alphabet, full_map)
-    _certify(endo, platform.presentation)
-    return endo
-
-
-def _certify(endo: GroupEndomorphism, p: Presentation) -> None:
-    from .smallcancel import bounded_wp_oracle  # local import, module layering
-
-    s = symmetrize(p)
-    for r in p.relators:
-        img = apply_endo(r, endo)
-        if not img or img in s:
-            continue
-        if bounded_wp_oracle(img, p, depth=3) is None:
-            raise ValueError(f"image of relator {str(r)!r} is not certified trivial")
+    if not validate_morphism(platform.tree.graph, full_map):
+        raise ValueError("vertex map is not label- and edge-preserving")
+    return GroupEndomorphism(platform.alphabet, full_map)
 
 
 @dataclass(frozen=True)
@@ -504,25 +501,22 @@ def _pair_subtrees(tree: RootedTree, a: int, b: int, out: list) -> None:
 
 
 def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
+    """The move's vertex map, checked with the move rule of ``_sibling_pairs``:
+    a and b are vertices of the tree with one parent, one parent-edge label
+    and one shape, and leaves for a merge."""
     t = platform.tree
-    vmap = list(range(len(t.graph.vertices)))
+    labels, shape = t._shapes
+    a, b, n = move.a, move.b, len(labels)
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"move endpoints must be vertices 0 to {n - 1}")
+    if t.parent[a] != t.parent[b] or labels[a] != labels[b] or shape[a] != shape[b] \
+            or (move.kind == "merge" and shape[a]):
+        raise ValueError(f"{move.kind} {a} {b} is not an elementary move of this tree")
+    vmap = list(range(n))
     if move.kind == "merge":
-        if not (t.is_leaf(move.a) and t.is_leaf(move.b)):
-            raise ValueError("merge endpoints must be leaves")
-        if t.parent[move.a] != t.parent[move.b]:
-            raise ValueError("merge endpoints must be siblings")
-        p = t.parent[move.a]
-        if t.edge_label(p, move.a) != t.edge_label(p, move.b):
-            raise ValueError("merge needs equal parent edge labels")
-        vmap[move.a] = move.b
+        vmap[a] = b
     else:
-        if t.parent[move.a] != t.parent[move.b]:
-            raise ValueError("swap endpoints must be siblings")
-        p = t.parent[move.a]
-        shape = t._shapes[1]
-        if t.edge_label(p, move.a) != t.edge_label(p, move.b) or shape[move.a] != shape[move.b]:
-            raise ValueError("swap needs label-isomorphic subtrees")
-        _pair_subtrees(t, move.a, move.b, vmap)
+        _pair_subtrees(t, a, b, vmap)
     return GroupEndomorphism(platform.alphabet, vmap)
 
 
@@ -532,9 +526,9 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
     it warns and returns the identity."""
     if move_budget < 1:
         raise ValueError("move_budget must be at least 1")
-    moves = platform.moves(side)
+    endos = platform.move_endos(side)
     alphabet = platform.alphabet
-    if not moves:
+    if not endos:
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")
         return identity_endo(alphabet)
     rng = Random(seed)
@@ -543,10 +537,10 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
         k = rng.randint(1, move_budget)
         endo = identity_endo(alphabet)
         for _ in range(k):
-            endo = compose(move_endomorphism(platform, rng.choice(moves)), endo)
+            endo = compose(rng.choice(endos), endo)
         if endo.moved & side_set:
             return endo
-    return move_endomorphism(platform, moves[0])  # single moves never fix the whole side
+    return endos[0]  # single moves never fix the whole side
 
 
 # -- tree text format ------------------------------------------------------

@@ -25,7 +25,6 @@ from random import Random
 from typing import Callable, Optional
 
 from .artin import (
-    ElementaryMove,
     GroupEndomorphism,
     LabeledGraph,
     SplitPlatform,
@@ -34,7 +33,6 @@ from .artin import (
     both_sides_move,
     build_tree,
     format_tree,
-    move_endomorphism,
     random_endo,
     sample_tree,
     split_at_root,
@@ -112,12 +110,11 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything public: the platform, the word, and both sides' move sets."""
+    """Everything public: the platform, whose sides' move sets it reads, and
+    the word."""
 
     platform: SplitPlatform
     public_word: Word
-    moves_a: tuple[ElementaryMove, ...]
-    moves_b: tuple[ElementaryMove, ...]
     seed: int
 
     def __post_init__(self):
@@ -126,7 +123,7 @@ class ProtocolConfig:
             raise ValueError("public word must touch both sides")
 
     def moves(self, side: str):
-        return self.moves_a if side == "A" else self.moves_b
+        return self.platform.moves(side)
 
 
 def config_text(config: ProtocolConfig) -> str:
@@ -149,6 +146,9 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     Trees are resampled until both sides admit elementary moves and the
     sampled public word is actually moved by at least one single move per
     side; that guarantees party_step can always find a non-trivial message.
+    A vertex map moves a word exactly when it moves one of the word's
+    generators, so a word is kept when it shares a generator with each
+    side's moved set, and no endomorphism is applied to it.
     A draw whose sides cannot both move costs only its RNG draws and one
     pass of the move rule over the sampler's arrays: only a tree that passes
     is built, split and has its moves listed.  An exchange compiles no
@@ -163,18 +163,13 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
         if not both_sides_move(parent, labels):
             continue
         platform = split_at_root(build_tree(parent, labels, levels))
-        moves_a, moves_b = platform.moves("A"), platform.moves("B")
-        alphabet = platform.alphabet
-        endos_a = [move_endomorphism(platform, m) for m in moves_a]
-        endos_b = [move_endomorphism(platform, m) for m in moves_b]
+        moved_a, moved_b = [frozenset().union(*[e.moved for e in platform.move_endos(side)])
+                            for side in ("A", "B")]
         for _ in range(20):
-            w = random_reduced_word(alphabet, word_len, rng)
+            w = random_reduced_word(platform.alphabet, word_len, rng)
             sup = _support(w)
-            if not (sup & set(platform.side_a)) or not (sup & set(platform.side_b)):
-                continue
-            if any(apply_endo(w, e) != w for e in endos_a) and \
-                    any(apply_endo(w, e) != w for e in endos_b):
-                return ProtocolConfig(platform, w, moves_a, moves_b, seed)
+            if sup & moved_a and sup & moved_b:
+                return ProtocolConfig(platform, w, seed)
     raise ProtocolSetupError("could not sample a viable platform; relax the parameters")
 
 
@@ -192,8 +187,7 @@ def party_step(config: ProtocolConfig, side: str, private_seed: int):
         msg = apply_endo(w, e)
         if msg != w:
             return e, msg
-    for m in config.moves(side):
-        e = move_endomorphism(config.platform, m)
+    for e in config.platform.move_endos(side):
         msg = apply_endo(w, e)
         if msg != w:
             return e, msg

@@ -117,19 +117,23 @@ def _cmd_tietze(args) -> int:
     return 0
 
 
+def _print_exchange(transcript_path, alphabet: Alphabet, transcript, key_a, key_b) -> None:
+    """Print an exchange's messages and keys, and write its transcript when a path is given."""
+    for i, (sender, payload) in enumerate(transcript.messages, 1):
+        print(f"msg {i} {sender}: {payload}")
+    print(f"key-a: {key_a.key_bytes.hex()}")
+    print(f"key-b: {key_b.key_bytes.hex()}")
+    if transcript_path:
+        _write(transcript_path, format_transcript(alphabet, transcript, key_a, key_b))
+
+
 def _cmd_cake_run(args) -> int:
     config = setup(args.seed, args.levels, args.max_degree, args.label_hi, args.word_len)
     transcript, key_a, key_b = exchange_on(config, args.seed_a, args.seed_b)
     sys.stdout.write(format_tree(config.platform.tree))
     sys.stdout.write(format_presentation(config.platform.presentation))
     print(f"word: {config.public_word}")
-    for i, (sender, payload) in enumerate(transcript.messages, 1):
-        print(f"msg {i} {sender}: {payload}")
-    print(f"key-a: {key_a.key_bytes.hex()}")
-    print(f"key-b: {key_b.key_bytes.hex()}")
-    if args.transcript:
-        alphabet = config.platform.alphabet
-        _write(args.transcript, format_transcript(alphabet, transcript, key_a, key_b))
+    _print_exchange(args.transcript, config.platform.alphabet, transcript, key_a, key_b)
     return 0
 
 
@@ -138,13 +142,7 @@ def _cmd_sandwich_run(args) -> int:
     transcript, key_a, key_b = sandwich_exchange_on(config, args.seed_a, args.seed_b)
     print(f"gens: {' '.join(config.graph.vertices)}")
     print(f"word: {config.public_word}")
-    for i, (sender, payload) in enumerate(transcript.messages, 1):
-        print(f"msg {i} {sender}: {payload}")
-    print(f"key-a: {key_a.key_bytes.hex()}")
-    print(f"key-b: {key_b.key_bytes.hex()}")
-    if args.transcript:
-        alphabet = config.presentation.alphabet
-        _write(args.transcript, format_transcript(alphabet, transcript, key_a, key_b))
+    _print_exchange(args.transcript, config.presentation.alphabet, transcript, key_a, key_b)
     return 0
 
 

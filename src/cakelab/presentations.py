@@ -318,12 +318,11 @@ def tietze_split(p: Presentation, idx: int, new_name: str | None = None):
     definition = Word(bigger, (Letter(t, -1), l1, l2))
     relators = [_retag(old, bigger) for old in p.relators]
     relators[idx] = replacement
-    out: list[Word] = []
-    for w in relators + [definition]:
-        if w not in out:  # operations drop duplicates silently
-            out.append(w)
+    # no old relator holds t, the replacement starts with t and the
+    # definition with t^-1, so all stay distinct
+    relators.append(definition)
     step = TietzeStep(name, (l1, l2), idx, r, replacement)
-    return Presentation(bigger, tuple(out)), step
+    return Presentation(bigger, tuple(relators)), step
 
 
 @dataclass(frozen=True)
@@ -443,8 +442,7 @@ def braid_presentation(n: int) -> Presentation:
         for j in range(i + 1, n - 1):
             m = 3 if j - i == 1 else 2
             rel = alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
-            if rel not in relators:
-                relators.append(rel)
+            relators.append(rel)  # each pair gives its own word
     return Presentation(alphabet, tuple(relators))
 
 

@@ -76,6 +76,16 @@ class Alphabet:
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
+        # every Word hash reads it, so the names are hashed once, not per call
+        object.__setattr__(self, "_hash", hash(names))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.names == other.names
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """Labeled trees, induced endomorphisms, elementary moves."""
 
+import itertools
 import random
 import warnings
 
@@ -32,7 +33,7 @@ from cakelab.artin import (
     split_at_root,
     validate_morphism,
 )
-from cakelab.presentations import alternating_word
+from cakelab.presentations import alternating_word, symmetrize
 from cakelab.words import Alphabet, Letter, Word, free_reduce, parse_word
 
 
@@ -234,6 +235,59 @@ def test_induce_rejects_label_breaking_map():
         induce_endomorphism(plat, "A", GraphMorphism(side, (0, 0, 1)))
 
 
+def _relator_images(plat, full_map):
+    """Each relator's image under the vertex map: empty (its edge collapsed),
+    a symmetrized relator, or something else."""
+    p = plat.presentation
+    s = symmetrize(p)
+    e = GroupEndomorphism(plat.alphabet, full_map)
+    return {"empty" if not img else "relator" if img in s else "other"
+            for img in (apply_endo(r, e) for r in p.relators)}
+
+
+def test_induce_checks_the_tree_as_the_relators_do():
+    # every vertex map of every side of at most 5 vertices is accepted exactly
+    # when it sends every relator to a relator; a map that collapses an edge
+    # sends its relator to the empty word and is refused, as the side check
+    # always refused it
+    trees = [random_tree(levels, 3, 5, seed=seed) for levels in (3, 4) for seed in range(6)]
+    maps = accepted = collapsed = 0
+    for t in trees + [small_tree()]:
+        plat = split_at_root(t)
+        for side in "AB":
+            verts = plat.side(side)
+            if len(verts) > 5:
+                continue
+            domain = induced_subgraph(t.graph, verts)
+            for vm in itertools.product(range(len(verts)), repeat=len(verts)):
+                full_map = list(range(len(t.parent)))
+                for local, v in enumerate(verts):
+                    full_map[v] = verts[vm[local]]
+                images = _relator_images(plat, full_map)
+                collapsed += "empty" in images
+                try:
+                    e = induce_endomorphism(plat, side, GraphMorphism(domain, vm))
+                except ValueError:
+                    assert images != {"relator"}, (t, side, vm)
+                else:
+                    assert images == {"relator"}, (t, side, vm)
+                    assert e.vertex_map == tuple(full_map)
+                    accepted += 1
+                maps += 1
+    assert maps > 4000 and 50 < accepted < 100 and collapsed > 1000
+
+
+def test_induce_rejects_a_map_moving_the_side_top():
+    # u -> p, p -> u, q -> u keeps side A's own edges and labels, but the
+    # relator of the root edge r-u goes into the free subgroup on r and p
+    t = small_tree()
+    plat = split_at_root(t)
+    side = induced_subgraph(t.graph, plat.side_a)
+    assert validate_morphism(side, (1, 0, 0))
+    with pytest.raises(ValueError, match="^vertex map is not label- and edge-preserving$"):
+        induce_endomorphism(plat, "A", GraphMorphism(side, (1, 0, 0)))
+
+
 # ------------------------------------------------------ elementary moves
 
 def test_enumerate_side_moves_small_tree():
@@ -266,6 +320,13 @@ def test_move_endomorphism_rejects_illegal_move():
     plat = split_at_root(small_tree())
     with pytest.raises(ValueError):
         move_endomorphism(plat, ElementaryMove("merge", 1, 2))
+
+
+def test_move_endomorphism_rejects_vertices_out_of_range():
+    plat = split_at_root(small_tree())  # vertices 0 to 4
+    for move in [("merge", 9, 3), ("swap", 3, 9), ("merge", -1, 3)]:
+        with pytest.raises(ValueError, match="^move endpoints must be vertices 0 to 4$"):
+            move_endomorphism(plat, ElementaryMove(*move))
 
 
 def test_swap_requires_matching_shapes():
@@ -398,6 +459,23 @@ def test_platform_lists_each_sides_moves_once(monkeypatch):
     assert calls == ["A", "B"]
     with pytest.raises(ValueError):
         plat.moves("C")
+
+
+def test_platform_builds_each_sides_endomorphisms_once(monkeypatch):
+    plat = split_at_root(random_tree(4, 4, 7, seed=11))
+    built = []
+
+    def spy(platform, move):
+        built.append(move)
+        return move_endomorphism(platform, move)
+
+    monkeypatch.setattr(cakelab.artin, "move_endomorphism", spy)
+    for seed in range(5):
+        random_endo(plat, "A", seed=seed)
+    endos = plat.move_endos("A")
+    assert plat.move_endos("A") is endos
+    assert built == list(plat.moves("A"))
+    assert endos == tuple(move_endomorphism(plat, m) for m in plat.moves("A"))
 
 
 # ----------------------------------------------------------- commutation

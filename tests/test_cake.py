@@ -220,7 +220,7 @@ def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
                 continue
             if any(apply_endo(w, e) != w for e in endos_a) and \
                     any(apply_endo(w, e) != w for e in endos_b):
-                return ProtocolConfig(platform, w, moves_a, moves_b, seed)
+                return ProtocolConfig(platform, w, seed)
     raise ProtocolSetupError("could not sample a viable platform")
 
 
@@ -228,6 +228,23 @@ def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
 def test_setup_matches_the_build_everything_loop(levels):
     for seed in range(200):
         assert setup(seed, levels=levels) == setup_reference(seed, levels), seed
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_a_move_moves_a_word_exactly_when_it_moves_one_of_its_generators(levels):
+    # setup keeps a word by its support instead of applying every move to it
+    rng = random.Random(levels)
+    pairs = moved = 0
+    for seed in range(20):
+        platform = setup(seed, levels=levels).platform
+        for e in platform.move_endos("A") + platform.move_endos("B"):
+            for _ in range(10):
+                w = random_reduced_word(platform.alphabet, rng.randint(0, 16), rng)
+                support = {lt.gen for lt in w.letters}
+                assert (apply_endo(w, e) != w) == bool(e.moved & support), (seed, e, w)
+                moved += apply_endo(w, e) != w
+                pairs += 1
+    assert pairs > 1000 and 0.2 < moved / pairs < 0.8
 
 
 def test_derive_key_is_word_determined():

@@ -280,10 +280,16 @@ def test_cake_run_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CAKE_RUN_L4_SEED11_SHA256
 
 
-def test_sandwich_run_output(capsys):
-    code, out, _ = run(capsys, ["sandwich-run", "--seed", "3",
-                                "--seed-a", "17", "--seed-b", "23"])
-    assert code == 0
+# stdout of `sandwich-run --seed 3 --seed-a 17 --seed-b 23`: the generators,
+# the word, both messages and both keys.
+SANDWICH_RUN_SEED3_SHA256 = "a63f2ef44d982b443396e2b1ccbd95e6a44f0e2f02058e938de697b6baef91fb"
+
+
+def test_sandwich_run_output(capsys, tmp_path):
+    path = tmp_path / "sandwich.txt"
+    code, out, err = run(capsys, ["sandwich-run", "--seed", "3", "--seed-a", "17",
+                                  "--seed-b", "23", "--transcript", str(path)])
+    assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[0] == "gens: a1 a2 b1 b2"
     assert lines[1].startswith("word: ")
@@ -292,6 +298,9 @@ def test_sandwich_run_output(capsys):
     ka = lines[4].removeprefix("key-a: ")
     kb = lines[5].removeprefix("key-b: ")
     assert ka == kb
+    assert hashlib.sha256(out.encode()).hexdigest() == SANDWICH_RUN_SEED3_SHA256
+    # the transcript file holds the same messages and keys
+    assert path.read_text().splitlines()[2:] == lines[2:]
 
 
 # -------------------------------------------------------------- disguise

@@ -1,0 +1,87 @@
+"""Module layering and unused imports, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import cakelab
+
+PACKAGE = Path(cakelab.__file__).resolve().parent
+
+# Each module may import only modules of a lower rank; the package's entry
+# points sit above every layer.
+RANK = {
+    "words": 0,
+    "presentations": 1,
+    "smallcancel": 2,
+    "artin": 2,
+    "diffusion": 3,
+    "cake": 4,
+    "cli": 5,
+    "__init__": 6,
+    "__main__": 6,
+}
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def package_imports(tree):
+    """(line, module) for every import of a cakelab module, function-local ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                yield node.lineno, node.module.split(".")[0]
+            elif node.level == 1:  # from . import words
+                for alias in node.names:
+                    yield node.lineno, alias.name
+            elif node.module and node.module.startswith("cakelab."):
+                yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cakelab."):
+                    yield node.lineno, alias.name.split(".")[1]
+
+
+def test_every_module_has_a_rank():
+    assert set(modules()) == set(RANK)
+
+
+def test_modules_import_only_lower_layers():
+    wrong = [
+        f"{name}.py:{line} imports {target}"
+        for name, tree in modules().items()
+        for line, target in package_imports(tree)
+        if RANK[target] >= RANK[name]
+    ]
+    assert wrong == []
+
+
+def bound_imports(tree):
+    """(line, name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def read_names(tree):
+    """Names the module reads, including those it lists in ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_no_module_binds_an_unread_import():
+    unread = [
+        f"{name}.py:{line} {bound}"
+        for name, tree in modules().items() if name != "__init__"
+        for line, bound in bound_imports(tree)
+        if bound not in read_names(tree)
+    ]
+    assert unread == []

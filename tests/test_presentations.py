@@ -42,6 +42,24 @@ def closure_oracle(relators):
     return out
 
 
+def test_large_presentation_builds_in_linear_time():
+    # 20,001 generators and 20,000 relators: hashing every generator name
+    # for every word hash would make the duplicate-relator check about
+    # 4 * 10^8 steps
+    names = tuple(f"a{i + 1}" for i in range(20_001))
+    alphabet = Alphabet(names)
+    relators = tuple(alternating_word(alphabet, i, i + 1, 4) * ~alternating_word(alphabet, i + 1, i, 4)
+                     for i in range(20_000))
+    p = Presentation(alphabet, relators)
+    assert len(set(p.relators)) == 20_000
+    copy = Alphabet(names)
+    assert copy == alphabet and hash(copy) == hash(alphabet) and copy is not alphabet
+    assert Word(copy, relators[0].letters) == relators[0]
+    assert alphabet != Alphabet(names[:-1]) and alphabet != names
+    with pytest.raises(ValueError, match="^duplicate relator"):
+        Presentation(alphabet, relators + relators[-1:])
+
+
 def test_symmetrize_matches_rotation_oracle():
     s = symmetrize(P)
     assert {w.letters for w in s.elements} == closure_oracle(P.relators)
