@@ -19,8 +19,8 @@ from cakelab import (
 config = setup(seed=5, levels=3, max_degree=4)
 print(format_tree(config.platform.tree), end="")
 print(f"public word: {config.public_word}")
-print(f"side A moves: {[(m.kind, m.a, m.b) for m in config.moves('A')]}")
-print(f"side B moves: {[(m.kind, m.a, m.b) for m in config.moves('B')]}")
+print(f"side A moves: {[(m.kind, m.a, m.b) for m in config.platform.moves('A')]}")
+print(f"side B moves: {[(m.kind, m.a, m.b) for m in config.platform.moves('B')]}")
 
 endo_a, msg_a = party_step(config, "A", private_seed=1001)
 endo_b, msg_b = party_step(config, "B", private_seed=2002)

@@ -263,9 +263,9 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
 @dataclass(frozen=True)
 class SplitPlatform:
     """A rooted tree split at its root into two connected sides.  The tree's
-    alphabet, its Artin presentation and each side's moves with their
-    endomorphisms are each built on first read.  Only ``cake run``'s printout
-    reads the presentation: an exchange and certification never do."""
+    alphabet, its Artin presentation and both sides' moves with their
+    endomorphisms (a move is legal when a side lists it) are built on first
+    read.  Only ``cake run``'s printout reads the presentation."""
 
     tree: RootedTree
     side_a: tuple[int, ...]
@@ -294,23 +294,24 @@ class SplitPlatform:
         return artin_from_graph(self.tree.graph)
 
     @cached_property
-    def _moves(self) -> dict:
-        return {}
-
-    def _listed(self, which: str) -> tuple:
-        """The side's moves and their endomorphisms, built on its first read."""
-        if which not in self._moves:
+    def _listed(self) -> tuple[dict, dict]:
+        """Both sides' moves and endomorphisms, built in one step: (moves,
+        endomorphisms) by the side's vertices, and each move's endomorphism."""
+        by_side, by_move = {}, {}
+        for which in ("A", "B"):
             moves = enumerate_side_moves(self, which)
-            self._moves[which] = moves, tuple([move_endomorphism(self, m) for m in moves])
-        return self._moves[which]
+            endos = tuple([_move_endo(self, m) for m in moves])
+            by_side[self.side(which)] = moves, endos
+            by_move.update(zip(moves, endos))
+        return by_side, by_move
 
     def moves(self, which: str) -> tuple[ElementaryMove, ...]:
         """The side's elementary moves."""
-        return self._listed(which)[0]
+        return self._listed[0][self.side(which)][0]
 
     def move_endos(self, which: str) -> tuple[GroupEndomorphism, ...]:
         """The endomorphisms of ``moves(which)``, in the same order."""
-        return self._listed(which)[1]
+        return self._listed[0][self.side(which)][1]
 
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
@@ -439,6 +440,10 @@ class ElementaryMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
         if self.a == self.b:
             raise ValueError("move endpoints must differ")
+        if self.kind == "swap":  # an unordered pair: swap 4 3 is swap 3 4
+            lo, hi = sorted((self.a, self.b))
+            object.__setattr__(self, "a", lo)
+            object.__setattr__(self, "b", hi)
 
 
 def _shape_ids(kids, labels: list, root: int) -> list:
@@ -500,32 +505,30 @@ def _pair_subtrees(tree: RootedTree, a: int, b: int, out: list) -> None:
         _pair_subtrees(tree, ca, cb, out)
 
 
-def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
-    """The move's vertex map, checked with the move rule of ``_sibling_pairs``:
-    a and b are vertices of the tree with one parent, one parent-edge label
-    and one shape, and leaves for a merge."""
-    t = platform.tree
-    labels, shape = t._shapes
-    a, b, n = move.a, move.b, len(labels)
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"move endpoints must be vertices 0 to {n - 1}")
-    if t.parent[a] != t.parent[b] or labels[a] != labels[b] or shape[a] != shape[b] \
-            or (move.kind == "merge" and shape[a]):
-        raise ValueError(f"{move.kind} {a} {b} is not an elementary move of this tree")
-    vmap = list(range(n))
+def _move_endo(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
+    """The vertex map of a listed move: a merge sends a to b, and a swap
+    exchanges the two subtrees vertex for vertex."""
+    vmap = list(range(len(platform.tree.parent)))
     if move.kind == "merge":
-        vmap[a] = b
+        vmap[move.a] = move.b
     else:
-        _pair_subtrees(t, a, b, vmap)
+        _pair_subtrees(platform.tree, move.a, move.b, vmap)
     return GroupEndomorphism(platform.alphabet, vmap)
 
 
-def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int = 3) -> GroupEndomorphism:
-    """Compose up to move_budget random side moves; guaranteed to move some
-    side generator whenever the side has any legal move.  With no legal moves
-    it warns and returns the identity."""
-    if move_budget < 1:
-        raise ValueError("move_budget must be at least 1")
+def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
+    """The endomorphism a side of the platform lists for the move; a move no
+    side lists (out of range, across the root, against the rule) is refused."""
+    endo = platform._listed[1].get(move)
+    if endo is None:
+        raise ValueError(f"{move.kind} {move.a} {move.b} is not an elementary move of either side")
+    return endo
+
+
+def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorphism:
+    """Compose one to three of the side's listed move endomorphisms at random;
+    guaranteed to move some side generator whenever the side has any legal
+    move.  With no legal moves it warns and returns the identity."""
     endos = platform.move_endos(side)
     alphabet = platform.alphabet
     if not endos:
@@ -534,7 +537,7 @@ def random_endo(platform: SplitPlatform, side: str, seed: int, move_budget: int 
     rng = Random(seed)
     side_set = frozenset(platform.side(side))
     for _ in range(64):
-        k = rng.randint(1, move_budget)
+        k = rng.randint(1, 3)
         endo = identity_endo(alphabet)
         for _ in range(k):
             endo = compose(rng.choice(endos), endo)

@@ -110,8 +110,8 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything public: the platform, whose sides' move sets it reads, and
-    the word."""
+    """Everything public: the platform, which lists its sides' moves, and the
+    word."""
 
     platform: SplitPlatform
     public_word: Word
@@ -122,15 +122,12 @@ class ProtocolConfig:
         if not (sup & set(self.platform.side_a)) or not (sup & set(self.platform.side_b)):
             raise ValueError("public word must touch both sides")
 
-    def moves(self, side: str):
-        return self.platform.moves(side)
-
 
 def config_text(config: ProtocolConfig) -> str:
     lines = [format_tree(config.platform.tree).rstrip("\n")]
     lines.append(f"word: {config.public_word}")
     for side in ("A", "B"):
-        descr = "; ".join(f"{m.kind} {m.a} {m.b}" for m in config.moves(side))
+        descr = "; ".join(f"{m.kind} {m.a} {m.b}" for m in config.platform.moves(side))
         lines.append(f"moves-{side.lower()}: {descr}")
     return "\n".join(lines) + "\n"
 
@@ -267,17 +264,14 @@ def sandwich_setup(seed: int, size_a: int = 2, size_b: int = 2, word_len: int = 
     raise ProtocolSetupError("could not sample a public word touching both sides")
 
 
-def _side_word(config: SandwichConfig, side: tuple[int, ...], length: int, rng: Random) -> Word:
-    return random_reduced_word(config.presentation.alphabet, length, rng, gens=side)
-
-
 def sandwich_message(config: SandwichConfig, side: str, private_seed: int):
     """Multiply the public word by private words of the own side from both
     ends: returns ((s1, s2), s1 w s2)."""
     verts = config.side_a if side == "A" else config.side_b
     rng = Random(private_seed)
-    s1 = _side_word(config, verts, rng.randint(1, 4), rng)
-    s2 = _side_word(config, verts, rng.randint(1, 4), rng)
+    alphabet = config.presentation.alphabet
+    s1 = random_reduced_word(alphabet, rng.randint(1, 4), rng, gens=verts)
+    s2 = random_reduced_word(alphabet, rng.randint(1, 4), rng, gens=verts)
     return (s1, s2), s1 * config.public_word * s2
 
 

@@ -118,13 +118,12 @@ def _cmd_tietze(args) -> int:
 
 
 def _print_exchange(transcript_path, alphabet: Alphabet, transcript, key_a, key_b) -> None:
-    """Print an exchange's messages and keys, and write its transcript when a path is given."""
-    for i, (sender, payload) in enumerate(transcript.messages, 1):
-        print(f"msg {i} {sender}: {payload}")
-    print(f"key-a: {key_a.key_bytes.hex()}")
-    print(f"key-b: {key_b.key_bytes.hex()}")
+    """Print an exchange's transcript below its gens and config lines (the
+    messages and keys), and write the whole of it when a path is given."""
+    text = format_transcript(alphabet, transcript, key_a, key_b)
+    sys.stdout.write(text.split("\n", 2)[2])
     if transcript_path:
-        _write(transcript_path, format_transcript(alphabet, transcript, key_a, key_b))
+        _write(transcript_path, text)
 
 
 def _cmd_cake_run(args) -> int:

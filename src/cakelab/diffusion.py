@@ -2,13 +2,14 @@
 
 Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
-matched relator prefix u for the inverted complement v^-1.  Swap slots come
-from the symmetrized set's relator-prefix scan (``SymmetrizedSet.matches``),
-the scan that Dehn reduction and the oracle use; each has |u| < |v|, but a
-swap's word depends on the whole match, not on |u| (see
-``find_growth_swaps``), so not every swap lengthens the word.  Every move is
-logged with enough context to replay it and to convert the whole log into a
-word-search witness for disguised * original^-1.
+matched relator prefix u for the inverted complement v^-1; both replay
+through ``presentations.swap``.  Swap slots come from the symmetrized set's
+relator-prefix scan (``SymmetrizedSet.matches``), the scan that Dehn
+reduction and the oracle use; each has |u| < |v|, but a swap's word depends
+on the whole match, not on |u| (see ``find_growth_swaps``), so not every
+swap lengthens the word.  Every move is logged with enough context to
+replay it and to convert the whole log into a word-search witness for
+disguised * original^-1.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class DisguiseBudget:
 
 @dataclass(frozen=True)
 class RewriteMove:
-    """One logged move; ``post_word`` is its replay on ``pre_word``.
+    """One logged move; ``post_word`` is its replay on ``pre_word``, a ``swap``
+    at take 0 that inserts ``conjugator relator^exponent conjugator^-1``.
 
     A swap has exponent -1 and no conjugator, and its relator matches
     ``pre_word`` at ``position`` in at least one letter.
@@ -77,9 +79,8 @@ class RewriteMove:
                 raise ValueError("swaps have exponent -1")
             if not common_prefix_len(self.pre_word.letters, self.relator.letters, self.position):
                 raise ValueError(f"word does not match the relator prefix at {self.position}")
-        # uniform move algebra: C r^e C^-1 * pre with C the pre-prefix times conj
-        c = concat(self.pre_word[: self.position], self.conjugator)
-        post = c * (self.relator ** self.exponent) * c.inverse() * self.pre_word
+        c, r = self.conjugator, self.relator  # swap at take 0 inserts (c r^-e c^-1)^-1
+        post = swap(self.pre_word, self.position, c * r ** -self.exponent * c.inverse(), 0)
         object.__setattr__(self, "post_word", post)
 
 

@@ -262,8 +262,8 @@ def _exponent_sums(w: Word) -> list[int]:
 
 def swap(w: Word, pos: int, r: Word, take: int) -> Word:
     """``w[:pos] . r[take:]^-1 . w[pos+take:]``, freely reduced: the matched
-    prefix ``r[:take]`` at pos replaced by the inverted complement.  It
-    equals ``c r^-1 c^-1 . w`` with c = ``w[:pos]``."""
+    prefix ``r[:take]`` at pos replaced by the inverted complement, or at
+    take 0 ``r^-1`` inserted.  It equals ``c r^-1 c^-1 . w``, c = ``w[:pos]``."""
     return concat(concat(w[:pos], r[take:].inverse()), w[pos + take :])
 
 

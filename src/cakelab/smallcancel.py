@@ -204,7 +204,7 @@ def bounded_wp_oracle(
     whole element removes it, and inserts would cost |S| candidates at each
     of a node's |x| + 1 positions.  Intermediate words are capped at
     ``max_len`` (default 2|w| + longest relator) and the whole search at
-    ``node_budget`` generated candidates.
+    ``node_budget`` (at least 1) generated candidates.
 
     Returns a witness whose replay equals w, or None (unknown).  Sound by
     construction: every move multiplies by a conjugated relator, so a word
@@ -213,8 +213,8 @@ def bounded_wp_oracle(
     relator lattice no search can succeed: that returns None before any node
     is generated, the answer the search would give.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    if depth < 0 or node_budget < 1 or (max_len is not None and max_len < 0):
+        raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
     if not w:
         return WspWitness(())
     s = symmetrize(p)

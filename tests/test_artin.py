@@ -33,6 +33,7 @@ from cakelab.artin import (
     split_at_root,
     validate_morphism,
 )
+from cakelab.cake import setup
 from cakelab.presentations import alternating_word, symmetrize
 from cakelab.words import Alphabet, Letter, Word, free_reduce, parse_word
 
@@ -324,9 +325,36 @@ def test_move_endomorphism_rejects_illegal_move():
 
 def test_move_endomorphism_rejects_vertices_out_of_range():
     plat = split_at_root(small_tree())  # vertices 0 to 4
-    for move in [("merge", 9, 3), ("swap", 3, 9), ("merge", -1, 3)]:
-        with pytest.raises(ValueError, match="^move endpoints must be vertices 0 to 4$"):
-            move_endomorphism(plat, ElementaryMove(*move))
+    for kind, a, b in [("merge", 9, 3), ("swap", 3, 9), ("merge", -1, 3)]:
+        with pytest.raises(ValueError, match=f"^{kind} {a} {b} is not an elementary move of either side$"):
+            move_endomorphism(plat, ElementaryMove(kind, a, b))
+
+
+def test_move_endomorphism_refuses_the_swap_of_the_roots_children():
+    # sides (1, 3, 4) and (2, 5, 6): 1 and 2 are siblings of one shape under
+    # the root, but no side lists their swap, which would move both sides
+    plat = split_at_root(random_tree(3, 4, 7, seed=13))
+    assert (plat.side_a, plat.side_b) == ((1, 3, 4), (2, 5, 6))
+    with pytest.raises(ValueError, match="^swap 1 2 is not an elementary move of either side$"):
+        move_endomorphism(plat, ElementaryMove("swap", 1, 2))
+
+
+def test_a_reversed_swap_is_the_listed_swap():
+    plat = split_at_root(small_tree())
+    listed = dict(zip(plat.moves("A"), plat.move_endos("A")))
+    e = move_endomorphism(plat, ElementaryMove("swap", 4, 3))
+    assert e is listed[ElementaryMove("swap", 3, 4)]
+    assert e.vertex_map == (0, 1, 2, 4, 3)
+    assert ElementaryMove("merge", 4, 3) != ElementaryMove("merge", 3, 4)  # a merge is ordered
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_move_endomorphism_returns_the_listed_endomorphism(levels):
+    for seed in range(20):
+        plat = setup(seed, levels=levels).platform
+        for side in ("A", "B"):
+            for m, e in zip(plat.moves(side), plat.move_endos(side), strict=True):
+                assert move_endomorphism(plat, m) is e
 
 
 def test_swap_requires_matching_shapes():
@@ -462,19 +490,20 @@ def test_platform_lists_each_sides_moves_once(monkeypatch):
 
 
 def test_platform_builds_each_sides_endomorphisms_once(monkeypatch):
-    plat = split_at_root(random_tree(4, 4, 7, seed=11))
+    plat = split_at_root(random_tree(4, 4, 7, seed=16))  # both sides move
     built = []
 
-    def spy(platform, move):
+    def spy(platform, move, _real=cakelab.artin._move_endo):
         built.append(move)
-        return move_endomorphism(platform, move)
+        return _real(platform, move)
 
-    monkeypatch.setattr(cakelab.artin, "move_endomorphism", spy)
+    monkeypatch.setattr(cakelab.artin, "_move_endo", spy)
     for seed in range(5):
         random_endo(plat, "A", seed=seed)
+        random_endo(plat, "B", seed=seed)
     endos = plat.move_endos("A")
     assert plat.move_endos("A") is endos
-    assert built == list(plat.moves("A"))
+    assert built == list(plat.moves("A") + plat.moves("B"))
     assert endos == tuple(move_endomorphism(plat, m) for m in plat.moves("A"))
 
 

@@ -52,7 +52,7 @@ def test_setup_is_deterministic_and_viable():
     support = {lt.gen for lt in a.public_word.letters}
     assert support & set(a.platform.side_a)
     assert support & set(a.platform.side_b)
-    assert a.moves("A") and a.moves("B")
+    assert a.platform.moves("A") and a.platform.moves("B")
 
 
 def test_setup_different_seeds_differ():

@@ -379,6 +379,24 @@ def test_wp_unknown_exits_one(capsys, ex_file):
     assert out.splitlines() == ["unknown"]
 
 
+@pytest.mark.parametrize("word, flags", [
+    ("a b a^-1 b^-1", ["--node-budget", "0"]),
+    ("a", ["--node-budget", "-5"]),
+    ("a b a^-1 b^-1", ["--max-len", "-1"]),
+])
+def test_wp_refuses_budgets_below_their_floor(capsys, tmp_path, word, flags):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
+    argv = ["wp", "--presentation", str(pres), "--word", word, "--depth", "1"]
+    code, out, err = run(capsys, argv + flags)
+    assert (code, out) == (2, "")
+    assert err == "error: depth and max_len must be non-negative, node_budget at least 1\n"
+    # the floors themselves are accepted: one candidate decides the commutator
+    code, out, _ = run(capsys, ["wp", "--presentation", str(pres), "--word", "a b a^-1 b^-1",
+                                "--depth", "1", "--node-budget", "1", "--max-len", "0"])
+    assert (code, out.splitlines()[0]) == (0, "trivial")
+
+
 # ------------------------------------------------------------------ bits
 
 def test_bits_round_trip_free_gens(capsys):

@@ -32,6 +32,7 @@ SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
 
 L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 
 
 # ------------------------------------------------------------ primitives
@@ -144,6 +145,36 @@ def test_rewrite_move_replay_validation():
         RewriteMove("subword-swap", 1, r, -1, Word(X, ()), u)
     with pytest.raises(ValueError, match="does not match"):
         RewriteMove("subword-swap", len(u), r, -1, Word(X, ()), u)
+
+
+def four_product_reference(mv):
+    """A move replayed by its own four-product algebra, independent of
+    ``swap``: C r^e C^-1 * pre, with C the prefix before the position times
+    the conjugator."""
+    c = mv.pre_word[: mv.position] * mv.conjugator
+    return c * mv.relator ** mv.exponent * c.inverse() * mv.pre_word
+
+
+@pytest.mark.parametrize("p", [EX, L3, L5], ids=["EX", "L3", "L5"])
+def test_rewrite_move_replays_as_the_four_product_algebra(p):
+    s = symmetrize(p)
+    empty = Word(p.alphabet)
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(400):
+        w = random_reduced_word(p.alphabet, rng.randint(0, 20), rng)
+        swaps = [(pos, r) for pos, r, _ in s.matches(w)]
+        if swaps and rng.random() < 0.4:
+            pos, r = rng.choice(swaps)
+            mv = RewriteMove("subword-swap", pos, r, -1, empty, w)
+        else:
+            conj = random_reduced_word(p.alphabet, rng.randint(0, 2), rng)
+            mv = RewriteMove("insert-conjugate", rng.randint(0, len(w)), rng.choice(s.ordered),
+                             rng.choice((1, -1)), conj, w)
+        assert mv.post_word == four_product_reference(mv)
+        seen.add((mv.kind, mv.exponent, len(mv.conjugator)))
+    inserts = {("insert-conjugate", e, n) for e in (1, -1) for n in (0, 1, 2)}
+    assert seen == inserts | {("subword-swap", -1, 0)}
 
 
 # --------------------------------------------------------------- disguise

@@ -85,3 +85,35 @@ def test_no_module_binds_an_unread_import():
         if bound not in read_names(tree)
     ]
     assert unread == []
+
+
+def private_definitions(tree):
+    """(line, name) for every private module-level function or class and
+    every private method; dunder names are not private."""
+    for node in tree.body:
+        scopes = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        for d in scopes:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and d.name.startswith("_") and not d.name.startswith("__"):
+                yield d.lineno, d.name
+
+
+def loaded_names(tree):
+    """Every name the module reads, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_private_definition_is_read_in_the_package():
+    trees = modules()
+    read = {name for tree in trees.values() for name in loaded_names(tree)}
+    unread = [
+        f"{name}.py:{line} {private}"
+        for name, tree in trees.items()
+        for line, private in private_definitions(tree)
+        if private not in read
+    ]
+    assert unread == []
