@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Letter, Word, free_reduce, read_records
+from .words import Alphabet, Word, from_codes, read_records
 
 __all__ = [
     "LabeledGraph",
@@ -388,7 +388,7 @@ def apply_endo(w: Word, e: GroupEndomorphism) -> Word:
     if w.alphabet != e.alphabet:
         raise ValueError("alphabet mismatch")
     vm = e.vertex_map
-    return free_reduce(e.alphabet, (Letter(vm[lt.gen], lt.sign) for lt in w.letters))
+    return from_codes(e.alphabet, [2 * vm[c >> 1] + (c & 1) for c in w.codes])
 
 
 def compose(e1: GroupEndomorphism, e2: GroupEndomorphism) -> GroupEndomorphism:

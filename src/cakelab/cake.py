@@ -16,7 +16,6 @@ word, 0-bits as the reference word times one extra generator.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
 from .words import (
-    Alphabet, Letter, Word, add_letters, free_reduce, parse_word, random_reduced_word, read_records,
+    Alphabet, Word, _word, add_letters, from_codes, parse_word, random_reduced_word, read_records,
 )
 
 __all__ = [
@@ -83,11 +82,16 @@ class ProtocolIntegrityError(RuntimeError):
 
 
 def _support(w: Word) -> frozenset:
-    return frozenset(lt.gen for lt in w.letters)
+    return frozenset([c >> 1 for c in w.codes])
+
+
+def _sha256(text: str) -> bytes:
+    import hashlib  # on first use: checks, rewrites and searches never need its RSS
+    return hashlib.sha256(text.encode()).digest()
 
 
 def derive_key(w: Word) -> "SessionKey":
-    return SessionKey(w, hashlib.sha256(str(w).encode()).digest())
+    return SessionKey(w, _sha256(str(w)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def config_text(config: ProtocolConfig) -> str:
 
 
 def config_digest(config: ProtocolConfig) -> bytes:
-    return hashlib.sha256(config_text(config).encode()).digest()
+    return _sha256(config_text(config))
 
 
 def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
@@ -281,8 +285,8 @@ def sandwich_normal_form(config: SandwichConfig, w: Word) -> Word:
     groups."""
     alphabet = config.presentation.alphabet
     a = set(config.side_a)
-    part_a = free_reduce(alphabet, (lt for lt in w.letters if lt.gen in a))
-    part_b = free_reduce(alphabet, (lt for lt in w.letters if lt.gen not in a))
+    part_a = from_codes(alphabet, [c for c in w.codes if c >> 1 in a])
+    part_b = from_codes(alphabet, [c for c in w.codes if c >> 1 not in a])
     return part_a * part_b
 
 
@@ -306,8 +310,7 @@ def sandwich_exchange_on(config: SandwichConfig, seed_a: int, seed_b: int):
     if key_a != key_b:
         raise ProtocolIntegrityError("honest parties disagree on the sandwich key")
     text = f"gens: {' '.join(config.graph.vertices)}\nword: {config.public_word}\n"
-    digest = hashlib.sha256(text.encode()).digest()
-    transcript = Transcript((("alice", msg_a), ("bob", msg_b)), digest)
+    transcript = Transcript((("alice", msg_a), ("bob", msg_b)), _sha256(text))
     return transcript, key_a, key_b
 
 
@@ -344,10 +347,10 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
             out.append(word)
         else:
             while True:
-                lt = Letter(rng.randrange(n), rng.choice((1, -1)))
-                if u.letters[-1] != lt.inverse():
+                c = 2 * rng.randrange(n) + (rng.choice((1, -1)) < 0)
+                if u.codes[-1] != c ^ 1:
                     break
-            out.append(Word(alphabet, u.letters + (lt,)))
+            out.append(_word(alphabet, u.codes + (c,)))
     return out
 
 

@@ -77,7 +77,7 @@ class RewriteMove:
                 raise ValueError("swaps carry no conjugator")
             if self.exponent != -1:
                 raise ValueError("swaps have exponent -1")
-            if not common_prefix_len(self.pre_word.letters, self.relator.letters, self.position):
+            if not common_prefix_len(self.pre_word.codes, self.relator.codes, self.position):
                 raise ValueError(f"word does not match the relator prefix at {self.position}")
         c, r = self.conjugator, self.relator  # swap at take 0 inserts (c r^-e c^-1)^-1
         post = swap(self.pre_word, self.position, c * r ** -self.exponent * c.inverse(), 0)
@@ -100,7 +100,7 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
         raise ValueError("relator is not in the symmetrized set")
     if not 1 <= take <= len(relator):
         raise ValueError("take must cover a non-empty relator prefix")
-    if not 0 <= pos < len(w) or common_prefix_len(w.letters, relator.letters, pos) < take:
+    if not 0 <= pos < len(w) or common_prefix_len(w.codes, relator.codes, pos) < take:
         raise ValueError(f"word does not match the relator prefix at {pos}")
     return swap(w, pos, relator, take)
 
@@ -111,10 +111,11 @@ def find_growth_swaps(w: Word, s: SymmetrizedSet):
     match length k swaps to the same word (free reduction cancels the rest
     of the match), so a slot lengthens the word by at most |relator| - 2k,
     and not at all when 2k >= |relator|; disguise draws from every take."""
+    elems = s.ordered
     return [
-        (pos, r, take)
-        for pos, r, k in s.matches(w)
-        for take in range(1, min(k, (len(r) - 1) // 2) + 1)
+        (pos, elems[i], take)
+        for pos, i, k in s.matches(w.codes)
+        for take in range(1, min(k, (len(elems[i]) - 1) // 2) + 1)
     ]
 
 

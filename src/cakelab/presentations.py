@@ -13,6 +13,7 @@ the presentation: every verdict and rewrite on it reads that one object.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,9 +27,10 @@ from .words import (
     _word,
     common_prefix_len,
     concat,
-    free_reduce,
+    from_codes,
     parse_word,
     read_records,
+    splice,
 )
 
 __all__ = [
@@ -99,16 +101,15 @@ class SymmetrizedSet:
     rotation and inversion by construction; :func:`symmetrize` builds it
     once per presentation.
 
-    It is compiled in letter codes ``2*gen + (sign < 0)`` (in canonical
-    letter order; a letter's inverse is ``code ^ 1``): the rotations are
-    sorted once as code tuples, and a Word is built per distinct element.
-    ``verdicts``, the table every small-cancellation verdict reads, is
-    compiled from the codes on first use, as are the element set, the
-    pieces, the first-letter index and the relator lattice.
+    The rotations are sorted once as letter-code tuples, each held by its
+    element's Word.  ``verdicts``, the table every small-cancellation
+    verdict reads, is compiled from the codes on first use, as are the
+    element set, the pieces, the first-letter index, the inverse elements and
+    the relator lattice.
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
-    oracle's swap moves and disguise's growth swaps all read it, and all
-    rewrite with :func:`swap`.
+    oracle and disguise read it.  Dehn and the oracle rewrite code tuples
+    with :meth:`swap`, disguise rewrites Words with :func:`swap`.
     """
 
     alphabet: Alphabet
@@ -122,20 +123,17 @@ class SymmetrizedSet:
             raise ValueError(f"symmetrized set longer than {words.MAX_WORD_LETTERS} letters")
         cycles = []  # the rotations of each relator and of its inverse, in turn
         for r in p.relators:
-            c = tuple([2 * g + (s < 0) for g, s in r.letters])
-            for w in (c, tuple([x ^ 1 for x in reversed(c)])):
+            for w in (r.codes, r.inverse().codes):
                 cycles.append([w[k:] + w[:k] for k in range(len(w))])
         lex = sorted(set().union(*cycles))
         # an element's longest common prefix with any other is one with a lex neighbour
         shared = [0] + [common_prefix_len(a, b) for a, b in zip(lex, lex[1:])] + [0]
         # a stable sort by length keeps lex order within a length: (length, codes)
         order = sorted(range(len(lex)), key=[len(c) for c in lex].__getitem__)
-        letter = [Letter(g, s) for g in range(len(p.alphabet)) for s in (1, -1)]
         codes = tuple([lex[i] for i in order])
         object.__setattr__(self, "alphabet", p.alphabet)
         object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "ordered", tuple(
-            [_word(p.alphabet, tuple([letter[x] for x in c])) for c in codes]))
+        object.__setattr__(self, "ordered", tuple([_word(p.alphabet, c) for c in codes]))
         object.__setattr__(self, "piece_lengths", tuple(
             [max(shared[i], shared[i + 1]) for i in order]))
         object.__setattr__(self, "_codes", codes)
@@ -194,21 +192,24 @@ class SymmetrizedSet:
                          Fraction(top, of) if top else None, t4)
 
     @cached_property
-    def pieces(self) -> frozenset:
-        """Letter tuples of the pieces: each element's prefixes up to its piece length."""
-        return frozenset(
-            r.letters[:k]
-            for r, m in zip(self.ordered, self.piece_lengths)
-            for k in range(1, m + 1)
-        )
+    def _inverse(self) -> tuple:
+        """The index of each element's inverse element."""
+        where = {c: i for i, c in enumerate(self._codes)}
+        return tuple([where[tuple([x ^ 1 for x in reversed(c)])] for c in self._codes])
 
     @cached_property
-    def first_letters(self) -> dict:
-        """First letter -> indices of the elements starting with it, ascending."""
-        starting: dict[Letter, list[int]] = {}
-        for i, r in enumerate(self.ordered):
-            starting.setdefault(r.letters[0], []).append(i)
-        return {lt: tuple(ix) for lt, ix in starting.items()}
+    def pieces(self) -> frozenset:
+        """Letter tuples of the pieces: each element's prefixes up to its piece length."""
+        return frozenset(r[:k].letters for r, m in zip(self.ordered, self.piece_lengths)
+                         for k in range(1, m + 1))
+
+    @cached_property
+    def first_letters(self) -> tuple:
+        """Per letter code, the indices of the elements starting with it, ascending."""
+        starting: list[list[int]] = [[] for _ in range(2 * len(self.alphabet))]
+        for i, c in enumerate(self._codes):
+            starting[c[0]].append(i)
+        return tuple([tuple(ix) for ix in starting])
 
     @cached_property
     def abelian_rows(self) -> tuple:
@@ -241,30 +242,32 @@ class SymmetrizedSet:
                 v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
-    def matches(self, w: Word) -> Iterator[tuple[int, Word, int]]:
-        """``(pos, r, k)`` for each element r starting with ``w``'s letter at
-        pos, by position, then in canonical order; k is the length of the
-        common prefix of ``w[pos:]`` and r."""
-        elems, starting, letters = self.ordered, self.first_letters, w.letters
-        for pos, lt in enumerate(letters):
-            for i in starting.get(lt, ()):
-                r = elems[i]
-                yield pos, r, common_prefix_len(letters, r.letters, pos)
+    def matches(self, x: tuple) -> Iterator[tuple[int, int, int]]:
+        """``(pos, i, k)`` for each element ``ordered[i]`` starting with the
+        code at pos of the code tuple ``x``, by position, then in canonical
+        order; k is the length of the common prefix of ``x[pos:]`` and it."""
+        codes, starting = self._codes, self.first_letters
+        for pos, c in enumerate(x):
+            for i in starting[c]:
+                yield pos, i, common_prefix_len(x, codes[i], pos)
+
+    def swap(self, x: tuple, pos: int, i: int, take: int) -> tuple:
+        """:func:`swap` on codes: element i's inverted complement is a prefix of its inverse."""
+        inverted = self._codes[self._inverse[i]]
+        return splice(x, pos, inverted[: len(inverted) - take], pos + take)
 
 
 def _exponent_sums(w: Word) -> list[int]:
     """The image of w in the abelianization Z^n: one exponent sum per generator."""
-    v = [0] * len(w.alphabet)
-    for lt in w.letters:
-        v[lt.gen] += lt.sign
-    return v
+    n = Counter(w.codes)
+    return [n[2 * g] - n[2 * g + 1] for g in range(len(w.alphabet))]
 
 
 def swap(w: Word, pos: int, r: Word, take: int) -> Word:
     """``w[:pos] . r[take:]^-1 . w[pos+take:]``, freely reduced: the matched
     prefix ``r[:take]`` at pos replaced by the inverted complement, or at
     take 0 ``r^-1`` inserted.  It equals ``c r^-1 c^-1 . w``, c = ``w[:pos]``."""
-    return concat(concat(w[:pos], r[take:].inverse()), w[pos + take :])
+    return _word(w.alphabet, splice(w.codes, pos, r[take:].inverse().codes, pos + take))
 
 
 def symmetrize(p: Presentation) -> SymmetrizedSet:
@@ -291,11 +294,6 @@ def _fresh_name(alphabet: Alphabet) -> str:
     return f"t{k}"
 
 
-def _retag(w: Word, alphabet: Alphabet) -> Word:
-    # indices are stable because alphabets only ever grow by appending
-    return Word(alphabet, w.letters)
-
-
 def tietze_split(p: Presentation, idx: int, new_name: str | None = None):
     """Split relator ``idx`` (length >= 4) by naming its first two letters.
 
@@ -312,16 +310,16 @@ def tietze_split(p: Presentation, idx: int, new_name: str | None = None):
     if name in p.alphabet:
         raise ValueError(f"generator {name!r} already exists")
     bigger = p.alphabet.extended([name])
-    t = len(p.alphabet.names)
-    l1, l2 = r.letters[0], r.letters[1]
-    replacement = Word(bigger, (Letter(t, 1),) + r.letters[2:])
-    definition = Word(bigger, (Letter(t, -1), l1, l2))
-    relators = [_retag(old, bigger) for old in p.relators]
+    t = 2 * len(p.alphabet.names)  # the new generator's code
+    replacement = _word(bigger, (t,) + r.codes[2:])
+    definition = _word(bigger, (t + 1,) + r.codes[:2])
+    # codes are stable because alphabets only ever grow by appending
+    relators = [_word(bigger, old.codes) for old in p.relators]
     relators[idx] = replacement
     # no old relator holds t, the replacement starts with t and the
     # definition with t^-1, so all stay distinct
     relators.append(definition)
-    step = TietzeStep(name, (l1, l2), idx, r, replacement)
+    step = TietzeStep(name, (r[0], r[1]), idx, r, replacement)
     return Presentation(bigger, tuple(relators)), step
 
 
@@ -375,21 +373,6 @@ def shorten_all(p: Presentation) -> PresentationHistory:
     return _unchecked_history(p, steps, cur)
 
 
-def _definition_table(h: PresentationHistory) -> dict:
-    """Map every end-alphabet generator name to its word over the start alphabet."""
-    end_names = h.end.alphabet.names
-    table = {name: h.start.alphabet.letter(name) for name in h.start.alphabet.names}
-
-    def resolve(lt: Letter) -> Word:
-        base = table[end_names[lt.gen]]
-        return base if lt.sign > 0 else base.inverse()
-
-    for st in h.steps:
-        l1, l2 = st.defined_as
-        table[st.new_gen] = resolve(l1) * resolve(l2)
-    return table
-
-
 def lift_word(w: Word, h: PresentationHistory) -> Word:
     """Rewrite a word over ``h.end`` in the original generators.
 
@@ -400,22 +383,19 @@ def lift_word(w: Word, h: PresentationHistory) -> Word:
     """
     if w.alphabet != h.end.alphabet:
         raise ValueError("word is not over the end alphabet of this history")
-    table = _definition_table(h)
-    end_names = h.end.alphabet.names
-    out: list[Letter] = []
-    for lt in w.letters:
-        img = table[end_names[lt.gen]]
-        if lt.sign < 0:
-            img = img.inverse()
-        out.extend(img.letters)
-    return free_reduce(h.start.alphabet, out)
+    start = h.start.alphabet
+    images = [_word(start, (2 * g,)) for g in range(len(start))]  # by generator index
+    for st in h.steps:  # each appends its generator
+        images.append(concat(*[images[lt.gen] ** lt.sign for lt in st.defined_as]))
+    by_code = [v.codes for img in images for v in (img, img.inverse())]
+    return from_codes(start, [x for c in w.codes for x in by_code[c]])
 
 
 def include_word(w: Word, h: PresentationHistory) -> Word:
     """View a word over ``h.start`` as a word over ``h.end`` (indices are stable)."""
     if w.alphabet != h.start.alphabet:
         raise ValueError("word is not over the start alphabet of this history")
-    return _retag(w, h.end.alphabet)
+    return _word(h.end.alphabet, w.codes)
 
 
 def alternating_word(alphabet: Alphabet, i: int, j: int, m: int) -> Word:
@@ -424,8 +404,7 @@ def alternating_word(alphabet: Alphabet, i: int, j: int, m: int) -> Word:
         raise ValueError("length must be positive")
     if i == j:
         raise ValueError("alternating word needs two distinct generators")
-    letters = tuple(Letter(i if k % 2 == 0 else j, 1) for k in range(m))
-    return Word(alphabet, letters)
+    return Word(alphabet, [Letter(j if k % 2 else i, 1) for k in range(m)])
 
 
 def braid_presentation(n: int) -> Presentation:

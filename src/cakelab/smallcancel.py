@@ -9,12 +9,13 @@ that ``enumerate_pieces`` and ``min_piece_count`` keep for arbitrary words.
 Everything is exact: C'(lambda) compares with Fraction arithmetic because
 interesting presentations sit exactly on the boundary.
 
-Dehn reduction and the oracle's subword swaps read one relator-prefix scan,
-``SymmetrizedSet.matches``, and rewrite with one swap, ``presentations.swap``;
-disguise's growth swaps share both.  The oracle searches breadth-first over
-subword swaps alone.  It can answer Trivial (with a replayable witness) or
-Unknown, never a false Trivial.  A word whose abelianization lies outside the
-relator lattice is Unknown without a search.
+Dehn reduction and the oracle rewrite letter-code tuples: they read one
+relator-prefix scan, ``SymmetrizedSet.matches``, which disguise shares, and
+swap with ``SymmetrizedSet.swap``.  The oracle searches breadth-first over
+subword swaps alone and builds Words only for the witness it returns.  It
+answers Trivial (with a replayable witness) or Unknown, never a false
+Trivial: Unknown without a search when the word's abelianization lies outside
+the relator lattice, and once its seen words pass ``MAX_SEARCH_LETTERS``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
-from .words import Word, add_letters, parse_word, read_records
+from .presentations import Presentation, SymmetrizedSet, symmetrize
+from .words import MAX_WORD_LETTERS, Word, _word, add_letters, parse_word, read_records
 
 __all__ = [
     "CancellationReport",
@@ -44,6 +45,8 @@ __all__ = [
     "parse_witness",
 ]
 
+MAX_SEARCH_LETTERS = 16 * MAX_WORD_LETTERS  # the oracle's seen words, in letters
+
 
 def enumerate_pieces(s: SymmetrizedSet) -> frozenset:
     """Letter tuples of the common prefixes of distinct elements; built once per set."""
@@ -58,11 +61,11 @@ def min_piece_count(r: Word, pieces: frozenset) -> Optional[int]:
     lengths at a position form a range 1..L, and pos + L never decreases
     with pos: taking the longest piece at each step is optimal.
     """
-    n = len(r)
+    n, letters = len(r), r.letters
     count = pos = 0
     while pos < n:
         longest = 0
-        while pos + longest < n and r.letters[pos : pos + longest + 1] in pieces:
+        while pos + longest < n and letters[pos : pos + longest + 1] in pieces:
             longest += 1
         if not longest:
             return None
@@ -144,17 +147,17 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     empty exactly when w represents the identity.
     """
     s = symmetrize(p)
-    cur = w
+    cur = w.codes
     while True:
         best = None
-        for pos, r, k in s.matches(cur):
+        for pos, i, k in s.matches(cur):
             if best is not None and best[0] < pos:
                 break
-            if 2 * k > len(r) and (best is None or k > best[2]):
-                best = pos, r, k
+            if 2 * k > len(s.ordered[i]) and (best is None or k > best[2]):
+                best = pos, i, k
         if best is None:
-            return cur
-        cur = swap(cur, *best)
+            return _word(w.alphabet, cur)
+        cur = s.swap(cur, *best)
 
 
 # -- bounded word-problem oracle ------------------------------------------
@@ -182,11 +185,11 @@ def witness_matches(witness: WspWitness, w: Word) -> bool:
     return replay_witness(witness, w.alphabet) == w
 
 
-def _swap_moves(x: Word, s: SymmetrizedSet):
-    """(post, conjugator, relator) per match, in scan order: one each, as
+def _swap_moves(x: tuple, s: SymmetrizedSet):
+    """(post, pos, element index) per match in x, in scan order: one each, as
     every take up to the match length k swaps to the word of take k."""
-    for pos, r, k in s.matches(x):
-        yield swap(x, pos, r, k), x[:pos], r
+    for pos, i, k in s.matches(x):
+        yield s.swap(x, pos, i, k), pos, i
 
 
 def bounded_wp_oracle(
@@ -211,7 +214,8 @@ def bounded_wp_oracle(
     reaching the empty word is genuinely trivial.  Each move also adds a
     relator's exponent-sum vector in Z^n, so when w's vector is outside the
     relator lattice no search can succeed: that returns None before any node
-    is generated, the answer the search would give.
+    is generated, the answer the search would give.  A search whose seen
+    words pass ``MAX_SEARCH_LETTERS`` letters in all returns None as well.
     """
     if depth < 0 or node_budget < 1 or (max_len is not None and max_len < 0):
         raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
@@ -223,24 +227,27 @@ def bounded_wp_oracle(
         return None
     if max_len is None:
         max_len = 2 * len(w) + max(len(r) for r in elems)
-    seen = {w}
-    # each path holds its witness factors: a move takes x to C r^-1 C^-1 x, so
-    # w is the product of the moves' C r C^-1 in move order
-    frontier: list[tuple[Word, tuple]] = [(w, ())]
+    seen, held = {w.codes}, len(w)  # held: the letters in seen
+    # a node is (codes, move): its move (x, pos, element, x's move) took x to
+    # C r^-1 C^-1 x, C = x[:pos], so w is its path's C r C^-1 in move order
+    frontier: list[tuple[tuple, Optional[tuple]]] = [(w.codes, None)]
     budget = node_budget
     for _ in range(depth):
-        if not frontier:
-            break
-        nxt: list[tuple[Word, tuple]] = []
+        nxt: list[tuple[tuple, Optional[tuple]]] = []
         for x, path in frontier:
-            for post, conj, rel in _swap_moves(x, s):
+            for post, pos, i in _swap_moves(x, s):
                 budget -= 1
                 if not post:
-                    return WspWitness(path + ((conj, rel, 1),))
+                    move, factors = (x, pos, i, path), []
+                    while move is not None:
+                        at, start, j, move = move
+                        factors.append((_word(w.alphabet, at[:start]), elems[j], 1))
+                    return WspWitness(tuple(factors[::-1]))
                 if len(post) <= max_len and post not in seen:
                     seen.add(post)
-                    nxt.append((post, path + ((conj, rel, 1),)))
-                if budget <= 0:
+                    nxt.append((post, (x, pos, i, path)))
+                    held += len(post)
+                if budget <= 0 or held > MAX_SEARCH_LETTERS:
                     return None
         frontier = nxt
     return None

@@ -1,11 +1,12 @@
 """Freely reduced words over a named generator alphabet.
 
-Every ``Word`` is immutable and freely reduced by construction.  Letters are
-checked once, where a caller hands them in: in ``free_reduce`` (so also the
-text parser and ``**``) and in ``Word(...)``, which calls it.  Slices, inverses,
-products and rotations of Words are reduced because their inputs are, so they
-are built unchecked.  Letters are signed generator references; a power like
-``x^3`` is stored as three letters, which keeps subword matching trivial.
+Every ``Word`` is immutable, freely reduced by construction, and stores one
+tuple of letter codes ``2*gen + (sign < 0)``: a code's inverse is ``code ^ 1``,
+and code order is (generator, sign) order.  ``Letter`` is the boundary type,
+checked once where a caller hands it in and built from the codes on reading;
+arithmetic, the grammar and every rewrite work on codes, unchecked, since
+their inputs are reduced.  ``x^3`` is three codes, so subword matching is
+trivial.
 
 >>> X = Alphabet(("a", "b"))
 >>> w = X.word("a b^-2 a")
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "Word",
     "MAX_WORD_LETTERS",
     "free_reduce",
+    "from_codes",
+    "splice",
     "concat",
     "common_prefix_len",
     "seam_reduced",
@@ -119,10 +123,11 @@ class Alphabet:
         return parse_word(self, text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A freely reduced word.  ``Word(alphabet, letters)`` checks its letters
-    with :func:`free_reduce`; arithmetic on Words builds its results unchecked.
+    """A freely reduced word of letter ``codes``.  ``Word(alphabet, letters)``
+    checks its Letters with :func:`free_reduce`; arithmetic builds its results
+    unchecked.  ``letters``, iteration and indexing are Letter views.
 
     >>> X = Alphabet(("x", "y"))
     >>> Word(X, (Letter(0, 1), Letter(0, -1)))
@@ -132,36 +137,44 @@ class Word:
     """
 
     alphabet: Alphabet
-    letters: tuple[Letter, ...] = ()
+    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        raw = tuple(self.letters)
-        letters = free_reduce(self.alphabet, raw).letters
-        if len(letters) != len(raw):
+    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()):
+        raw = tuple(letters)
+        codes = free_reduce(alphabet, raw).codes
+        if len(codes) != len(raw):
             raise ValueError("letter sequence is not freely reduced")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
 
     # -- basic container behaviour ------------------------------------
 
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The codes as Letters, built on each read."""
+        return tuple(map(_letter, self.codes))
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+        return map(_letter, self.codes)
 
     def __getitem__(self, item):
         """Contiguous slices of a reduced word are reduced, so they are Words."""
         if isinstance(item, slice):
             if item.step not in (None, 1):
                 raise ValueError("words only support contiguous slices")
-            return _word(self.alphabet, self.letters[item])
-        return self.letters[item]
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
+            return _word(self.alphabet, self.codes[item])
+        return _letter(self.codes[item])
 
     def __str__(self) -> str:
-        return _format_letters(self.letters, self.alphabet.names)
+        names = self.alphabet.names
+        parts = []
+        for c, run in groupby(self.codes):
+            k = len(list(run)) * (-1 if c & 1 else 1)
+            parts.append(names[c >> 1] if k == 1 else f"{names[c >> 1]}^{k}")
+        return " ".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -173,11 +186,10 @@ class Word:
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        return free_reduce(self.alphabet, base.letters * abs(k))
+        return from_codes(self.alphabet, base.codes * abs(k))
 
     def inverse(self) -> "Word":
-        # Built from a list: a generator's tuple is resized, which fills the tuple free lists.
-        return _word(self.alphabet, tuple([lt.inverse() for lt in reversed(self.letters)]))
+        return _word(self.alphabet, tuple([c ^ 1 for c in reversed(self.codes)]))
 
     __invert__ = inverse
 
@@ -185,8 +197,8 @@ class Word:
 
     @property
     def is_cyclically_reduced(self) -> bool:
-        lts = self.letters
-        return len(lts) < 2 or lts[0] != lts[-1].inverse()
+        c = self.codes
+        return len(c) < 2 or c[0] != c[-1] ^ 1
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, conjugator)`` with ``self == conjugator * core * conjugator**-1``.
@@ -196,12 +208,16 @@ class Word:
         >>> str(core), str(conj)
         ('y', 'x')
         """
-        lts = self.letters
-        i, j = 0, len(lts)
-        while j - i >= 2 and lts[i] == lts[j - 1].inverse():
+        c = self.codes
+        i, j = 0, len(c)
+        while j - i >= 2 and c[i] == c[j - 1] ^ 1:
             i += 1
             j -= 1
-        return _word(self.alphabet, lts[i:j]), _word(self.alphabet, lts[:i])
+        return _word(self.alphabet, c[i:j]), _word(self.alphabet, c[:i])
+
+
+def _letter(code: int) -> Letter:
+    return Letter(code >> 1, -1 if code & 1 else 1)
 
 
 def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
@@ -211,7 +227,7 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
     >>> free_reduce(X, [Letter(0, 1), Letter(1, 1), Letter(1, -1)])
     Word('x')
     """
-    out: list[Letter] = []
+    codes = []
     n = len(alphabet.names)
     for lt in letters:
         gen, sign = lt[0], lt[1]
@@ -219,31 +235,49 @@ def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
             raise ValueError(f"generator index {gen} out of range")
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if out and out[-1].gen == gen and out[-1].sign == -sign:
+        codes.append(2 * gen + (sign < 0))
+    return from_codes(alphabet, codes)
+
+
+def from_codes(alphabet: Alphabet, codes: Iterable[int]) -> Word:
+    """Freely reduce a sequence of valid letter codes into a Word, unchecked."""
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append(Letter(gen, sign))
+            out.append(c)
     return _word(alphabet, tuple(out))
 
 
-def _word(alphabet: Alphabet, letters: tuple[Letter, ...]) -> Word:
-    """Unchecked: ``letters`` is a reduced tuple of Letters, as in any slice or product of Words."""
+def _word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
+    """Unchecked: ``codes`` is a reduced code tuple, as in any slice or product of Words."""
     w = object.__new__(Word)
     object.__setattr__(w, "alphabet", alphabet)
-    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "codes", codes)
     return w
+
+
+def splice(x: tuple, pos: int, mid: tuple, end: int) -> tuple:
+    """The codes of ``x[:pos] . mid . x[end:]``, freely reduced: each part is
+    reduced, so only the seams cancel, the outer parts once mid is gone."""
+    n, m, j = len(x), len(mid), 0
+    while pos and j < m and x[pos - 1] == mid[j] ^ 1:
+        pos, j = pos - 1, j + 1
+    while end < n and m > j and mid[m - 1] == x[end] ^ 1:
+        m, end = m - 1, end + 1
+    if j == m:
+        while pos and end < n and x[pos - 1] == x[end] ^ 1:
+            pos, end = pos - 1, end + 1
+    return x[:pos] + mid[j:m] + x[end:]
 
 
 def concat(a: Word, b: Word) -> Word:
     """Product in the free group: both factors are reduced, so only the seam cancels."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    x, y = a.letters, b.letters
-    n = min(len(x), len(y))
-    k = 0
-    while k < n and x[-1 - k] == y[k].inverse():
-        k += 1
-    return _word(a.alphabet, x[: len(x) - k] + y[k:])
+    n = len(a.codes)
+    return _word(a.alphabet, splice(a.codes, n, b.codes, n))
 
 
 def common_prefix_len(a: Sequence, b: Sequence, start: int = 0) -> int:
@@ -261,26 +295,9 @@ def seam_reduced(a: Word, b: Word) -> bool:
     Both inputs must be non-empty; asking the question of an empty word is
     almost always a bug upstream, so it is an error here.
     """
-    if not a.letters or not b.letters:
+    if not a.codes or not b.codes:
         raise ValueError("seam_reduced needs non-empty words")
-    return a.letters[-1] != b.letters[0].inverse()
-
-
-def _format_letters(letters: tuple[Letter, ...], names: tuple[str, ...]) -> str:
-    if not letters:
-        return "1"
-    parts = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        j = i
-        while j < n and letters[j] == letters[i]:
-            j += 1
-        k = (j - i) * letters[i].sign
-        name = names[letters[i].gen]
-        parts.append(name if k == 1 else f"{name}^{k}")
-        i = j
-    return " ".join(parts)
+    return a.codes[-1] != b.codes[0] ^ 1
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
@@ -292,7 +309,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     accepted and normalised.  A spelling of more than ``MAX_WORD_LETTERS``
     letters is an error, raised before more letters than that are built.
     """
-    letters: list[Letter] = []
+    codes: list[int] = []
     for token in text.split():
         if token == "1":
             continue
@@ -307,11 +324,10 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
         else:
             k = 1
         gen = alphabet.index(name)
-        if len(letters) + abs(k) > MAX_WORD_LETTERS:
+        if len(codes) + abs(k) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
-        sign = 1 if k > 0 else -1
-        letters.extend([Letter(gen, sign)] * abs(k))
-    return free_reduce(alphabet, letters)
+        codes.extend([2 * gen + (k < 0)] * abs(k))
+    return from_codes(alphabet, codes)
 
 
 def read_records(text: str, handlers: dict) -> None:
@@ -352,8 +368,9 @@ def add_letters(total: int, n: int, what: str) -> int:
 
 
 def word_sort_key(w: Word):
-    """Canonical ordering key: by length, then letterwise (generator, sign)."""
-    return (len(w.letters), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w.letters))
+    """Canonical ordering key: by length, then letterwise (generator, sign),
+    the order of the codes."""
+    return len(w.codes), w.codes
 
 
 def random_reduced_word(alphabet: Alphabet, length: int, rng, gens: Sequence[int] | None = None) -> Word:
@@ -365,10 +382,12 @@ def random_reduced_word(alphabet: Alphabet, length: int, rng, gens: Sequence[int
     pool = tuple(gens) if gens is not None else tuple(range(len(alphabet.names)))
     if not pool and length > 0:
         raise ValueError("no generators to draw from")
-    letters: list[Letter] = []
-    while len(letters) < length:
-        lt = Letter(pool[rng.randrange(len(pool))], rng.choice((1, -1)))
-        if letters and letters[-1] == lt.inverse():
+    if any(not 0 <= g < len(alphabet.names) for g in pool):
+        raise ValueError(f"generator index out of range in {pool}")
+    codes: list[int] = []
+    while len(codes) < length:
+        c = 2 * pool[rng.randrange(len(pool))] + (rng.choice((1, -1)) < 0)
+        if codes and codes[-1] == c ^ 1:
             continue
-        letters.append(lt)
-    return Word(alphabet, tuple(letters))
+        codes.append(c)
+    return _word(alphabet, tuple(codes))

@@ -104,7 +104,7 @@ def naive_growth_swaps(w, s):
         for r in s.ordered:
             take = 0
             while (pos + take < len(w) and 2 * (take + 1) < len(r)
-                   and w.letters[pos + take] == r.letters[take]):
+                   and w[pos + take] == r[take]):
                 take += 1
             out.extend((pos, r, t) for t in range(1, take + 1))
     return out
@@ -163,7 +163,7 @@ def test_rewrite_move_replays_as_the_four_product_algebra(p):
     seen = set()
     for _ in range(400):
         w = random_reduced_word(p.alphabet, rng.randint(0, 20), rng)
-        swaps = [(pos, r) for pos, r, _ in s.matches(w)]
+        swaps = [(pos, s.ordered[i]) for pos, i, _ in s.matches(w.codes)]
         if swaps and rng.random() < 0.4:
             pos, r = rng.choice(swaps)
             mv = RewriteMove("subword-swap", pos, r, -1, empty, w)

@@ -102,12 +102,12 @@ T4_CASES = [
 def pieces_oracle(p):
     """Letter tuples of the pieces: a proper prefix u is a piece iff two
     distinct closure elements share it."""
-    closure = symmetrize(p).ordered
+    closure = [w.letters for w in symmetrize(p).ordered]
     found = set()
     for r, s in itertools.permutations(closure, 2):
         for k in range(1, min(len(r), len(s)) + 1):
-            if r.letters[:k] == s.letters[:k]:
-                found.add(r.letters[:k])
+            if r[:k] == s[:k]:
+                found.add(r[:k])
             else:
                 break
     return found
@@ -116,6 +116,7 @@ def pieces_oracle(p):
 def min_pieces_oracle(r, pieces):
     """Exhaustive search for the fewest pieces concatenating letterwise to r."""
     best = [None]
+    letters = r.letters
 
     def go(i, used):
         if best[0] is not None and used >= best[0]:
@@ -124,7 +125,7 @@ def min_pieces_oracle(r, pieces):
             best[0] = used
             return
         for k in range(len(r) - i, 0, -1):
-            if r.letters[i : i + k] in pieces:
+            if letters[i : i + k] in pieces:
                 go(i + k, used + 1)
 
     go(0, 0)
@@ -136,9 +137,9 @@ def cprime_sup_oracle(p):
     pieces = pieces_oracle(p)
     ratios = [
         Fraction(len(u), len(r))
-        for r in symmetrize(p).elements
+        for r in [w.letters for w in symmetrize(p).elements]
         for u in pieces
-        if r.letters[: len(u)] == u
+        if r[: len(u)] == u
     ]
     return max(ratios, default=None)
 
@@ -150,9 +151,9 @@ def t4_oracle(p):
         if r1 == ~r2 or r2 == ~r3 or r3 == ~r1:
             continue
         if (
-            r1.letters[-1] == r2.letters[0].inverse()
-            and r2.letters[-1] == r3.letters[0].inverse()
-            and r3.letters[-1] == r1.letters[0].inverse()
+            r1[-1] == r2[0].inverse()
+            and r2[-1] == r3[0].inverse()
+            and r3[-1] == r1[0].inverse()
         ):
             return False, (r1, r2, r3)
     return True, None
@@ -167,10 +168,11 @@ def symmetrize_reference(p):
         for w in (r, r.inverse()):
             closure |= {w[k:] * w[:k] for k in range(len(w))}
     ordered = tuple(sorted(closure, key=word_sort_key))
-    lex = sorted(range(len(ordered)), key=lambda i: ordered[i].letters)
+    letters = [w.letters for w in ordered]
+    lex = sorted(range(len(ordered)), key=letters.__getitem__)
     lengths = [0] * len(lex)
     for i, j in zip(lex, lex[1:]):
-        k = common_prefix_len(ordered[i].letters, ordered[j].letters)
+        k = common_prefix_len(letters[i], letters[j])
         lengths[i] = max(lengths[i], k)
         lengths[j] = max(lengths[j], k)
     return ordered, tuple(lengths)
@@ -178,11 +180,11 @@ def symmetrize_reference(p):
 
 def min_piece_count_reference(r, pieces):
     """The greedy walk over a frozenset of pieces, growing tuple slices."""
-    n = len(r)
+    n, letters = len(r), r.letters
     count = pos = 0
     while pos < n:
         longest = 0
-        while pos + longest < n and r.letters[pos : pos + longest + 1] in pieces:
+        while pos + longest < n and letters[pos : pos + longest + 1] in pieces:
             longest += 1
         if not longest:
             return None
@@ -321,10 +323,10 @@ def t4_walk_reference(p):
     the inverse of r2's last letter, looking for one that ends in the
     inverse of r1's first letter."""
     s = symmetrize(p)
-    lasts = [w.letters[-1] for w in s.ordered]
-    nexts = [s.first_letters.get(lt.inverse(), ()) for lt in lasts]
+    lasts = [w.codes[-1] for w in s.ordered]
+    nexts = [s.first_letters[c ^ 1] for c in lasts]
     for i, r in enumerate(s.ordered):
-        closing = r.letters[0].inverse()
+        closing = r.codes[0] ^ 1
         if any(lasts[k] == closing for j in nexts[i] for k in nexts[j]):
             return False
     return True
@@ -382,7 +384,8 @@ def test_verdict_table_matches_references():
         ordered, lengths = symmetrize_reference(p)
         s = symmetrize(p)
         assert (s.ordered, s.piece_lengths) == (ordered, lengths), p
-        pieces = frozenset(r.letters[:k] for r, m in zip(ordered, lengths) for k in range(1, m + 1))
+        pieces = frozenset(lts[:k] for lts, m in zip([r.letters for r in ordered], lengths)
+                           for k in range(1, m + 1))
         mins = [min_piece_count_reference(r, pieces) for r in ordered]
         report = build_report(p, range(2, 9))
         assert "pieces" not in s.__dict__
@@ -447,20 +450,21 @@ def dehn_table_reference(w, p):
     leftmost position holding one."""
     table = {}
     for r in symmetrize(p).ordered:
+        letters = r.letters
         for take in range(len(r), len(r) // 2, -1):
-            table.setdefault(r.letters[:take], ~r[take:])
+            table.setdefault(letters[:take], ~r[take:])
     cur = w
     while True:
-        n = len(cur)
+        n, letters = len(cur), cur.letters
         hit = next(
             ((pos, take) for pos in range(n) for take in range(n - pos, 0, -1)
-             if cur.letters[pos : pos + take] in table),
+             if letters[pos : pos + take] in table),
             None,
         )
         if hit is None:
             return cur
         pos, take = hit
-        cur = cur[:pos] * table[cur.letters[pos : pos + take]] * cur[pos + take :]
+        cur = cur[:pos] * table[letters[pos : pos + take]] * cur[pos + take :]
 
 
 # Which element Dehn's algorithm rewrites by matters only where two elements
@@ -500,7 +504,7 @@ def naive_swap_moves(x, s):
         for r in s.ordered:
             take = 0
             while (pos + take < len(x) and take < len(r)
-                   and x.letters[pos + take] == r.letters[take]):
+                   and x[pos + take] == r[take]):
                 take += 1
             if take:
                 yield (x[:pos] * ~r[take:]) * x[pos + take :], x[:pos], r
@@ -519,7 +523,10 @@ def test_swap_moves_match_naive_scan_in_order(p):
         r = s.ordered[rng.randrange(len(s))]
         x = (random_reduced_word(p.alphabet, rng.randint(0, 4), rng) * r[: rng.randint(0, len(r))]
              * random_reduced_word(p.alphabet, rng.randint(0, 4), rng))
-        assert list(_swap_moves(x, s)) == list(naive_swap_moves(x, s))
+        # unchecked, so an unreduced code tuple would not compare equal
+        moves = [(cakelab.words._word(p.alphabet, post), x[:pos], s.ordered[i])
+                 for post, pos, i in _swap_moves(x.codes, s)]
+        assert moves == list(naive_swap_moves(x, s))
 
 
 def test_oracle_empty_word_is_trivial_with_empty_witness():
