@@ -101,11 +101,11 @@ class SymmetrizedSet:
     rotation and inversion by construction; :func:`symmetrize` builds it
     once per presentation.
 
-    The rotations are sorted once as letter-code tuples, each held by its
-    element's Word.  ``verdicts``, the table every small-cancellation
-    verdict reads, is compiled from the codes on first use, as are the
-    element set, the pieces, the first-letter index, the inverse elements and
-    the relator lattice.
+    The rotations are sorted once as letter-code tuples; one pass over that
+    order drops repeats and gives the piece lengths.  ``verdicts``, the table
+    every verdict reads, is built from the codes on first use, as are the
+    element Words in ``ordered`` (no verdict reads them), the element set,
+    the pieces, the first-letter index, the inverses and the relator lattice.
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
     oracle and disguise read it.  Dehn and the oracle rewrite code tuples
@@ -114,36 +114,45 @@ class SymmetrizedSet:
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
-    ordered: tuple[Word, ...]
     piece_lengths: tuple[int, ...]
 
     def __init__(self, p: Presentation):
         # each relator r gives at most 2|r| elements of |r| letters
         if 2 * sum(len(r) ** 2 for r in p.relators) > words.MAX_WORD_LETTERS:
             raise ValueError(f"symmetrized set longer than {words.MAX_WORD_LETTERS} letters")
-        cycles = []  # the rotations of each relator and of its inverse, in turn
+        flat, cycles = [], []  # the rotations of each relator and of its inverse, and each cycle's slice
         for r in p.relators:
             for w in (r.codes, r.inverse().codes):
-                cycles.append([w[k:] + w[:k] for k in range(len(w))])
-        lex = sorted(set().union(*cycles))
-        # an element's longest common prefix with any other is one with a lex neighbour
-        shared = [0] + [common_prefix_len(a, b) for a, b in zip(lex, lex[1:])] + [0]
+                n, twice = len(w), w + w
+                cycles.append(slice(len(flat), len(flat) + n))
+                flat += [twice[k : k + n] for k in range(n)]
+        # one sort: equal rotations fall together, and a longest common prefix is with a lex neighbour
+        lex, shared, at = [], [], [0] * len(flat)
+        for j in sorted(range(len(flat)), key=flat.__getitem__):
+            if not lex or flat[j] != lex[-1]:
+                shared.append(common_prefix_len(lex[-1], flat[j]) if lex else 0)
+                lex.append(flat[j])
+            at[j] = len(lex) - 1
+        shared.append(0)
         # a stable sort by length keeps lex order within a length: (length, codes)
         order = sorted(range(len(lex)), key=[len(c) for c in lex].__getitem__)
-        codes = tuple([lex[i] for i in order])
+        rank = sorted(range(len(lex)), key=order.__getitem__)  # the inverse permutation
         object.__setattr__(self, "alphabet", p.alphabet)
         object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "ordered", tuple([_word(p.alphabet, c) for c in codes]))
-        object.__setattr__(self, "piece_lengths", tuple(
-            [max(shared[i], shared[i + 1]) for i in order]))
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_cycles", cycles)
+        object.__setattr__(self, "piece_lengths", tuple([max(shared[i], shared[i + 1]) for i in order]))
+        object.__setattr__(self, "_codes", tuple([lex[i] for i in order]))
+        object.__setattr__(self, "_at", [[rank[i] for i in at[c]] for c in cycles])  # elements per cycle
         # pieces are prefixes up to the piece length, less those the lex predecessor shares
         object.__setattr__(self, "_piece_count", sum(
             [max(0, b - a) for a, b in zip(shared, shared[1:])]))
 
     def __len__(self):
-        return len(self.ordered)
+        return len(self._codes)
+
+    @cached_property
+    def ordered(self) -> tuple:
+        """The elements as Words, in canonical order, wrapped on first read."""
+        return tuple([_word(self.alphabet, c) for c in self._codes])
 
     def __contains__(self, w: Word) -> bool:
         return w in self.elements
@@ -167,11 +176,9 @@ class SymmetrizedSet:
         inverse of its first letter, and every element is cyclically reduced.
         """
         codes, lengths = self._codes, self.piece_lengths
-        where = {c: i for i, c in enumerate(codes)}
         fewest: list = [None] * len(codes)
         top, of = 0, 1  # the largest piece length over element length, by cross-multiplying
-        for cycle in self._cycles:
-            at = [where[c] for c in cycle]
+        for at in self._at:
             n = len(at)
             ahead = [lengths[i] for i in at] * 2  # the piece length at each position, twice round
             for k in range(n):
@@ -187,15 +194,18 @@ class SymmetrizedSet:
             ends.setdefault(c[0], set()).add(c[-1])
         t4 = not any(a ^ 1 in ends.get(c ^ 1, ())
                      for a, lasts in ends.items() for b in lasts for c in ends.get(b ^ 1, ()))
-        relator_pieces = tuple([fewest[where[cycle[0]]] for cycle in self._cycles[::2]])
+        relator_pieces = tuple([fewest[at[0]] for at in self._at[::2]])
         return _Verdicts(tuple(fewest), relator_pieces, self._piece_count,
                          Fraction(top, of) if top else None, t4)
 
     @cached_property
     def _inverse(self) -> tuple:
-        """The index of each element's inverse element."""
-        where = {c: i for i, c in enumerate(self._codes)}
-        return tuple([where[tuple([x ^ 1 for x in reversed(c)])] for c in self._codes])
+        """Each element's inverse: that of rotation k of r is rotation -k mod |r| of r^-1."""
+        inverse = [0] * len(self._codes)
+        for a, b in zip(self._at[::2], self._at[1::2]):
+            for i, j in zip(a, b[:1] + b[:0:-1]):
+                inverse[i], inverse[j] = j, i
+        return tuple(inverse)
 
     @cached_property
     def pieces(self) -> frozenset:

@@ -2,8 +2,11 @@
 
 import functools
 import importlib.util
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 import cakelab
 
@@ -11,10 +14,15 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 
 
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_exist():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load(TRACING)
     missing = [
         f"cakelab.{layer}.{name}"
         for layer, funcs in tracing.WRAPPED.items()
@@ -41,3 +49,14 @@ def test_bench_package_names_resolve():
         return True
 
     assert sorted(n for n in names if not resolves(n)) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_workload_matches_its_reference(seed):
+    # one full pass of the bench's `check` ops, each verified against reference.json
+    workloads = load(BENCH / "workloads.py")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    check = workloads.Check(cakelab, seed, False, reference)
+    assert len(check.specs) == len(check.PASS)
+    failed = [spec.tag for spec in check.specs if not check.verify(spec, check.op(spec))]
+    assert failed == []

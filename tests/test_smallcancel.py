@@ -371,10 +371,25 @@ def test_t4_known_counterexample_triple():
     assert r3.letters[-1] == r1.letters[0].inverse()
 
 
+# rotations that collide: proper powers repeat a rotation within their cycle,
+# and relators that are rotations or inverses of each other share elements
+COLLIDING = [
+    "gens: a\nrel: a\n",
+    "gens: a\nrel: a^3\n",
+    "gens: a b\nrel: a b a b\n",
+    "gens: a b\nrel: a b a^-1 b^-1\n",
+    "gens: a b\nrel: a b\nrel: b a\n",
+    "gens: a b\nrel: a b\nrel: a^-1 b^-1\n",
+    "gens: a b\nrel: a^2 b^2\nrel: b^-2 a^-2\nrel: a b a b\nrel: b a b a\n",
+    "gens: a b c\nrel: a b c a b c\nrel: c^-1 b^-1 a^-1 c^-1 b^-1 a^-1\nrel: a b a^-1 b^-1\n",
+]
+
+
 def verdict_corpus():
     rng = random.Random(1313)
     cases = [random_presentation(rng, gens=3, rels=4, length=14) for _ in range(600)]
     cases += [braid_presentation(n) for n in (3, 4, 5)]
+    cases += [parse_presentation(text) for text in COLLIDING]
     return cases + [artin_from_graph(random_tree(lv, 4, 7, seed=11).graph) for lv in (3, 4, 5)]
 
 
@@ -398,6 +413,26 @@ def test_verdict_table_matches_references():
         assert report.cprime_sup == max(
             (Fraction(m, len(r)) for r, m in zip(ordered, lengths) if m), default=None)
         assert report.t4 is t4_walk_reference(p)
+
+
+def test_inverse_elements_match_a_lookup_by_codes():
+    # rotation -k of r^-1 against the inverse of each element looked up by its codes
+    for p in verdict_corpus():
+        s = symmetrize(p)
+        where = {w.codes: i for i, w in enumerate(s.ordered)}
+        assert s._inverse == tuple(where[(~w).codes] for w in s.ordered), p
+
+
+@pytest.mark.parametrize("level", [None, 3, 4, 5])
+def test_verdicts_build_no_element_words(level):
+    # what check computes reads the codes; the element Words are built on first read
+    p = EX if level is None else artin_from_graph(random_tree(level, 4, 7, seed=11).graph)
+    p = Presentation(p.alphabet, p.relators)  # a fresh compiled set
+    build_report(p)
+    check_Cprime(p, Fraction(1, 6))
+    assert "verdicts" in symmetrize(p).__dict__
+    assert "ordered" not in symmetrize(p).__dict__
+    assert symmetrize(p).ordered == symmetrize_reference(p)[0]
 
 
 def test_report_bundle():
