@@ -334,16 +334,10 @@ class GraphMorphism:
 
 
 def validate_morphism(g: LabeledGraph, vertex_map) -> bool:
-    """True iff every edge maps to an edge with the same label and no edge
-    collapses to a loop."""
+    """True iff every edge maps to an edge with the same label; an edge that
+    collapses to a loop maps to no edge, as the graph has no loops."""
     vm = tuple(vertex_map)
-    for i, j, m in g.edges:
-        a, b = vm[i], vm[j]
-        if a == b:
-            return False
-        if g.label(a, b) != m:
-            return False
-    return True
+    return all(g.label(vm[i], vm[j]) == m for i, j, m in g.edges)
 
 
 def induced_subgraph(g: LabeledGraph, verts: tuple[int, ...]) -> LabeledGraph:

@@ -357,11 +357,8 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
 def bitstream_decode(v: Word, received, oracle: Callable) -> list:
     """Three-valued: 1 when the oracle says equal, 0 when different, None
     when it cannot tell."""
-    out = []
-    for w in received:
-        verdict = oracle(w, v)
-        out.append(1 if verdict is True else 0 if verdict is False else None)
-    return out
+    return [1 if verdict is True else 0 if verdict is False else None
+            for verdict in (oracle(w, v) for w in received)]
 
 
 def equality_free() -> Callable:
@@ -403,8 +400,7 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
     def hexes(k):
         return k if isinstance(k, str) else k.key_bytes.hex()
 
-    lines = [f"gens: {' '.join(alphabet.names)}"]
-    lines.append(f"config: {transcript.config_digest.hex()}")
+    lines = [f"gens: {' '.join(alphabet.names)}", f"config: {transcript.config_digest.hex()}"]
     for i, (sender, payload) in enumerate(transcript.messages, 1):
         lines.append(f"msg {i} {sender}: {payload}")
     lines.append(f"key-a: {hexes(key_a)}")

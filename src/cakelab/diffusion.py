@@ -5,11 +5,11 @@ invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1; both replay
 through ``presentations.swap``.  Swap slots come from the symmetrized set's
 relator-prefix scan (``SymmetrizedSet.matches``), the scan that Dehn
-reduction and the oracle use; each has |u| < |v|, but a swap's word depends
-on the whole match, not on |u| (see ``find_growth_swaps``), so not every
-swap lengthens the word.  Every move is logged with enough context to
-replay it and to convert the whole log into a word-search witness for
-disguised * original^-1.
+reduction and the oracle use, counted once per move and walked again only
+for a swap draw; each has |u| < |v|, but a swap's word depends on the whole
+match, not on |u| (see ``find_growth_swaps``), so not every swap lengthens
+the word.  Every move is logged with enough context to replay it and to
+convert the whole log into a word-search witness for disguised * original^-1.
 """
 
 from __future__ import annotations
@@ -105,39 +105,46 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
     return swap(w, pos, relator, take)
 
 
+def _takes(k: int, n: int) -> int:
+    """The growth-swap takes a k-letter match on an n-letter element offers: 1..k with 2*take < n."""
+    return min(k, (n - 1) // 2)
+
+
 def find_growth_swaps(w: Word, s: SymmetrizedSet):
-    """All (pos, relator, take) with 2*take < |relator|, by position, then in
-    canonical order among the elements starting there.  Every take up to the
-    match length k swaps to the same word (free reduction cancels the rest
-    of the match), so a slot lengthens the word by at most |relator| - 2k,
-    and not at all when 2k >= |relator|; disguise draws from every take."""
-    elems = s.ordered
+    """The swap slots disguise counts: all (pos, relator, take) with 2*take <
+    |relator|, by position, then in canonical order among the elements
+    starting there.  Every take up to the match length k swaps to the same
+    word (free reduction cancels the rest of the match), so a slot lengthens
+    the word by at most |relator| - 2k, and not at all when 2k >= |relator|."""
+    elems, lengths = s.ordered, s.lengths
     return [
         (pos, elems[i], take)
         for pos, i, k in s.matches(w.codes)
-        for take in range(1, min(k, (len(elems[i]) - 1) // 2) + 1)
+        for take in range(1, _takes(k, lengths[i]) + 1)
     ]
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
     s = symmetrize(p)
+    elems, lengths = s.ordered, s.lengths
     cur = w
     log: list[RewriteMove] = []
     for _ in range(budget.moves):
-        # slots: every growth swap, then every (position, element) insert
-        swaps = find_growth_swaps(cur, s)
-        n_slots = len(swaps) + (len(cur) + 1) * len(s.ordered)
+        # slots: the growth swaps, counted from the scan, then every (position, element) insert
+        n_swaps = sum([_takes(k, lengths[i]) for _, i, k in s.matches(cur.codes)])
+        n_slots = n_swaps + (len(cur) + 1) * len(elems)
         for _ in range(16):  # resample when the length cap rejects a slot
             k = rng.randrange(n_slots)
-            if k < len(swaps):
-                pos, rel, _take = swaps[k]
-                move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur)
+            if k < n_swaps:  # walk the scan again, to the match holding slot k
+                for pos, i, m in s.matches(cur.codes):
+                    k -= _takes(m, lengths[i])
+                    if k < 0:
+                        break
+                move = RewriteMove("subword-swap", pos, elems[i], -1, Word(cur.alphabet), cur)
             else:
-                pos, i = divmod(k - len(swaps), len(s.ordered))
-                conj = random_reduced_word(
-                    cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng
-                )
-                move = RewriteMove("insert-conjugate", pos, s.ordered[i], 1, conj, cur)
+                pos, i = divmod(k - n_swaps, len(elems))
+                conj = random_reduced_word(cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng)
+                move = RewriteMove("insert-conjugate", pos, elems[i], 1, conj, cur)
             if len(move.post_word) <= budget.max_word_len:
                 break
         else:  # every draw broke the length cap
@@ -172,10 +179,8 @@ def disguise(w: Word, p: Presentation, budget: DisguiseBudget, seed: int):
 def move_log_to_witness(log) -> WspWitness:
     """Witness for disguised * original^-1: the logged factors, outermost
     (latest) first."""
-    factors = []
-    for mv in reversed(list(log)):
-        factors.append((concat(mv.pre_word[: mv.position], mv.conjugator), mv.relator, mv.exponent))
-    return WspWitness(tuple(factors))
+    return WspWitness(tuple([(concat(mv.pre_word[: mv.position], mv.conjugator), mv.relator, mv.exponent)
+                             for mv in reversed(list(log))]))
 
 
 # -- move-log text format ---------------------------------------------------

@@ -96,16 +96,17 @@ class _Verdicts(NamedTuple):  # the small-cancellation table of a symmetrized se
 class SymmetrizedSet:
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
-    ``ordered``, with ``piece_lengths[i]`` the length of the longest piece
-    prefix of ``ordered[i]``.  Built from the relators, it is closed under
-    rotation and inversion by construction; :func:`symmetrize` builds it
-    once per presentation.
+    ``ordered``, with ``lengths[i]`` the length of ``ordered[i]`` and
+    ``piece_lengths[i]`` that of its longest piece prefix.  Built from the
+    relators, it is closed under rotation and inversion by construction;
+    :func:`symmetrize` builds it once per presentation.
 
     The rotations are sorted once as letter-code tuples; one pass over that
     order drops repeats and gives the piece lengths.  ``verdicts``, the table
     every verdict reads, is built from the codes on first use, as are the
-    element Words in ``ordered`` (no verdict reads them), the element set,
-    the pieces, the first-letter index, the inverses and the relator lattice.
+    element Words in ``ordered`` (no verdict or Dehn step reads them), the
+    element set, the pieces, the first-letter index, the inverses and the
+    relator lattice.
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
     oracle and disguise read it.  Dehn and the oracle rewrite code tuples
@@ -114,6 +115,7 @@ class SymmetrizedSet:
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
+    lengths: tuple[int, ...]
     piece_lengths: tuple[int, ...]
 
     def __init__(self, p: Presentation):
@@ -127,11 +129,16 @@ class SymmetrizedSet:
                 cycles.append(slice(len(flat), len(flat) + n))
                 flat += [twice[k : k + n] for k in range(n)]
         # one sort: equal rotations fall together, and a longest common prefix is with a lex neighbour
-        lex, shared, at = [], [], [0] * len(flat)
+        lex, shared, at, prev = [], [], [0] * len(flat), ()
         for j in sorted(range(len(flat)), key=flat.__getitem__):
-            if not lex or flat[j] != lex[-1]:
-                shared.append(common_prefix_len(lex[-1], flat[j]) if lex else 0)
-                lex.append(flat[j])
+            x = flat[j]
+            if x != prev:
+                m = 0  # prev sorts before x, so x is no prefix of prev
+                while m < len(prev) and x[m] == prev[m]:
+                    m += 1
+                shared.append(m)
+                lex.append(x)
+                prev = x
             at[j] = len(lex) - 1
         shared.append(0)
         # a stable sort by length keeps lex order within a length: (length, codes)
@@ -141,6 +148,7 @@ class SymmetrizedSet:
         object.__setattr__(self, "relators", p.relators)
         object.__setattr__(self, "piece_lengths", tuple([max(shared[i], shared[i + 1]) for i in order]))
         object.__setattr__(self, "_codes", tuple([lex[i] for i in order]))
+        object.__setattr__(self, "lengths", tuple(map(len, self._codes)))
         object.__setattr__(self, "_at", [[rank[i] for i in at[c]] for c in cycles])  # elements per cycle
         # pieces are prefixes up to the piece length, less those the lex predecessor shares
         object.__setattr__(self, "_piece_count", sum(
@@ -170,17 +178,18 @@ class SymmetrizedSet:
         pos of r, the piece prefix of r's rotation at pos, is an optimal step.
         T(4) fails when, for a (first, last) letter pair (a, b), some c among
         the last letters of elements starting with b^-1 has an element
-        starting with c^-1 and ending with a^-1: at most (2n)^3 steps for n
-        generators.  Admissibility needs no test: each excluded triple with
+        starting with c^-1 and ending with a^-1, that is, inverted, an
+        element a ... c: one disjointness test per pair, at most (2n)^2 for
+        n generators.  Admissibility needs no test: each excluded triple with
         all three seams cancelling would need an element ending in the
         inverse of its first letter, and every element is cyclically reduced.
         """
-        codes, lengths = self._codes, self.piece_lengths
+        codes, piece = self._codes, self.piece_lengths
         fewest: list = [None] * len(codes)
         top, of = 0, 1  # the largest piece length over element length, by cross-multiplying
         for at in self._at:
             n = len(at)
-            ahead = [lengths[i] for i in at] * 2  # the piece length at each position, twice round
+            ahead = [piece[i] for i in at] * 2  # the piece length at each position, twice round
             for k in range(n):
                 count = pos = 0
                 while pos < n and ahead[k + pos]:
@@ -192,8 +201,7 @@ class SymmetrizedSet:
         ends: dict[int, set] = {}  # first letter -> the last letters of elements starting with it
         for c in codes:
             ends.setdefault(c[0], set()).add(c[-1])
-        t4 = not any(a ^ 1 in ends.get(c ^ 1, ())
-                     for a, lasts in ends.items() for b in lasts for c in ends.get(b ^ 1, ()))
+        t4 = all(lasts.isdisjoint(ends[b ^ 1]) for lasts in ends.values() for b in lasts)
         relator_pieces = tuple([fewest[at[0]] for at in self._at[::2]])
         return _Verdicts(tuple(fewest), relator_pieces, self._piece_count,
                          Fraction(top, of) if top else None, t4)
@@ -426,13 +434,10 @@ def braid_presentation(n: int) -> Presentation:
     if n < 2:
         raise ValueError("need at least 2 strands")
     alphabet = Alphabet(tuple(f"s{i}" for i in range(1, n)))
-    relators = []
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            m = 3 if j - i == 1 else 2
-            rel = alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
-            relators.append(rel)  # each pair gives its own word
-    return Presentation(alphabet, tuple(relators))
+    pairs = [(i, j, 3 if j - i == 1 else 2) for i in range(n - 1) for j in range(i + 1, n - 1)]
+    return Presentation(alphabet, tuple([  # each pair gives its own word
+        alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
+        for i, j, m in pairs]))
 
 
 # -- text formats -------------------------------------------------------

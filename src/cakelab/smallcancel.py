@@ -153,7 +153,7 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
         for pos, i, k in s.matches(cur):
             if best is not None and best[0] < pos:
                 break
-            if 2 * k > len(s.ordered[i]) and (best is None or k > best[2]):
+            if 2 * k > s.lengths[i] and (best is None or k > best[2]):
                 best = pos, i, k
         if best is None:
             return _word(w.alphabet, cur)

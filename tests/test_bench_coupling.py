@@ -60,3 +60,14 @@ def test_check_workload_matches_its_reference(seed):
     assert len(check.specs) == len(check.PASS)
     failed = [spec.tag for spec in check.specs if not check.verify(spec, check.op(spec))]
     assert failed == []
+
+
+def test_disguise_workload_matches_its_reference():
+    # one full seed-0 pass of the bench's `disguise` ops, each verified against reference.json
+    workloads = load(BENCH / "workloads.py")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    disguise = workloads.Disguise(cakelab, 0, False, reference)
+    assert disguise.reference is not None
+    assert len(disguise.specs) == disguise.PER_LEVEL * len(workloads.LEVELS) == 36
+    failed = [spec.tag for spec in disguise.specs if not disguise.verify(spec, disguise.op(spec))]
+    assert failed == []

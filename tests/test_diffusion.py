@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import cakelab.words
+from cakelab import diffusion
 from cakelab.diffusion import (
     DisguiseBudget,
     RewriteMove,
@@ -32,6 +33,7 @@ SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
 
 L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+L4 = artin_from_graph(random_tree(4, 4, 7, seed=11).graph)
 L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 
 
@@ -178,6 +180,67 @@ def test_rewrite_move_replays_as_the_four_product_algebra(p):
 
 
 # --------------------------------------------------------------- disguise
+
+def list_one_pass(w, p, budget, rng):
+    """The pass as it drew before it counted its slots: it listed every slot
+    of ``find_growth_swaps``, then every (position, element) insert, and drew
+    one by index.  Also returns how many draws the length cap rejected."""
+    s = symmetrize(p)
+    cur, log, rejected = w, [], 0
+    for _ in range(budget.moves):
+        swaps = find_growth_swaps(cur, s)
+        n_slots = len(swaps) + (len(cur) + 1) * len(s.ordered)
+        for _ in range(16):
+            k = rng.randrange(n_slots)
+            if k < len(swaps):
+                pos, rel, _take = swaps[k]
+                move = RewriteMove("subword-swap", pos, rel, -1, Word(cur.alphabet), cur)
+            else:
+                pos, i = divmod(k - len(swaps), len(s.ordered))
+                conj = random_reduced_word(cur.alphabet, rng.randint(0, budget.max_conjugator_len), rng)
+                move = RewriteMove("insert-conjugate", pos, s.ordered[i], 1, conj, cur)
+            if len(move.post_word) <= budget.max_word_len:
+                break
+            rejected += 1
+        else:
+            break
+        log.append(move)
+        cur = move.post_word
+    return cur, log, rejected
+
+
+@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L4, L5],
+                         ids=["EX", "braid4", "L3", "L4", "L5"])
+def test_counted_slots_draw_as_the_listed_slots(p):
+    # same seed, same word, same log and the same RNG draws as the listed pass;
+    # a 24-letter cap forces resampling and passes whose every draw is rejected
+    rng = random.Random(43)
+    swaps = rejected = cut = 0
+    for budget in (DisguiseBudget(1), DisguiseBudget(3), DisguiseBudget(8), DisguiseBudget(8, 2, 24)):
+        for _ in range(12):
+            w = random_reduced_word(p.alphabet, rng.randint(0, 24), rng)
+            seed = rng.getrandbits(32)
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            v, log = diffusion._one_pass(w, p, budget, new_rng)
+            old_v, old_log, n_rejected = list_one_pass(w, p, budget, old_rng)
+            assert (str(v), format_move_log(log)) == (str(old_v), format_move_log(old_log))
+            assert new_rng.getstate() == old_rng.getstate()
+            swaps += sum(mv.kind == "subword-swap" for mv in log)
+            rejected += n_rejected
+            cut += len(log) < budget.moves
+    assert swaps and rejected and cut
+
+
+def test_disguise_lists_no_slots(monkeypatch):
+    # disguise counts its swap slots from the scan and still draws swaps
+    def listing(*args):
+        raise AssertionError("disguise listed its growth swaps")
+
+    monkeypatch.setattr(diffusion, "find_growth_swaps", listing)
+    w = parse_word(X, "x1^2 x2 x3 x1^-1 x2^2")
+    logs = [disguise(w, EX, DisguiseBudget(8), seed=seed)[1] for seed in range(8)]
+    assert any(mv.kind == "subword-swap" for log in logs for mv in log)
+
 
 def test_disguise_changes_word_and_preserves_element():
     w = parse_word(X, "x3 x1 x2^-1 x3")

@@ -423,6 +423,12 @@ def test_inverse_elements_match_a_lookup_by_codes():
         assert s._inverse == tuple(where[(~w).codes] for w in s.ordered), p
 
 
+def test_element_lengths_match_the_elements():
+    for p in verdict_corpus():
+        s = symmetrize(p)
+        assert s.lengths == tuple(len(w) for w in symmetrize_reference(p)[0]), p
+
+
 @pytest.mark.parametrize("level", [None, 3, 4, 5])
 def test_verdicts_build_no_element_words(level):
     # what check computes reads the codes; the element Words are built on first read
@@ -528,6 +534,19 @@ def test_dehn_matches_table_reference(p):
                 c = random_reduced_word(p.alphabet, rng.randint(0, 4), rng)
                 w = w * (c * (elems[rng.randrange(len(elems))] ** rng.choice((1, -1))) * ~c)
         assert dehn_reduce(w, p) == dehn_table_reference(w, p), w
+
+
+def test_dehn_builds_no_element_words():
+    # Dehn reads element lengths from the codes; the table reference reads the Words
+    rng = random.Random(17)
+    for p in (EX, L3):
+        fresh = Presentation(p.alphabet, p.relators)
+        words = [random_reduced_word(p.alphabet, 24, rng) for _ in range(20)]
+        conj = [random_reduced_word(p.alphabet, 3, rng) for _ in p.relators]
+        words += [c * r * ~c for c, r in zip(conj, p.relators)]  # conjugated relators
+        reduced = [dehn_reduce(w, fresh) for w in words]
+        assert "ordered" not in symmetrize(fresh).__dict__
+        assert reduced == [dehn_table_reference(w, p) for w in words]
 
 
 # --------------------------------------------------------------- oracle
