@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Word, from_codes, read_records
+from .words import Alphabet, Records, Word, from_codes
 
 __all__ = [
     "LabeledGraph",
@@ -63,19 +63,10 @@ class LabeledGraph:
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex names")
-        seen_pairs = set()
+        labels: dict[tuple, int] = {}
         for i, j, m in self.edges:
-            if not (0 <= i < j < n):
-                raise ValueError(f"bad edge endpoints ({i}, {j})")
-            if m < 2:
-                raise ValueError(f"edge label {m} below 2")
-            if (i, j) in seen_pairs:
-                raise ValueError(f"multiple edges between {i} and {j}")
-            seen_pairs.add((i, j))
-
-    @cached_property
-    def _labels(self) -> dict:
-        return {(i, j): m for i, j, m in self.edges}
+            _add_edge(labels, i, j, m, n)
+        object.__setattr__(self, "_labels", labels)
 
     def label(self, a: int, b: int) -> Optional[int]:
         return self._labels.get((min(a, b), max(a, b)))
@@ -96,6 +87,18 @@ class LabeledGraph:
 
     def alphabet(self) -> Alphabet:
         return Alphabet(self.vertices)
+
+
+def _add_edge(labels: dict, i: int, j: int, m: int, n: int) -> None:
+    """Label ``(i, j)`` with ``m``, refusing a loop, endpoints out of order or
+    outside ``range(n)``, a label below 2, and a second edge on one pair."""
+    if not (0 <= i < j < n):
+        raise ValueError(f"bad edge endpoints ({i}, {j})")
+    if m < 2:
+        raise ValueError(f"edge label {m} below 2")
+    if (i, j) in labels:
+        raise ValueError(f"multiple edges between {i} and {j}")
+    labels[i, j] = m
 
 
 def artin_from_graph(g: LabeledGraph) -> Presentation:
@@ -551,30 +554,26 @@ def format_tree(t: RootedTree) -> str:
 
 
 def parse_tree(text: str) -> RootedTree:
-    root_name = None
-    index: dict[str, int] = {}  # vertex name -> index, in order of appearance
-    edges = set()
-
-    def root_line(rest: str) -> None:
-        nonlocal root_name
-        if root_name is not None:
-            raise ValueError("duplicate root line")
-        root_name = rest
-        index.setdefault(rest, len(index))
+    """Inverse of format_tree.  Vertices are numbered in order of appearance,
+    and each edge is checked on its line."""
+    rec = Records(text)
+    index: dict[str, int] = {}  # vertex name -> index
+    labels: dict[tuple, int] = {}  # (i, j) with i < j -> label
 
     def edge_line(rest: str) -> None:
         parts = rest.split()
         if len(parts) != 3:
             raise ValueError(f"malformed edge line {rest!r}")
-        a = index.setdefault(parts[0], len(index))
-        b = index.setdefault(parts[1], len(index))
-        edges.add((min(a, b), max(a, b), int(parts[2])))
+        if "root" in rec.once:  # the root is numbered where its line stands
+            index.setdefault(rec.once["root"], len(index))
+        i, j = sorted(index.setdefault(name, len(index)) for name in parts[:2])
+        _add_edge(labels, i, j, int(parts[2]), len(index))
 
-    read_records(text, {"root": root_line, "edge": edge_line})
-    if root_name is None:
+    rec.read({"root": None, "edge": edge_line})
+    if "root" not in rec.once:
         raise ValueError("missing root line")
-    graph = LabeledGraph(tuple(index), frozenset(edges))
-    root = index[root_name]
+    root = index.setdefault(rec.once["root"], len(index))
+    graph = LabeledGraph(tuple(index), frozenset((i, j, m) for (i, j), m in labels.items()))
     parent = [-1] * len(index)
     level = [0] * len(index)
     level[root] = 1

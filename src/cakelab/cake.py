@@ -19,7 +19,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from random import Random
 from typing import Callable, Optional
 
@@ -39,9 +38,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import (
-    Alphabet, Word, _word, add_letters, from_codes, parse_word, random_reduced_word, read_records,
-)
+from .words import Alphabet, Records, Word, _word, from_codes, random_reduced_word
 
 __all__ = [
     "ProtocolSetupError",
@@ -411,32 +408,16 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
 def parse_transcript(text: str):
     """Returns (alphabet, Transcript, key_a_hex, key_b_hex).  The messages are
     capped at ``MAX_WORD_LETTERS`` letters in total."""
-    found = {"gens": None, "config": None, "key-a": None, "key-b": None}
-    messages = []
-    letters = 0
-
-    def gens(rest: str) -> None:
-        found["gens"] = Alphabet(tuple(rest.split()))
-
-    def config(rest: str) -> None:
-        found["config"] = bytes.fromhex(rest)
+    rec, messages = Records(text), []
 
     def msg(rest: str, _n: str, sender: str) -> None:
-        nonlocal letters
-        if found["gens"] is None:
-            raise ValueError("msg line before gens line")
-        w = parse_word(found["gens"], rest)
-        letters = add_letters(letters, len(w), "messages")
-        messages.append((sender, w))
+        messages.append((sender, rec.word(rest, "messages")))
 
-    read_records(text, {
-        "gens": gens,
-        "config": config,
-        "msg n sender": msg,
-        "key-a": partial(found.__setitem__, "key-a"),
-        "key-b": partial(found.__setitem__, "key-b"),
-    })
-    if found["gens"] is None or found["config"] is None:
+    rec.read({"gens": None, "config": None, "msg n sender": msg, "key-a": None, "key-b": None})
+    if rec.alphabet is None or "config" not in rec.once:
         raise ValueError("transcript missing gens or config line")
-    transcript = Transcript(tuple(messages), found["config"])
-    return found["gens"], transcript, found["key-a"], found["key-b"]
+    try:  # the one config line, read back after the file
+        digest = bytes.fromhex(rec.once["config"])
+    except ValueError as e:
+        raise ValueError(f"config line: {e}") from None
+    return rec.alphabet, Transcript(tuple(messages), digest), rec.once.get("key-a"), rec.once.get("key-b")

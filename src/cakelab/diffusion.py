@@ -6,10 +6,11 @@ matched relator prefix u for the inverted complement v^-1; both replay
 through ``presentations.swap``.  Swap slots come from the symmetrized set's
 relator-prefix scan (``SymmetrizedSet.matches``), the scan that Dehn
 reduction and the oracle use, counted once per move and walked again only
-for a swap draw; each has |u| < |v|, but a swap's word depends on the whole
-match, not on |u| (see ``find_growth_swaps``), so not every swap lengthens
-the word.  Every move is logged with enough context to replay it and to
-convert the whole log into a word-search witness for disguised * original^-1.
+for a swap draw; each has |u| < |v|, but every take up to the match length
+k swaps to the same word (free reduction cancels the rest of the match), so a
+swap lengthens the word by at most |r| - 2k, and not every swap lengthens it.
+Every move is logged with enough context to replay it and to convert the
+whole log into a word-search witness for disguised * original^-1.
 """
 
 from __future__ import annotations
@@ -18,18 +19,15 @@ import warnings
 from dataclasses import dataclass, field
 from random import Random
 
-from .presentations import Presentation, SymmetrizedSet, swap, symmetrize
+from .presentations import Presentation, swap, symmetrize
 from .smallcancel import WspWitness
-from .words import (
-    Word, add_letters, common_prefix_len, concat, parse_word, random_reduced_word, read_records,
-)
+from .words import Records, Word, common_prefix_len, concat, fields, random_reduced_word
 
 __all__ = [
     "DisguiseBudget",
     "RewriteMove",
     "insert_conjugate",
     "subword_swap",
-    "find_growth_swaps",
     "disguise",
     "move_log_to_witness",
     "format_move_log",
@@ -95,7 +93,7 @@ def insert_conjugate(w: Word, p: Presentation, pos: int, conjugator: Word,
 def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -> Word:
     """Replace the matched prefix u = relator[:take] at pos by the inverted
     complement; equals w in the group.  Every take up to the match length
-    gives the same word (see find_growth_swaps)."""
+    gives the same word."""
     if relator not in symmetrize(p):
         raise ValueError("relator is not in the symmetrized set")
     if not 1 <= take <= len(relator):
@@ -108,20 +106,6 @@ def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -
 def _takes(k: int, n: int) -> int:
     """The growth-swap takes a k-letter match on an n-letter element offers: 1..k with 2*take < n."""
     return min(k, (n - 1) // 2)
-
-
-def find_growth_swaps(w: Word, s: SymmetrizedSet):
-    """The swap slots disguise counts: all (pos, relator, take) with 2*take <
-    |relator|, by position, then in canonical order among the elements
-    starting there.  Every take up to the match length k swaps to the same
-    word (free reduction cancels the rest of the match), so a slot lengthens
-    the word by at most |relator| - 2k, and not at all when 2k >= |relator|."""
-    elems, lengths = s.ordered, s.lengths
-    return [
-        (pos, elems[i], take)
-        for pos, i, k in s.matches(w.codes)
-        for take in range(1, _takes(k, lengths[i]) + 1)
-    ]
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
@@ -202,26 +186,17 @@ def parse_move_log(text: str, p: Presentation, start: Word):
     total, so short lines cannot each hold a copy of one long post word.
     """
     s = symmetrize(p)
-    alphabet = start.alphabet
-    out: list[RewriteMove] = []
-    letters = 0
+    rec, out = Records(text, start.alphabet), []
 
     def move(rest: str) -> None:
-        nonlocal letters
-        head, sep1, tail = rest.partition(" rel=")
-        rel_text, sep2, tail = tail.partition(" exp=")
-        exp_text, sep3, conj_text = tail.partition(" conj=")
-        kind, sep4, pos_text = head.partition("@")
-        if not (sep1 and sep2 and sep3 and sep4):
-            raise ValueError(f"malformed move line {rest!r}")
-        rel = parse_word(alphabet, rel_text)
+        kind, pos_text, rel_text, exp_text, conj_text = fields(rest, "@", " rel=", " exp=", " conj=")
+        rel = rec.word(rel_text, "move log")
         if rel not in s:
             raise ValueError(f"relator {str(rel)!r} is not in the symmetrized set")
-        conj = parse_word(alphabet, conj_text)
         pre = out[-1].post_word if out else start
-        mv = RewriteMove(kind.strip(), int(pos_text), rel, int(exp_text), conj, pre)
-        letters = add_letters(letters, len(rel) + len(conj) + len(mv.post_word), "move log")
+        mv = RewriteMove(kind.strip(), int(pos_text), rel, int(exp_text), rec.word(conj_text, "move log"), pre)
+        rec.count(len(mv.post_word), "move log")
         out.append(mv)
 
-    read_records(text, {"move": move})
+    rec.read({"move": move})
     return out

@@ -23,13 +23,14 @@ from . import words
 from .words import (
     Alphabet,
     Letter,
+    Records,
     Word,
     _word,
     common_prefix_len,
     concat,
+    fields,
     from_codes,
     parse_word,
-    read_records,
     splice,
 )
 
@@ -448,42 +449,28 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _PresentationRecords:
-    """The ``gens:`` and ``rel:`` handlers of presentation and history files.
-    Each relator is checked on its line, and all of them are capped at
-    ``MAX_WORD_LETTERS`` letters in total, so at most twice the cap is built."""
-
-    def __init__(self):
-        self.alphabet = None
-        self.relators: dict[Word, None] = {}  # in file order
-        self.letters = 0
-        self.built = None  # the presentation; no rel line may follow it
-
-    def gens(self, rest: str) -> None:
-        if self.alphabet is not None:
-            raise ValueError("duplicate gens line")
-        self.alphabet = Alphabet(tuple(rest.split()))
-
-    def rel(self, rest: str) -> None:
-        if self.alphabet is None or self.built is not None:
+def _rel_line(rec: Records, relators: dict, steps=()):
+    """The ``rel:`` handler of presentation and history files: each relator
+    is checked on its line and kept in file order; none may follow a step."""
+    def rel(rest: str) -> None:
+        if rec.alphabet is None or steps:
             raise ValueError("rel line must follow the gens line and precede any step line")
-        r = parse_word(self.alphabet, rest)
-        _add_relator(self.alphabet, r, self.relators)
-        self.letters = words.add_letters(self.letters, len(r), "relators")
+        _add_relator(rec.alphabet, rec.word(rest, "relators"), relators)
 
-    def presentation(self) -> Presentation:
-        if self.built is None:
-            if self.alphabet is None:
-                raise ValueError("missing gens line")
-            self.built = Presentation(self.alphabet, tuple(self.relators))
-        return self.built
+    return rel
+
+
+def _start(rec: Records, relators: dict) -> Presentation:
+    if rec.alphabet is None:
+        raise ValueError("missing gens line")
+    return Presentation(rec.alphabet, tuple(relators))
 
 
 def parse_presentation(text: str) -> Presentation:
     """Inverse of format_presentation; '#' starts a comment, blank lines ignored."""
-    rec = _PresentationRecords()
-    read_records(text, {"gens": rec.gens, "rel": rec.rel})
-    return rec.presentation()
+    rec, relators = Records(text), {}
+    rec.read({"gens": None, "rel": _rel_line(rec, relators)})
+    return _start(rec, relators)
 
 
 def _format_step(st: TietzeStep) -> str:
@@ -506,20 +493,15 @@ def parse_history(text: str) -> PresentationHistory:
     """Inverse of format_history: the start presentation, then its steps.
     Each step is replayed once, on its own line, so a forged step fails as
     ``line N: ...``."""
-    rec = _PresentationRecords()
-    steps: list[TietzeStep] = []
-    cur = None
+    rec, relators, steps = Records(text), {}, []
+    start = cur = None
 
     def step(rest: str) -> None:
-        nonlocal cur
+        nonlocal start, cur
         if cur is None:
-            cur = rec.presentation()
-        head, sep, tail = rest.partition("=")
-        word_text, sep2, idx_text = tail.rpartition("@")
-        if not (sep and sep2):
-            raise ValueError(f"malformed step line {rest!r}")
-        name = head.strip()
-        idx = int(idx_text)
+            start = cur = _start(rec, relators)
+        name, word_text, idx_text = fields(rest, "=", "@")
+        name, idx = name.strip(), int(idx_text)
         pair = parse_word(cur.alphabet, word_text)
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")
@@ -528,6 +510,7 @@ def parse_history(text: str) -> PresentationHistory:
             raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
         steps.append(st)
 
-    read_records(text, {"gens": rec.gens, "rel": rec.rel, "step": step})
-    start = rec.presentation()
-    return _unchecked_history(start, steps, start if cur is None else cur)
+    rec.read({"gens": None, "rel": _rel_line(rec, relators, steps), "step": step})
+    if start is None:
+        start = cur = _start(rec, relators)
+    return _unchecked_history(start, steps, cur)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .presentations import Presentation, SymmetrizedSet, symmetrize
-from .words import MAX_WORD_LETTERS, Word, _word, add_letters, parse_word, read_records
+from .words import MAX_WORD_LETTERS, Records, Word, _word, fields
 
 __all__ = [
     "CancellationReport",
@@ -266,22 +266,16 @@ def format_witness(witness: WspWitness) -> str:
 def parse_witness(text: str, alphabet) -> WspWitness:
     """Inverse of format_witness; its words are capped at ``MAX_WORD_LETTERS``
     letters in total."""
-    factors = []
-    letters = 0
+    rec, factors = Records(text, alphabet), []
 
     def factor(rest: str) -> None:
-        nonlocal letters
-        head, sep1, tail = rest.partition("conj=")
-        conj_text, sep2, tail = tail.partition(" rel=")
-        rel_text, sep3, exp_text = tail.partition(" exp=")
-        if head or not (sep1 and sep2 and sep3):
+        head, conj_text, rel_text, exp_text = fields(rest, "conj=", " rel=", " exp=")
+        if head:
             raise ValueError(f"malformed factor line {rest!r}")
         exp = int(exp_text)
         if exp not in (1, -1):
             raise ValueError("factor exponent must be 1 or -1")
-        conj, rel = parse_word(alphabet, conj_text), parse_word(alphabet, rel_text)
-        letters = add_letters(letters, len(conj) + len(rel), "witness")
-        factors.append((conj, rel, exp))
+        factors.append((rec.word(conj_text, "witness"), rec.word(rel_text, "witness"), exp))
 
-    read_records(text, {"factor": factor})
+    rec.read({"factor": factor})
     return WspWitness(tuple(factors))

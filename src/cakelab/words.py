@@ -33,6 +33,8 @@ __all__ = [
     "common_prefix_len",
     "seam_reduced",
     "parse_word",
+    "Records",
+    "fields",
     "word_sort_key",
     "random_reduced_word",
 ]
@@ -330,41 +332,81 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     return from_codes(alphabet, codes)
 
 
-def read_records(text: str, handlers: dict) -> None:
-    """Pass each ``key: rest`` line of ``text`` to the handler for its key.
+class Records:
+    """The ``key: rest`` line records of one text file, read by :meth:`read`.
 
-    ``#`` starts a comment; blank lines are skipped.  Pattern ``"gens"`` calls
-    its handler with ``rest``; ``"msg n sender"`` reads ``msg 1 A: <rest>``
-    and calls it with ``rest, "1", "A"``.  A line without ``:``, an unknown
-    key, or a handler's ``ValueError`` raises ``ValueError("line N: ...")``.
+    ``#`` starts a comment; blank lines are skipped.  A line without ``:``,
+    an unknown key, or a handler's ``ValueError`` raises
+    ``ValueError("line N: ...")``.  A key whose handler is ``None`` may appear
+    only once: its body is kept in ``once``, and a ``gens`` line sets
+    ``alphabet``.  The words of a file are capped at ``MAX_WORD_LETTERS``
+    letters in total (:meth:`count`), so with the per-word cap at most twice
+    that is built.
     """
-    table = {}
-    for pattern, handler in handlers.items():
-        name, *args = pattern.split()
-        table[name] = len(args), handler
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, rest = line.partition(":")
-        name, *args = key.split() or ("",)
-        nargs, handler = table.get(name, (None, None))
-        try:
-            if not sep or len(args) != nargs:
-                raise ValueError(f"unexpected line {line!r}")
-            handler(rest.strip(), *args)
-        except ValueError as e:
-            raise ValueError(f"line {n}: {e}") from None
+
+    def __init__(self, text: str, alphabet: Alphabet | None = None):
+        self.text = text
+        self.alphabet = alphabet
+        self.once: dict[str, str] = {}
+        self.letters = 0
+
+    def read(self, handlers: dict) -> None:
+        """Pattern ``"gens"`` calls its handler with ``rest``; ``"msg n sender"``
+        reads ``msg 1 A: <rest>`` and calls it with ``rest, "1", "A"``."""
+        table = {}
+        for pattern, handler in handlers.items():
+            name, *args = pattern.split()
+            table[name] = len(args), handler
+        for n, raw in enumerate(self.text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, rest = line.partition(":")
+            name, *args = key.split() or ("",)
+            nargs, handler = table.get(name, (None, None))
+            rest = rest.strip()
+            try:
+                if not sep or len(args) != nargs:
+                    raise ValueError(f"unexpected line {line!r}")
+                if handler is not None:
+                    handler(rest, *args)
+                elif name in self.once:
+                    raise ValueError(f"duplicate {name} line")
+                else:
+                    self.once[name] = rest
+                    if name == "gens":
+                        self.alphabet = Alphabet(tuple(rest.split()))
+            except ValueError as e:
+                raise ValueError(f"line {n}: {e}") from None
+
+    def word(self, text: str, what: str) -> Word:
+        """``text`` parsed over the file's alphabet and counted as ``what``."""
+        if self.alphabet is None:
+            raise ValueError(f"{what} before the gens line")
+        w = parse_word(self.alphabet, text)
+        self.count(len(w), what)
+        return w
+
+    def count(self, n: int, what: str) -> None:
+        """Add ``n`` letters; ``ValueError`` on the line that passes the cap."""
+        self.letters += n
+        if self.letters > MAX_WORD_LETTERS:
+            raise ValueError(f"{what} longer than {MAX_WORD_LETTERS} letters in total")
 
 
-def add_letters(total: int, n: int, what: str) -> int:
-    """``total + n``, the running letter count of a parser that builds many
-    words from one file; ``ValueError`` on the line that passes
-    ``MAX_WORD_LETTERS``."""
-    total += n
-    if total > MAX_WORD_LETTERS:
-        raise ValueError(f"{what} longer than {MAX_WORD_LETTERS} letters in total")
-    return total
+def fields(body: str, *marks: str) -> list[str]:
+    """``body`` cut at the first of each mark in turn: the text before the
+    first mark, then the text after each, so ``fields("t1 = x1 @ 0", "=", "@")``
+    is ``["t1 ", " x1 ", " 0"]``.  Generator names hold no ``=`` or ``@``, so
+    no cut lands inside a word."""
+    out, rest = [], body
+    for mark in marks:
+        head, sep, rest = rest.partition(mark)
+        if not sep:
+            raise ValueError(f"missing {mark.strip()!r} in {body!r}")
+        out.append(head)
+    out.append(rest)
+    return out
 
 
 def word_sort_key(w: Word):

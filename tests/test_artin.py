@@ -183,6 +183,24 @@ def test_parse_tree_rejects_forests():
         parse_tree("root: a\nedge: b c 4\nedge: b d 4\n")
 
 
+@pytest.mark.parametrize("edge, error", [
+    ("edge: a1 a1 4", r"bad edge endpoints \(0, 0\)"),
+    ("edge: a1 c1 1", "edge label 1 below 2"),
+    ("edge: b1 a1 5", "multiple edges between 0 and 1"),
+    ("edge: a1 b1 4", "multiple edges between 0 and 1"),
+], ids=["loop", "label", "relabeled-pair", "copied-edge"])
+def test_parse_tree_checks_each_edge_on_its_line(edge, error):
+    with pytest.raises(ValueError, match=f"^line 3: {error}$"):
+        parse_tree(f"root: a1\nedge: a1 b1 4\n{edge}\nedge: a1 d1 4\n")
+
+
+def test_parse_tree_numbers_vertices_in_order_of_appearance():
+    # the root line numbers the root where it stands, not where it is read back
+    t = parse_tree("edge: b c 4\nroot: a\nedge: c d 4\nedge: a b 4\nedge: a e 4\n")
+    assert t.graph.vertices == ("b", "c", "a", "d", "e")
+    assert t.graph.vertices[t.root] == "a"
+
+
 # ------------------------------------------------------------ morphisms
 
 def test_split_at_root_partitions_vertices():

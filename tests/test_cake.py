@@ -275,6 +275,12 @@ def test_parse_transcript_caps_letters_in_total(monkeypatch):
         parse_transcript(head + "msg 2 bob: a^2 b\n")
 
 
+def test_parse_transcript_names_the_config_line():
+    # the config body is read as hex after the file, so its error names the record
+    with pytest.raises(ValueError, match=r"^config line: non-hexadecimal"):
+        parse_transcript("gens: a b\nconfig: 0g\nmsg 1 alice: a\n")
+
+
 # ------------------------------------------------------------- sandwich
 
 def test_sandwich_setup_structure():

@@ -180,6 +180,19 @@ def test_error_names_its_line(name):
         parse("\n".join(lines[:2] + ["wat: 1"] + lines[2:]) + "\n")
 
 
+ONCE_ONLY = [("presentation", "gens"), ("history", "gens"), ("transcript", "gens"), ("tree", "root"),
+             ("transcript", "config"), ("transcript", "key-a"), ("transcript", "key-b")]
+
+
+@pytest.mark.parametrize("name, key", ONCE_ONLY)
+def test_once_only_key_repeated_fails_on_its_line(name, key):
+    text, parse = SAMPLES[name]
+    lines = text.splitlines()
+    copy = next(line for line in lines if line.startswith(key + ":"))
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: duplicate {key} line$"):
+        parse(text + copy + "\n")
+
+
 def test_bad_relator_on_line_3_names_line_3():
     text = "# header\ngens: x1 x2 x3\nrel: x1^2 x2 x3^0\n"
     with pytest.raises(ValueError, match=r"^line 3: zero exponent in token 'x3\^0'$"):

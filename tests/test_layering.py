@@ -117,3 +117,15 @@ def test_every_private_definition_is_read_in_the_package():
         if private not in read
     ]
     assert unread == []
+
+
+def test_only_words_cuts_fields():
+    # record fields are cut by ``words.fields``; no other module partitions text
+    cuts = [
+        f"{name}.py:{node.lineno} .{node.func.attr}"
+        for name, tree in modules().items() if name != "words"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("partition", "rpartition")
+    ]
+    assert cuts == []
