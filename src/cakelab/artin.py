@@ -26,7 +26,6 @@ from .words import Alphabet, Records, Word, from_codes
 __all__ = [
     "LabeledGraph",
     "RootedTree",
-    "GraphMorphism",
     "GroupEndomorphism",
     "SplitPlatform",
     "ElementaryMove",
@@ -35,7 +34,6 @@ __all__ = [
     "random_tree",
     "split_at_root",
     "validate_morphism",
-    "induced_subgraph",
     "induce_endomorphism",
     "identity_endo",
     "apply_endo",
@@ -89,15 +87,17 @@ class LabeledGraph:
         return Alphabet(self.vertices)
 
 
-def _add_edge(labels: dict, i: int, j: int, m: int, n: int) -> None:
+def _add_edge(labels: dict, i: int, j: int, m: int, n: int, shown=None) -> None:
     """Label ``(i, j)`` with ``m``, refusing a loop, endpoints out of order or
-    outside ``range(n)``, a label below 2, and a second edge on one pair."""
+    outside ``range(n)``, a label below 2, and a second edge on one pair.
+    Errors name the endpoints as ``shown``, by default their indices."""
+    a, b = shown or (i, j)
     if not (0 <= i < j < n):
-        raise ValueError(f"bad edge endpoints ({i}, {j})")
+        raise ValueError(f"bad edge endpoints ({a}, {b})")
     if m < 2:
         raise ValueError(f"edge label {m} below 2")
     if (i, j) in labels:
-        raise ValueError(f"multiple edges between {i} and {j}")
+        raise ValueError(f"multiple edges between {a} and {b}")
     labels[i, j] = m
 
 
@@ -139,52 +139,36 @@ def _breadth_first(kids, v: int) -> list:
 @dataclass(frozen=True)
 class RootedTree:
     """A tree whose root has degree exactly 2 and whose labels are all >= 4.
-
-    ``parent[v]`` is v's parent index, -1 for the root.  ``levels`` counts
-    vertex levels, the root being level 1.
-    """
+    One breadth-first walk from the root derives ``parent`` (-1 at the root),
+    ``levels`` (the root is level 1) and the children, in index order."""
 
     graph: LabeledGraph
     root: int
-    parent: tuple[int, ...]
-    levels: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parent", tuple(self.parent))
         g = self.graph
         n = len(g.vertices)
-        if not (0 <= self.root < n) or len(self.parent) != n:
-            raise ValueError("root or parent table out of shape")
-        if self.parent[self.root] != -1:
-            raise ValueError("root must have parent -1")
+        if not 0 <= self.root < n:
+            raise ValueError(f"root {self.root} out of range")
         if len(g.edges) != n - 1:
             raise ValueError("edge count does not match a tree")
-        parent_edges = set()
-        for v in range(n):
-            if v == self.root:
-                continue
-            p = self.parent[v]
-            if not (0 <= p < n):
-                raise ValueError(f"vertex {v} has no parent")
-            parent_edges.add((min(v, p), max(v, p)))
-        if parent_edges != {(i, j) for i, j, _ in g.edges}:
-            raise ValueError("parent table disagrees with the edge set")
-        kids = tuple([tuple(k) for k in _children_lists(self.parent)])
-        object.__setattr__(self, "_children", kids)
-        # parent chains reach the root exactly when a walk down from it meets every vertex
-        order = _breadth_first(kids, self.root)
-        if len(order) != n:
-            raise ValueError("parent chains do not reach the root")
+        parent, level = [-1] * n, [0] * n
+        level[self.root] = 1
+        order = [self.root]
+        for v in order:  # the loop reaches what it appends
+            for u in g.neighbors(v):
+                if not level[u]:  # each vertex is met once, so a cycle cannot loop the walk
+                    parent[u], level[u] = v, level[v] + 1
+                    order.append(u)
+        if len(order) != n:  # n - 1 edges that reach every vertex make a tree
+            raise ValueError("tree is not connected")
         if g.degree(self.root) != 2:
             raise ValueError("root degree must be exactly 2")
         if not is_extra_large(g):
             raise ValueError("tree labels must all be >= 4")
-        level = [1] * n
-        for v in order[1:]:
-            level[v] = level[self.parent[v]] + 1
-        deepest = max(level)
-        if deepest != self.levels:
-            raise ValueError(f"levels field says {self.levels} but depth is {deepest}")
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "levels", level[order[-1]])
+        object.__setattr__(self, "_children", tuple([tuple(k) for k in _children_lists(parent)]))
 
     def children(self, v: int) -> tuple:
         return self._children[v]
@@ -249,37 +233,36 @@ def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple
     return parent, labels
 
 
-def build_tree(parent: list, labels: list, levels: int) -> RootedTree:
-    """The validated tree of ``sample_tree``'s arrays, vertices named a1, a2, ..."""
+def build_tree(parent: list, labels: list) -> RootedTree:
+    """The validated tree of ``sample_tree``'s arrays, rooted at vertex 0 and
+    with vertices named a1, a2, ..."""
     names = tuple([f"a{i + 1}" for i in range(len(parent))])
     edges = frozenset([(p, v, labels[v]) for v, p in enumerate(parent) if p >= 0])
-    return RootedTree(LabeledGraph(names, edges), 0, tuple(parent), levels)
+    return RootedTree(LabeledGraph(names, edges), 0)
 
 
 def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) -> RootedTree:
     """Seed-deterministic rooted tree: root degree 2, internal degrees at most
     max_degree, vertex levels exactly ``levels``, labels uniform in [4, label_hi].
     Vertices are named a1, a2, ... in breadth-first order."""
-    return build_tree(*sample_tree(levels, max_degree, label_hi, seed), levels)
+    return build_tree(*sample_tree(levels, max_degree, label_hi, seed))
 
 
 @dataclass(frozen=True)
 class SplitPlatform:
-    """A rooted tree split at its root into two connected sides.  The tree's
+    """A rooted tree split at its root into two connected sides: ``side_a``
+    and ``side_b`` are the subtrees of the root's two children.  The tree's
     alphabet, its Artin presentation and both sides' moves with their
     endomorphisms (a move is legal when a side lists it) are built on first
     read.  Only ``cake run``'s printout reads the presentation."""
 
     tree: RootedTree
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
 
     def __post_init__(self):
         t = self.tree
-        all_verts = set(range(len(t.graph.vertices)))
-        a, b = set(self.side_a), set(self.side_b)
-        if a & b or a | b | {t.root} != all_verts or t.root in a | b:
-            raise ValueError("sides must partition the non-root vertices")
+        c1, c2 = t.children(t.root)
+        object.__setattr__(self, "side_a", t.subtree(c1))
+        object.__setattr__(self, "side_b", t.subtree(c2))
 
     def side(self, which: str) -> tuple[int, ...]:
         if which == "A":
@@ -318,22 +301,7 @@ class SplitPlatform:
 
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
-    c1, c2 = t.children(t.root)
-    return SplitPlatform(t, t.subtree(c1), t.subtree(c2))
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    """A total vertex self-map of ``domain`` meant to preserve edges and labels."""
-
-    domain: LabeledGraph
-    vertex_map: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_map", tuple(self.vertex_map))
-        n = len(self.domain.vertices)
-        if len(self.vertex_map) != n or not all(0 <= v < n for v in self.vertex_map):
-            raise ValueError("vertex map must be total on the domain")
+    return SplitPlatform(t)
 
 
 def validate_morphism(g: LabeledGraph, vertex_map) -> bool:
@@ -341,19 +309,6 @@ def validate_morphism(g: LabeledGraph, vertex_map) -> bool:
     collapses to a loop maps to no edge, as the graph has no loops."""
     vm = tuple(vertex_map)
     return all(g.label(vm[i], vm[j]) == m for i, j, m in g.edges)
-
-
-def induced_subgraph(g: LabeledGraph, verts: tuple[int, ...]) -> LabeledGraph:
-    """Subgraph on ``verts`` (names kept, indices compacted in given order)."""
-    index = {v: k for k, v in enumerate(verts)}
-    if len(index) != len(verts):
-        raise ValueError("duplicate vertices")
-    edges = frozenset(
-        (min(index[i], index[j]), max(index[i], index[j]), m)
-        for i, j, m in g.edges
-        if i in index and j in index
-    )
-    return LabeledGraph(tuple(g.vertices[v] for v in verts), edges)
 
 
 @dataclass(frozen=True)
@@ -402,9 +357,10 @@ def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
     return compose(e1, e2) == compose(e2, e1)
 
 
-def induce_endomorphism(platform: SplitPlatform, side: str, morphism: GraphMorphism) -> GroupEndomorphism:
-    """Extend a side-subtree self-map to the whole group: the chosen side's
-    generators move per the morphism, the root and the other side stay fixed.
+def induce_endomorphism(platform: SplitPlatform, side: str, vertex_map) -> GroupEndomorphism:
+    """Extend a side-subtree self-map to the whole group: ``vertex_map[k]``
+    is the side-local index of the image of the side's k-th vertex, and the
+    root and the other side stay fixed.
 
     Certification: the extended map must keep every tree edge and its label.
     The only edge beyond the side's own is the root edge; a map that moves
@@ -412,12 +368,12 @@ def induce_endomorphism(platform: SplitPlatform, side: str, morphism: GraphMorph
     free parabolic subgroup (van der Lek 1983), so no endomorphism is lost.
     """
     side_verts = platform.side(side)
-    expected = induced_subgraph(platform.tree.graph, side_verts)
-    if morphism.domain != expected:
-        raise ValueError("morphism domain must be the chosen side's subtree")
-    full_map = list(range(len(platform.tree.graph.vertices)))
-    for local, v in enumerate(side_verts):
-        full_map[v] = side_verts[morphism.vertex_map[local]]
+    k = len(side_verts)
+    if len(vertex_map) != k or not all(0 <= v < k for v in vertex_map):
+        raise ValueError("vertex map must be total on the side")
+    full_map = list(range(len(platform.tree.parent)))
+    for v, image in zip(side_verts, vertex_map):
+        full_map[v] = side_verts[image]
     if not validate_morphism(platform.tree.graph, full_map):
         raise ValueError("vertex map is not label- and edge-preserving")
     return GroupEndomorphism(platform.alphabet, full_map)
@@ -566,24 +522,12 @@ def parse_tree(text: str) -> RootedTree:
             raise ValueError(f"malformed edge line {rest!r}")
         if "root" in rec.once:  # the root is numbered where its line stands
             index.setdefault(rec.once["root"], len(index))
-        i, j = sorted(index.setdefault(name, len(index)) for name in parts[:2])
-        _add_edge(labels, i, j, int(parts[2]), len(index))
+        (i, a), (j, b) = sorted((index.setdefault(name, len(index)), name) for name in parts[:2])
+        _add_edge(labels, i, j, int(parts[2]), len(index), (a, b))
 
     rec.read({"root": None, "edge": edge_line})
     if "root" not in rec.once:
         raise ValueError("missing root line")
     root = index.setdefault(rec.once["root"], len(index))
     graph = LabeledGraph(tuple(index), frozenset((i, j, m) for (i, j), m in labels.items()))
-    parent = [-1] * len(index)
-    level = [0] * len(index)
-    level[root] = 1
-    queue = [root]
-    for v in queue:  # breadth-first; the loop reaches what it appends
-        for u in graph.neighbors(v):
-            if not level[u]:
-                parent[u] = v
-                level[u] = level[v] + 1
-                queue.append(u)
-    if not all(level):
-        raise ValueError("tree file is not connected")
-    return RootedTree(graph, root, tuple(parent), max(level))
+    return RootedTree(graph, root)

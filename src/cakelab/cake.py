@@ -160,7 +160,7 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
         parent, labels = sample_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))
         if not both_sides_move(parent, labels):
             continue
-        platform = split_at_root(build_tree(parent, labels, levels))
+        platform = split_at_root(build_tree(parent, labels))
         moved_a, moved_b = [frozenset().union(*[e.moved for e in platform.move_endos(side)])
                             for side in ("A", "B")]
         for _ in range(20):
@@ -407,7 +407,8 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
 
 def parse_transcript(text: str):
     """Returns (alphabet, Transcript, key_a_hex, key_b_hex).  The messages are
-    capped at ``MAX_WORD_LETTERS`` letters in total."""
+    capped at ``MAX_WORD_LETTERS`` letters in total.  A key line is optional;
+    one that is present must hold 32 bytes of hex, returned in lower case."""
     rec, messages = Records(text), []
 
     def msg(rest: str, _n: str, sender: str) -> None:
@@ -416,8 +417,16 @@ def parse_transcript(text: str):
     rec.read({"gens": None, "config": None, "msg n sender": msg, "key-a": None, "key-b": None})
     if rec.alphabet is None or "config" not in rec.once:
         raise ValueError("transcript missing gens or config line")
-    try:  # the one config line, read back after the file
-        digest = bytes.fromhex(rec.once["config"])
-    except ValueError as e:
-        raise ValueError(f"config line: {e}") from None
-    return rec.alphabet, Transcript(tuple(messages), digest), rec.once.get("key-a"), rec.once.get("key-b")
+
+    def read_hex(key: str, size: int = 0) -> bytes:  # a once-only line, read back after the file
+        try:
+            raw = bytes.fromhex(rec.once[key])
+        except ValueError as e:
+            raise ValueError(f"{key} line: {e}") from None
+        if size and len(raw) != size:
+            raise ValueError(f"{key} line: {len(raw)} bytes, not {size}")
+        return raw
+
+    transcript = Transcript(tuple(messages), read_hex("config"))
+    keys = [read_hex(key, 32).hex() if key in rec.once else None for key in ("key-a", "key-b")]
+    return rec.alphabet, transcript, *keys

@@ -10,20 +10,19 @@ import cakelab.artin
 import cakelab.words
 from cakelab.artin import (
     ElementaryMove,
-    GraphMorphism,
     GroupEndomorphism,
     LabeledGraph,
     RootedTree,
     apply_endo,
     artin_from_graph,
     both_sides_move,
+    build_tree,
     compose,
     endos_commute,
     enumerate_side_moves,
     format_tree,
     identity_endo,
     induce_endomorphism,
-    induced_subgraph,
     is_extra_large,
     move_endomorphism,
     parse_tree,
@@ -43,7 +42,12 @@ def small_tree():
     whose parent edges carry the same label so p/q can merge or swap."""
     g = LabeledGraph(("r", "u", "v", "p", "q"),
                      frozenset({(0, 1, 4), (0, 2, 5), (1, 3, 6), (1, 4, 6)}))
-    return RootedTree(g, 0, (-1, 0, 0, 1, 1), 3)
+    return RootedTree(g, 0)
+
+
+def small_side_a():
+    """The graph on small_tree's side A, u, p, q, indexed in that order."""
+    return LabeledGraph(("u", "p", "q"), frozenset({(0, 1, 6), (0, 2, 6)}))
 
 
 # ----------------------------------------------------------------- graphs
@@ -82,30 +86,52 @@ def test_tree_validation_rejects_bad_root_degree():
     g = LabeledGraph(("r", "u", "v", "w"),
                      frozenset({(0, 1, 4), (0, 2, 4), (0, 3, 4)}))
     with pytest.raises(ValueError):
-        RootedTree(g, 0, (-1, 0, 0, 0), 2)
+        RootedTree(g, 0)
 
 
 def test_tree_validation_rejects_small_labels():
     g = LabeledGraph(("r", "u", "v"), frozenset({(0, 1, 3), (0, 2, 4)}))
     with pytest.raises(ValueError):
-        RootedTree(g, 0, (-1, 0, 0), 2)
+        RootedTree(g, 0)
 
 
 def test_tree_validation_rejects_wrong_levels():
     g = LabeledGraph(("r", "u", "v"), frozenset({(0, 1, 4), (0, 2, 4)}))
-    with pytest.raises(ValueError):
-        RootedTree(g, 0, (-1, 0, 0), 3)
-    t = RootedTree(g, 0, (-1, 0, 0), 2)
+    t = RootedTree(g, 0)
     assert t.levels == 2
 
 
 def test_tree_validation_rejects_cyclic_parent_table():
-    # a triangle apart from the root: every parent edge is a graph edge, yet
-    # the chains of w, x, y go round it and never reach r
+    # n - 1 edges, but a triangle apart from the root: the walk from r never
+    # meets w, x or y, and a walk from the triangle closes on what it has met
     g = LabeledGraph(("r", "u", "v", "w", "x", "y"),
                      frozenset({(0, 1, 4), (0, 2, 4), (3, 4, 4), (4, 5, 4), (3, 5, 4)}))
-    with pytest.raises(ValueError, match="^parent chains do not reach the root$"):
-        RootedTree(g, 0, (-1, 0, 0, 4, 5, 3), 2)
+    for root in (0, 3):
+        with pytest.raises(ValueError, match="^tree is not connected$"):
+            RootedTree(g, root)
+    with pytest.raises(ValueError, match="^tree is not connected$"):
+        parse_tree("root: r\nedge: r u 4\nedge: r v 4\nedge: w x 4\nedge: x y 4\nedge: w y 4\n")
+
+
+def test_tree_rejects_a_root_out_of_range():
+    g = LabeledGraph(("r", "u", "v"), frozenset({(0, 1, 4), (0, 2, 4)}))
+    for root in (-1, 3):
+        with pytest.raises(ValueError, match=f"^root {root} out of range$"):
+            RootedTree(g, root)
+
+
+def test_build_tree_derives_the_sampled_parent_and_levels():
+    # the sampler's arrays are the reference, over 200 seeds and a deep thin tree
+    cases = [(2 + seed % 6, 2 + seed % 3, seed) for seed in range(200)] + [(5_000, 2, 1)]
+    for levels, max_degree, seed in cases:
+        parent, labels = sample_tree(levels, max_degree, 7, seed)
+        t = build_tree(parent, labels)
+        assert t.parent == tuple(parent) and t.levels == levels, seed
+        # children in ascending index order
+        kids = [[] for _ in parent]
+        for v, p in enumerate(parent[1:], 1):
+            kids[p].append(v)
+        assert all(t.children(v) == tuple(k) for v, k in enumerate(kids)), seed
 
 
 def test_deep_thin_tree_builds_and_formats_in_linear_time():
@@ -116,8 +142,6 @@ def test_deep_thin_tree_builds_and_formats_in_linear_time():
     text = format_tree(t)
     assert text.count("\n") == 20_001
     assert format_tree(parse_tree(text)) == text
-    with pytest.raises(ValueError, match="^levels field says 19999 but depth is 20000$"):
-        RootedTree(t.graph, t.root, t.parent, 19_999)
 
 
 def test_random_tree_invariants():
@@ -184,10 +208,10 @@ def test_parse_tree_rejects_forests():
 
 
 @pytest.mark.parametrize("edge, error", [
-    ("edge: a1 a1 4", r"bad edge endpoints \(0, 0\)"),
+    ("edge: a1 a1 4", r"bad edge endpoints \(a1, a1\)"),
     ("edge: a1 c1 1", "edge label 1 below 2"),
-    ("edge: b1 a1 5", "multiple edges between 0 and 1"),
-    ("edge: a1 b1 4", "multiple edges between 0 and 1"),
+    ("edge: b1 a1 5", "multiple edges between a1 and b1"),
+    ("edge: a1 b1 4", "multiple edges between a1 and b1"),
 ], ids=["loop", "label", "relabeled-pair", "copied-edge"])
 def test_parse_tree_checks_each_edge_on_its_line(edge, error):
     with pytest.raises(ValueError, match=f"^line 3: {error}$"):
@@ -220,15 +244,14 @@ def test_split_platform_builds_its_presentation_on_first_read():
     p = plat.presentation
     assert p == artin_from_graph(t.graph)
     assert plat.presentation is p
-    # equality and hashing read the tree and the sides, built or not
+    # equality and hashing read the tree alone, the presentation built or not
     fresh = split_at_root(t)
     assert fresh == plat and hash(fresh) == hash(plat)
     assert "presentation" not in vars(fresh)
 
 
 def test_validate_morphism():
-    t = small_tree()
-    side = induced_subgraph(t.graph, (1, 3, 4))
+    side = small_side_a()
     # collapsing p and q onto p preserves the labels
     assert validate_morphism(side, (0, 1, 1))
     # sending p to u does not: no edge u-u
@@ -238,8 +261,7 @@ def test_validate_morphism():
 def test_induce_endomorphism_fixes_root_and_far_side():
     t = small_tree()
     plat = split_at_root(t)
-    side = induced_subgraph(t.graph, tuple(sorted(plat.side_a)))
-    e = induce_endomorphism(plat, "A", GraphMorphism(side, (0, 1, 1)))
+    e = induce_endomorphism(plat, "A", (0, 1, 1))
     names = plat.presentation.alphabet
     assert apply_endo(names.letter("r"), e) == names.letter("r")
     assert apply_endo(names.letter("v"), e) == names.letter("v")
@@ -249,9 +271,16 @@ def test_induce_endomorphism_fixes_root_and_far_side():
 def test_induce_rejects_label_breaking_map():
     t = small_tree()
     plat = split_at_root(t)
-    side = induced_subgraph(t.graph, tuple(sorted(plat.side_a)))
     with pytest.raises(ValueError):
-        induce_endomorphism(plat, "A", GraphMorphism(side, (0, 0, 1)))
+        induce_endomorphism(plat, "A", (0, 0, 1))
+
+
+@pytest.mark.parametrize("vertex_map", [(0, 1), (0, 1, 1, 1), (0, 1, 3), (0, -1, 1)],
+                         ids=["short", "long", "image-past-side", "negative-image"])
+def test_induce_refuses_a_map_not_total_on_the_side(vertex_map):
+    plat = split_at_root(small_tree())  # side A is u, p, q
+    with pytest.raises(ValueError, match="^vertex map must be total on the side$"):
+        induce_endomorphism(plat, "A", vertex_map)
 
 
 def _relator_images(plat, full_map):
@@ -277,7 +306,6 @@ def test_induce_checks_the_tree_as_the_relators_do():
             verts = plat.side(side)
             if len(verts) > 5:
                 continue
-            domain = induced_subgraph(t.graph, verts)
             for vm in itertools.product(range(len(verts)), repeat=len(verts)):
                 full_map = list(range(len(t.parent)))
                 for local, v in enumerate(verts):
@@ -285,7 +313,7 @@ def test_induce_checks_the_tree_as_the_relators_do():
                 images = _relator_images(plat, full_map)
                 collapsed += "empty" in images
                 try:
-                    e = induce_endomorphism(plat, side, GraphMorphism(domain, vm))
+                    e = induce_endomorphism(plat, side, vm)
                 except ValueError:
                     assert images != {"relator"}, (t, side, vm)
                 else:
@@ -301,10 +329,10 @@ def test_induce_rejects_a_map_moving_the_side_top():
     # relator of the root edge r-u goes into the free subgroup on r and p
     t = small_tree()
     plat = split_at_root(t)
-    side = induced_subgraph(t.graph, plat.side_a)
+    side = small_side_a()
     assert validate_morphism(side, (1, 0, 0))
     with pytest.raises(ValueError, match="^vertex map is not label- and edge-preserving$"):
-        induce_endomorphism(plat, "A", GraphMorphism(side, (1, 0, 0)))
+        induce_endomorphism(plat, "A", (1, 0, 0))
 
 
 # ------------------------------------------------------ elementary moves
@@ -379,7 +407,7 @@ def test_swap_requires_matching_shapes():
     # p and q hang on labels 6 and 7: merge and swap both impossible
     g = LabeledGraph(("r", "u", "v", "p", "q"),
                      frozenset({(0, 1, 4), (0, 2, 5), (1, 3, 6), (1, 4, 7)}))
-    t = RootedTree(g, 0, (-1, 0, 0, 1, 1), 3)
+    t = RootedTree(g, 0)
     plat = split_at_root(t)
     assert enumerate_side_moves(plat, "A") == ()
 
@@ -390,7 +418,7 @@ def test_deeper_swap_pairs_whole_subtrees():
         ("r", "u", "v", "s1", "s2", "l1", "l2"),
         frozenset({(0, 1, 4), (0, 2, 5), (1, 3, 6), (1, 4, 6), (3, 5, 4), (4, 6, 4)}),
     )
-    t = RootedTree(g, 0, (-1, 0, 0, 1, 1, 3, 4), 4)
+    t = RootedTree(g, 0)
     plat = split_at_root(t)
     moves = enumerate_side_moves(plat, "A")
     swaps = [m for m in moves if m.kind == "swap"]

@@ -71,3 +71,14 @@ def test_disguise_workload_matches_its_reference():
     assert len(disguise.specs) == disguise.PER_LEVEL * len(workloads.LEVELS) == 36
     failed = [spec.tag for spec in disguise.specs if not disguise.verify(spec, disguise.op(spec))]
     assert failed == []
+
+
+def test_exchange_workload_matches_its_reference():
+    # the full seed-0 `exchange` mix, each shared key checked against reference.json
+    workloads = load(BENCH / "workloads.py")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    exchange = workloads.Exchange(cakelab, 0, False, reference)
+    assert exchange.reference is not None
+    assert len(exchange.specs) == exchange.MIX == len(exchange.reference) == 1000
+    failed = [spec.index for spec in exchange.specs if not exchange.verify(spec, exchange.op(spec))]
+    assert failed == []

@@ -37,6 +37,7 @@ EX = Presentation(
     (parse_word(X, "x1^2 x2 x3^2 x2^-1"), parse_word(X, "x2^2 x3 x1^2 x3^-1")),
 )
 START = parse_word(X, "x3 x1 x2^-1")
+KEY = "00ff" * 16  # a 32-byte key
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -102,14 +103,32 @@ def test_tree_round_trips(levels, max_degree, label_hi, seed):
 @given(
     st.lists(st.tuples(st.sampled_from(("A", "B")), words), max_size=4),
     st.binary(min_size=1, max_size=32),
-    st.binary(max_size=32).map(bytes.hex),
-    st.binary(max_size=32).map(bytes.hex),
+    st.binary(min_size=32, max_size=32).map(bytes.hex),
+    st.binary(min_size=32, max_size=32).map(bytes.hex),
 )
 def test_transcript_round_trips(messages, digest, key_a, key_b):
     text = _transcript_text(messages, digest, key_a, key_b)
     alphabet, transcript, hex_a, hex_b = parse_transcript(text)
     assert (alphabet, transcript.messages, transcript.config_digest) == (X, tuple(messages), digest)
     assert format_transcript(alphabet, transcript, hex_a, hex_b) == text
+
+
+@pytest.mark.parametrize("key", ["key-a", "key-b"])
+@pytest.mark.parametrize("body, error", [
+    ("t 00ff", "non-hexadecimal"),
+    ("00ff", "2 bytes, not 32"),
+    ("00" * 33, "33 bytes, not 32"),
+    ("", "0 bytes, not 32"),
+], ids=["text", "short", "long", "empty"])
+def test_transcript_keys_are_32_bytes_of_hex(key, body, error):
+    text = _transcript_text([("A", START)], b"\x01", KEY, KEY).replace(f"{key}: {KEY}", f"{key}:{body}")
+    with pytest.raises(ValueError, match=f"^{key} line: {error}"):
+        parse_transcript(text)
+
+
+def test_transcript_keys_are_read_as_bytes():
+    text = _transcript_text([("A", START)], b"\x01", "AB" * 32, KEY).replace("key-b: ", "#")
+    assert parse_transcript(text)[2:] == ("ab" * 32, None)
 
 
 # ---------------------------------------------------------- mutated files
@@ -127,7 +146,7 @@ SAMPLES = {
     ),
     "tree": (format_tree(random_tree(3, 3, 6, seed=2)), parse_tree),
     "transcript": (
-        _transcript_text([("A", START), ("B", EX.relators[0])], b"\x01\xab", "00ff", "00ff"),
+        _transcript_text([("A", START), ("B", EX.relators[0])], b"\x01\xab", KEY, KEY),
         parse_transcript,
     ),
 }
