@@ -30,6 +30,7 @@ __all__ = [
     "SplitPlatform",
     "ElementaryMove",
     "artin_from_graph",
+    "braid_presentation",
     "is_extra_large",
     "random_tree",
     "split_at_root",
@@ -113,6 +114,17 @@ def artin_from_graph(g: LabeledGraph) -> Presentation:
     return Presentation(alphabet, tuple([
         alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
         for i, j, m in sorted(g.edges)]))
+
+
+def braid_presentation(n: int) -> Presentation:
+    """The braid group on n strands: the Artin group of the complete graph
+    on s1..s(n-1), label 3 on adjacent generators (s_i s_j s_i = s_j s_i s_j)
+    and 2 on distant ones, which commute."""
+    if n < 2:
+        raise ValueError("need at least 2 strands")
+    return artin_from_graph(LabeledGraph(
+        tuple(f"s{i}" for i in range(1, n)),
+        [(i, j, 3 if j - i == 1 else 2) for i in range(n - 1) for j in range(i + 1, n - 1)]))
 
 
 def is_extra_large(g: LabeledGraph) -> bool:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
+from . import words
 from .artin import (
     GroupEndomorphism,
     LabeledGraph,
@@ -249,16 +250,16 @@ class SandwichConfig:
 def sandwich_setup(seed: int, size_a: int = 2, size_b: int = 2, word_len: int = 8) -> SandwichConfig:
     if size_a < 1 or size_b < 1:
         raise ValueError("both sides need at least one generator")
+    if 4 * size_a * size_b > words.MAX_WORD_LETTERS:  # artin_from_graph's cap, before any edge
+        raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
     names = tuple(f"a{i + 1}" for i in range(size_a)) + tuple(f"b{i + 1}" for i in range(size_b))
     side_a = tuple(range(size_a))
     side_b = tuple(range(size_a, size_a + size_b))
-    edges = frozenset((i, j, 2) for i in side_a for j in side_b)
-    graph = LabeledGraph(names, edges)
+    graph = LabeledGraph(names, [(i, j, 2) for i in side_a for j in side_b])
     presentation = artin_from_graph(graph)
     rng = Random(seed)
-    alphabet = presentation.alphabet
     for _ in range(1000):
-        w = random_reduced_word(alphabet, word_len, rng)
+        w = random_reduced_word(presentation.alphabet, word_len, rng)
         sup = _support(w)
         if sup & set(side_a) and sup & set(side_b):
             return SandwichConfig(graph, side_a, side_b, w, presentation)
@@ -327,8 +328,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     if budget is None:
-        budget = DisguiseBudget(moves=3, max_conjugator_len=2,
-                                max_word_len=max(64, 4 * len(u)))
+        budget = DisguiseBudget(moves=3, max_conjugator_len=2, max_word_len=max(64, 4 * len(u)))
     if p.relators and 0 in bits:
         warnings.warn("0-bit words are only best-effort distinct once relators exist")
     rng = Random(seed)
@@ -379,7 +379,10 @@ def equality_dehn(p: Presentation) -> Callable:
 
 def equality_oracle(p: Presentation, depth: int) -> Callable:
     """Bounded search; answers True or None (never a definite False beyond
-    free equality)."""
+    free equality).  A negative depth is refused before any word is sent."""
+    if depth < 0:
+        raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
+
     def eq(a: Word, b: Word):
         x = a * b.inverse()
         if not x:

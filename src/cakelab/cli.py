@@ -188,15 +188,15 @@ def _cmd_bits(args) -> int:
     if any(c not in "01" for c in args.bits) or not args.bits:
         raise ValueError("bits must be a non-empty string of 0s and 1s")
     bits = [int(c) for c in args.bits]
-    sent = bitstream_encode(u, bits, p, args.seed)
-    for i, w in enumerate(sent, 1):
-        print(f"sent {i}: {w}")
     if args.strategy == "free":
         oracle = equality_free()
     elif args.strategy == "dehn":
         oracle = equality_dehn(p)
     else:
         oracle = equality_oracle(p, args.depth)
+    sent = bitstream_encode(u, bits, p, args.seed)
+    for i, w in enumerate(sent, 1):
+        print(f"sent {i}: {w}")
     decoded = bitstream_decode(u, sent, oracle)
     print("decoded: " + "".join("?" if b is None else str(b) for b in decoded))
     if decoded != bits:

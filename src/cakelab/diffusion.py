@@ -26,8 +26,6 @@ from .words import Records, Word, common_prefix_len, concat, fields, random_redu
 __all__ = [
     "DisguiseBudget",
     "RewriteMove",
-    "insert_conjugate",
-    "subword_swap",
     "disguise",
     "move_log_to_witness",
     "format_move_log",
@@ -80,27 +78,6 @@ class RewriteMove:
         c, r = self.conjugator, self.relator  # swap at take 0 inserts (c r^-e c^-1)^-1
         post = swap(self.pre_word, self.position, c * r ** -self.exponent * c.inverse(), 0)
         object.__setattr__(self, "post_word", post)
-
-
-def insert_conjugate(w: Word, p: Presentation, pos: int, conjugator: Word,
-                     relator: Word, exponent: int = 1) -> Word:
-    """prefix . c r^e c^-1 . suffix, freely reduced; equals w in the group."""
-    if relator not in symmetrize(p):
-        raise ValueError("relator is not in the symmetrized set")
-    return RewriteMove("insert-conjugate", pos, relator, exponent, conjugator, w).post_word
-
-
-def subword_swap(w: Word, p: Presentation, pos: int, relator: Word, take: int) -> Word:
-    """Replace the matched prefix u = relator[:take] at pos by the inverted
-    complement; equals w in the group.  Every take up to the match length
-    gives the same word."""
-    if relator not in symmetrize(p):
-        raise ValueError("relator is not in the symmetrized set")
-    if not 1 <= take <= len(relator):
-        raise ValueError("take must cover a non-empty relator prefix")
-    if not 0 <= pos < len(w) or common_prefix_len(w.codes, relator.codes, pos) < take:
-        raise ValueError(f"word does not match the relator prefix at {pos}")
-    return swap(w, pos, relator, take)
 
 
 def _takes(k: int, n: int) -> int:

@@ -22,12 +22,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import words
 from .words import (
     Alphabet,
-    Letter,
     Records,
     Word,
     _word,
     common_prefix_len,
-    concat,
     fields,
     from_codes,
     parse_word,
@@ -44,7 +42,6 @@ __all__ = [
     "shorten_all",
     "lift_word",
     "include_word",
-    "braid_presentation",
     "alternating_word",
     "format_presentation",
     "parse_presentation",
@@ -218,8 +215,8 @@ class SymmetrizedSet:
 
     @cached_property
     def pieces(self) -> frozenset:
-        """Letter tuples of the pieces: each element's prefixes up to its piece length."""
-        return frozenset(r[:k].letters for r, m in zip(self.ordered, self.piece_lengths)
+        """Code tuples of the pieces: each element's prefixes up to its piece length."""
+        return frozenset(c[:k] for c, m in zip(self._codes, self.piece_lengths)
                          for k in range(1, m + 1))
 
     @cached_property
@@ -300,7 +297,7 @@ class TietzeStep:
     """One split: ``old_relator = l1 l2 u`` becomes ``new_gen u`` plus ``new_gen^-1 l1 l2``."""
 
     new_gen: str
-    defined_as: tuple[Letter, Letter]
+    defined_as: tuple[int, int]  # the letter codes of l1 l2
     replaced_relator_index: int
     old_relator: Word
     new_relator: Word
@@ -338,7 +335,7 @@ def tietze_split(p: Presentation, idx: int, new_name: str | None = None):
     # no old relator holds t, the replacement starts with t and the
     # definition with t^-1, so all stay distinct
     relators.append(definition)
-    step = TietzeStep(name, (r[0], r[1]), idx, r, replacement)
+    step = TietzeStep(name, r.codes[:2], idx, r, replacement)
     return Presentation(bigger, tuple(relators)), step
 
 
@@ -403,10 +400,10 @@ def lift_word(w: Word, h: PresentationHistory) -> Word:
     if w.alphabet != h.end.alphabet:
         raise ValueError("word is not over the end alphabet of this history")
     start = h.start.alphabet
-    images = [_word(start, (2 * g,)) for g in range(len(start))]  # by generator index
+    by_code = [(c,) for c in range(2 * len(start))]  # each code's image, by code
     for st in h.steps:  # each appends its generator
-        images.append(concat(*[images[lt.gen] ** lt.sign for lt in st.defined_as]))
-    by_code = [v.codes for img in images for v in (img, img.inverse())]
+        img = from_codes(start, [x for c in st.defined_as for x in by_code[c]])
+        by_code += [img.codes, img.inverse().codes]
     return from_codes(start, [x for c in w.codes for x in by_code[c]])
 
 
@@ -423,22 +420,9 @@ def alternating_word(alphabet: Alphabet, i: int, j: int, m: int) -> Word:
         raise ValueError("length must be positive")
     if i == j:
         raise ValueError("alternating word needs two distinct generators")
-    return Word(alphabet, [Letter(j if k % 2 else i, 1) for k in range(m)])
-
-
-def braid_presentation(n: int) -> Presentation:
-    """The braid group on n strands: generators s1..s(n-1).
-
-    Adjacent generators satisfy s_i s_j s_i = s_j s_i s_j, distant ones
-    commute.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 strands")
-    alphabet = Alphabet(tuple(f"s{i}" for i in range(1, n)))
-    pairs = [(i, j, 3 if j - i == 1 else 2) for i in range(n - 1) for j in range(i + 1, n - 1)]
-    return Presentation(alphabet, tuple([  # each pair gives its own word
-        alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
-        for i, j, m in pairs]))
+    if not (0 <= min(i, j) and max(i, j) < len(alphabet)):
+        raise ValueError(f"generator indices {i}, {j} out of range")
+    return _word(alphabet, tuple([2 * (j if k % 2 else i) for k in range(m)]))
 
 
 # -- text formats -------------------------------------------------------
@@ -476,9 +460,7 @@ def parse_presentation(text: str) -> Presentation:
 def _format_step(st: TietzeStep) -> str:
     # two letters printed separately, never run-length merged
     names = st.old_relator.alphabet.names
-    pair = " ".join(
-        names[l.gen] + ("" if l.sign > 0 else "^-1") for l in st.defined_as
-    )
+    pair = " ".join(names[c >> 1] + ("^-1" if c & 1 else "") for c in st.defined_as)
     return f"step: {st.new_gen} = {pair} @ {st.replaced_relator_index}"
 
 
@@ -506,7 +488,7 @@ def parse_history(text: str) -> PresentationHistory:
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")
         cur, st = tietze_split(cur, idx, new_name=name)
-        if st.defined_as != pair.letters:
+        if st.defined_as != pair.codes:
             raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
         steps.append(st)
 

@@ -40,7 +40,6 @@ __all__ = [
     "dehn_reduce",
     "bounded_wp_oracle",
     "replay_witness",
-    "witness_matches",
     "format_witness",
     "parse_witness",
 ]
@@ -49,7 +48,7 @@ MAX_SEARCH_LETTERS = 16 * MAX_WORD_LETTERS  # the oracle's seen words, in letter
 
 
 def enumerate_pieces(s: SymmetrizedSet) -> frozenset:
-    """Letter tuples of the common prefixes of distinct elements; built once per set."""
+    """Code tuples of the common prefixes of distinct elements; built once per set."""
     return s.pieces
 
 
@@ -61,11 +60,11 @@ def min_piece_count(r: Word, pieces: frozenset) -> Optional[int]:
     lengths at a position form a range 1..L, and pos + L never decreases
     with pos: taking the longest piece at each step is optimal.
     """
-    n, letters = len(r), r.letters
+    n, codes = len(r), r.codes
     count = pos = 0
     while pos < n:
         longest = 0
-        while pos + longest < n and letters[pos : pos + longest + 1] in pieces:
+        while pos + longest < n and codes[pos : pos + longest + 1] in pieces:
             longest += 1
         if not longest:
             return None
@@ -179,10 +178,6 @@ def replay_witness(witness: WspWitness, alphabet=None) -> Word:
     for conj, rel, exp in witness.factors:
         out = out * conj * (rel ** exp) * conj.inverse()
     return out
-
-
-def witness_matches(witness: WspWitness, w: Word) -> bool:
-    return replay_witness(witness, w.alphabet) == w
 
 
 def _swap_moves(x: tuple, s: SymmetrizedSet):

@@ -3,10 +3,11 @@
 Every ``Word`` is immutable, freely reduced by construction, and stores one
 tuple of letter codes ``2*gen + (sign < 0)``: a code's inverse is ``code ^ 1``,
 and code order is (generator, sign) order.  ``Letter`` is the boundary type,
-checked once where a caller hands it in and built from the codes on reading;
-arithmetic, the grammar and every rewrite work on codes, unchecked, since
-their inputs are reduced.  ``x^3`` is three codes, so subword matching is
-trivial.
+and no other module builds or reads one: ``Word(alphabet, letters)`` checks
+the Letters a caller hands in, and iteration and indexing build them from the
+codes.  Arithmetic, the grammar and every rewrite work on codes, unchecked,
+since their inputs are reduced.  ``x^3`` is three codes, so subword matching
+is trivial.
 
 >>> X = Alphabet(("a", "b"))
 >>> w = X.word("a b^-2 a")
@@ -26,7 +27,6 @@ __all__ = [
     "Letter",
     "Word",
     "MAX_WORD_LETTERS",
-    "free_reduce",
     "from_codes",
     "splice",
     "concat",
@@ -118,7 +118,7 @@ class Alphabet:
 
     def letter(self, name: str, sign: int = 1) -> "Word":
         """One-letter word. ``sign`` must be +1 or -1."""
-        return Word(self, (Letter(self.index(name), sign),))
+        return Word(self, ((self.index(name), sign),))
 
     def word(self, text: str) -> "Word":
         """Parse ``text`` in the word grammar; see :func:`parse_word`."""
@@ -128,8 +128,8 @@ class Alphabet:
 @dataclass(frozen=True, init=False)
 class Word:
     """A freely reduced word of letter ``codes``.  ``Word(alphabet, letters)``
-    checks its Letters with :func:`free_reduce`; arithmetic builds its results
-    unchecked.  ``letters``, iteration and indexing are Letter views.
+    checks each Letter and that no two neighbours cancel; arithmetic builds
+    its results unchecked.  Iteration and indexing are Letter views.
 
     >>> X = Alphabet(("x", "y"))
     >>> Word(X, (Letter(0, 1), Letter(0, -1)))
@@ -142,19 +142,20 @@ class Word:
     codes: tuple[int, ...]
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()):
-        raw = tuple(letters)
-        codes = free_reduce(alphabet, raw).codes
-        if len(codes) != len(raw):
+        codes, n = [], len(alphabet.names)
+        for lt in letters:
+            gen, sign = lt[0], lt[1]
+            if not (0 <= gen < n):
+                raise ValueError(f"generator index {gen} out of range")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            codes.append(2 * gen + (sign < 0))
+        if any(a == b ^ 1 for a, b in zip(codes, codes[1:])):
             raise ValueError("letter sequence is not freely reduced")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", tuple(codes))
 
     # -- basic container behaviour ------------------------------------
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        """The codes as Letters, built on each read."""
-        return tuple(map(_letter, self.codes))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -222,27 +223,13 @@ def _letter(code: int) -> Letter:
     return Letter(code >> 1, -1 if code & 1 else 1)
 
 
-def free_reduce(alphabet: Alphabet, letters: Iterable[Letter]) -> Word:
-    """Freely reduce a raw letter sequence into a Word, checking each letter.
+def from_codes(alphabet: Alphabet, codes: Iterable[int]) -> Word:
+    """Freely reduce a sequence of valid letter codes into a Word, unchecked.
 
     >>> X = Alphabet(("x", "y"))
-    >>> free_reduce(X, [Letter(0, 1), Letter(1, 1), Letter(1, -1)])
+    >>> from_codes(X, [0, 2, 3])
     Word('x')
     """
-    codes = []
-    n = len(alphabet.names)
-    for lt in letters:
-        gen, sign = lt[0], lt[1]
-        if not (0 <= gen < n):
-            raise ValueError(f"generator index {gen} out of range")
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        codes.append(2 * gen + (sign < 0))
-    return from_codes(alphabet, codes)
-
-
-def from_codes(alphabet: Alphabet, codes: Iterable[int]) -> Word:
-    """Freely reduce a sequence of valid letter codes into a Word, unchecked."""
     out: list[int] = []
     for c in codes:
         if out and out[-1] == c ^ 1:
@@ -420,7 +407,10 @@ def random_reduced_word(alphabet: Alphabet, length: int, rng, gens: Sequence[int
 
     Each letter is drawn uniformly from the signed generators (restricted to
     ``gens`` when given), rejecting only the inverse of the previous letter.
+    A length over ``MAX_WORD_LETTERS`` is refused before any letter is drawn.
     """
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
     pool = tuple(gens) if gens is not None else tuple(range(len(alphabet.names)))
     if not pool and length > 0:
         raise ValueError("no generators to draw from")

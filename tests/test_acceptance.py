@@ -9,7 +9,7 @@ import time
 import warnings
 from fractions import Fraction
 
-from cakelab.artin import random_endo, split_at_root
+from cakelab.artin import braid_presentation, random_endo, split_at_root
 from cakelab.cake import (
     bitstream_decode,
     bitstream_encode,
@@ -20,7 +20,6 @@ from cakelab.cake import (
 from cakelab.diffusion import DisguiseBudget, disguise
 from cakelab.presentations import (
     Presentation,
-    braid_presentation,
     lift_word,
     shorten_all,
 )

@@ -34,7 +34,7 @@ from cakelab.artin import (
 )
 from cakelab.cake import setup
 from cakelab.presentations import alternating_word, symmetrize
-from cakelab.words import Alphabet, Letter, Word, free_reduce, parse_word
+from cakelab.words import Alphabet, Letter, Word, from_codes, parse_word
 
 
 def small_tree():
@@ -597,10 +597,10 @@ def _substitute(w, images):
     """Reference substitution: inverse letters get inverted images, then the
     result is freely reduced."""
     out = []
-    for lt in w.letters:
+    for lt in w:
         img = images[lt.gen]
-        out.extend(img.letters if lt.sign > 0 else img.inverse().letters)
-    return free_reduce(w.alphabet, out)
+        out.extend(img if lt.sign > 0 else img.inverse())
+    return from_codes(w.alphabet, [2 * lt.gen + (lt.sign < 0) for lt in out])
 
 
 def test_vertex_maps_agree_with_word_substitution():

@@ -49,7 +49,7 @@ def test_setup_is_deterministic_and_viable():
     b = setup(5)
     assert a == b
     assert config_digest(a) == config_digest(b)
-    support = {lt.gen for lt in a.public_word.letters}
+    support = {lt.gen for lt in a.public_word}
     assert support & set(a.platform.side_a)
     assert support & set(a.platform.side_b)
     assert a.platform.moves("A") and a.platform.moves("B")
@@ -215,7 +215,7 @@ def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
         endos_b = [move_endomorphism(platform, m) for m in moves_b]
         for _ in range(20):
             w = random_reduced_word(platform.alphabet, word_len, rng)
-            sup = {lt.gen for lt in w.letters}
+            sup = {lt.gen for lt in w}
             if not (sup & set(platform.side_a)) or not (sup & set(platform.side_b)):
                 continue
             if any(apply_endo(w, e) != w for e in endos_a) and \
@@ -240,7 +240,7 @@ def test_a_move_moves_a_word_exactly_when_it_moves_one_of_its_generators(levels)
         for e in platform.move_endos("A") + platform.move_endos("B"):
             for _ in range(10):
                 w = random_reduced_word(platform.alphabet, rng.randint(0, 16), rng)
-                support = {lt.gen for lt in w.letters}
+                support = {lt.gen for lt in w}
                 assert (apply_endo(w, e) != w) == bool(e.moved & support), (seed, e, w)
                 moved += apply_endo(w, e) != w
                 pairs += 1
@@ -288,8 +288,26 @@ def test_sandwich_setup_structure():
     assert cfg.graph.vertices == ("a1", "a2", "b1", "b2")
     assert all(m == 2 for _, _, m in cfg.graph.edges)
     assert len(cfg.graph.edges) == 4
-    support = {lt.gen for lt in cfg.public_word.letters}
+    support = {lt.gen for lt in cfg.public_word}
     assert support & set(cfg.side_a) and support & set(cfg.side_b)
+
+
+def test_sandwich_setup_caps_relator_letters_before_building(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("built the graph before refusing it")
+
+    with monkeypatch.context() as m:
+        m.setattr(cakelab.cake, "LabeledGraph", no_graph)
+        with pytest.raises(ValueError, match="^relators longer than 1000000 letters in total$"):
+            sandwich_setup(0, 600, 600)
+    # the cap is artin_from_graph's: 4 letters per commuting pair
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 16)
+    assert len(sandwich_setup(0, 2, 2).presentation.relators) == 4
+    edges = [(i, j, 2) for i in range(2) for j in range(2, 5)]
+    for build in (lambda: sandwich_setup(0, 2, 3),
+                  lambda: artin_from_graph(LabeledGraph(("a1", "a2", "b1", "b2", "b3"), edges))):
+        with pytest.raises(ValueError, match="^relators longer than 16 letters in total$"):
+            build()
 
 
 def test_sandwich_config_rejects_bad_platforms():

@@ -438,6 +438,14 @@ def test_bits_oracle_decodes_ones_and_leaves_zeros_unknown(capsys, ex_file):
     assert err == "bits: mismatch\n"
 
 
+def test_bits_refuses_a_negative_depth_before_sending(capsys, ex_file):
+    args = ["bits", "--presentation", ex_file, "--word", "x1 x2^-1", "--bits", "10",
+            "--seed", "7", "--strategy", "oracle", "--depth", "-1"]
+    code, out, err = run(capsys, args)
+    assert (code, out) == (2, "")
+    assert err == "error: depth and max_len must be non-negative, node_budget at least 1\n"
+
+
 def test_bits_requires_exactly_one_alphabet_source(capsys, ex_file):
     code, _, err = run(capsys, ["bits", "--word", "x1", "--bits", "1", "--seed", "1"])
     assert code == 2 and err.startswith("error: ")
@@ -505,3 +513,26 @@ def test_oversized_trees_are_input_errors(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cake", "run", "--word-len", "2000000"], "word longer than 1000000 letters"),
+    (["sandwich-run", "--word-len", "2000000"], "word longer than 1000000 letters"),
+    (["sandwich-run", "--size-a", "600", "--size-b", "600"],
+     "relators longer than 1000000 letters in total"),
+])
+def test_oversized_words_are_input_errors(tmp_path, argv, message):
+    # a public word of 2 million letters, or 360,000 commuting pairs of
+    # generators, is refused before a letter is drawn or an edge is built
+    import subprocess
+    import sys
+    import time
+
+    path = tmp_path / "transcript.txt"
+    argv = argv + ["--seed", "0", "--seed-a", "1", "--seed-b", "2", "--transcript", str(path)]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert not path.exists()

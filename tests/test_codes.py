@@ -43,7 +43,7 @@ def letters_swap(x, pos, r, take):
 
 def letter_index(s):
     """The elements as Letter tuples, and a first-letter index keyed by Letter."""
-    elems = [r.letters for r in s.ordered]
+    elems = [tuple(r) for r in s.ordered]
     starting = {}
     for i, r in enumerate(elems):
         starting.setdefault(r[0], []).append(i)
@@ -64,7 +64,7 @@ def letters_matches(x, index):
 def letters_dehn(w, p):
     s = symmetrize(p)
     index = letter_index(s)
-    cur = w.letters
+    cur = tuple(w)
     while True:
         best = None
         for pos, i, k in letters_matches(cur, index):
@@ -88,8 +88,8 @@ def letters_oracle(w, p, depth, node_budget=50_000):
         return None
     max_len = 2 * len(w) + max(len(r) for r in s.ordered)
     index = letter_index(s)
-    seen = {w.letters}
-    frontier = [(w.letters, ())]
+    seen = {tuple(w)}
+    frontier = [(tuple(w), ())]
     budget = node_budget
     for _ in range(depth):
         nxt = []
@@ -175,7 +175,7 @@ def test_dehn_matches_letter_reduction(p):
     words = list(random_quotients(p, rng, 45))
     words += [random_reduced_word(p.alphabet, rng.randint(0, 30), rng) for _ in range(30)]
     for w in words:
-        assert dehn_reduce(w, p).letters == letters_dehn(w, p), w
+        assert tuple(dehn_reduce(w, p)) == letters_dehn(w, p), w
 
 
 letters_st = st.lists(st.builds(Letter, st.integers(0, 2), st.sampled_from((1, -1))), max_size=20)
@@ -185,8 +185,8 @@ letters_st = st.lists(st.builds(Letter, st.integers(0, 2), st.sampled_from((1, -
 def test_letters_round_trip_through_codes(raw):
     letters = letters_reduce(raw)
     w = Word(X, letters)
-    assert w.letters == letters and tuple(w) == letters
-    assert all(type(lt) is Letter for lt in w.letters)
+    assert tuple(w) == letters
+    assert all(type(lt) is Letter for lt in w)
     assert [w[i] for i in range(len(w))] == list(letters)
 
 
@@ -195,7 +195,7 @@ def test_sort_key_orders_as_generator_then_sign(raws):
     ws = [Word(X, letters_reduce(raw)) for raw in raws]
 
     def letter_key(w):
-        return len(w), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w.letters)
+        return len(w), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w)
 
     assert sorted(ws, key=word_sort_key) == sorted(ws, key=letter_key)
 
@@ -261,4 +261,4 @@ def test_hot_paths_build_no_letter(monkeypatch):
     run_exchange(9000, 100, 200)
     assert built[0] == 0
     # the view builds Letters, and the count sees them
-    assert len(one_bit.letters) == built[0] == len(one_bit)
+    assert len(tuple(one_bit)) == built[0] == len(one_bit)

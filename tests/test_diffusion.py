@@ -12,13 +12,11 @@ from cakelab.diffusion import (
     RewriteMove,
     disguise,
     format_move_log,
-    insert_conjugate,
     move_log_to_witness,
     parse_move_log,
-    subword_swap,
 )
-from cakelab.artin import artin_from_graph, random_tree
-from cakelab.presentations import Presentation, braid_presentation, symmetrize
+from cakelab.artin import artin_from_graph, braid_presentation, random_tree
+from cakelab.presentations import Presentation, swap, symmetrize
 from cakelab.smallcancel import bounded_wp_oracle, dehn_reduce, replay_witness
 from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
 
@@ -42,7 +40,7 @@ def test_insert_conjugate_preserves_group_element():
     w = parse_word(X, "x3 x1 x2^-1")
     r = EX.relators[0]
     c = parse_word(X, "x2")
-    v = insert_conjugate(w, EX, 1, c, r, 1)
+    v = RewriteMove("insert-conjugate", 1, r, 1, c, w).post_word
     # v differs as a free word but v w^-1 is a conjugate of the relator
     assert v != w
     assert len(dehn_reduce(v * ~w, EX)) == 0
@@ -50,37 +48,39 @@ def test_insert_conjugate_preserves_group_element():
 
 def test_insert_conjugate_validates_inputs():
     w = parse_word(X, "x3")
-    with pytest.raises(ValueError):
-        insert_conjugate(w, EX, 0, Word(X, ()), parse_word(X, "x1"), 1)
-    with pytest.raises(ValueError):
-        insert_conjugate(w, EX, 9, Word(X, ()), EX.relators[0], 1)
-    with pytest.raises(ValueError):
-        insert_conjugate(w, EX, 0, Word(X, ()), EX.relators[0], 2)
+    # a logged insert by a word outside the symmetrized set is refused on reading
+    with pytest.raises(ValueError, match="not in the symmetrized set"):
+        parse_move_log("move: insert-conjugate @ 0 rel=x1 exp=1 conj=1\n", EX, w)
+    with pytest.raises(ValueError, match="position out of range"):
+        RewriteMove("insert-conjugate", 9, EX.relators[0], 1, Word(X, ()), w)
+    with pytest.raises(ValueError, match="exponent must be"):
+        RewriteMove("insert-conjugate", 0, EX.relators[0], 2, Word(X, ()), w)
 
 
 def test_subword_swap_exchanges_relator_halves():
     r = EX.relators[0]  # x1^2 x2 x3^2 x2^-1
     w = parse_word(X, "x3^-1") * r * parse_word(X, "x1")
-    v = subword_swap(w, EX, 1, r, 4)
+    v = swap(w, 1, r, 4)
     assert v != w
     assert len(dehn_reduce(v * ~w, EX)) == 0
+    # every take up to the match swaps to one word, the logged move's
+    assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == v
     # taking the whole relator erases it
-    v_all = subword_swap(w, EX, 1, r, len(r))
+    v_all = swap(w, 1, r, len(r))
     assert v_all == parse_word(X, "x3^-1 x1")
 
 
 def test_subword_swap_validates_match():
     r = EX.relators[0]
     w = parse_word(X, "x2 x1")
-    with pytest.raises(ValueError):
-        subword_swap(w, EX, 0, r, 2)
-    with pytest.raises(ValueError):
-        subword_swap(w, EX, 0, r, 0)
+    with pytest.raises(ValueError, match="does not match"):
+        RewriteMove("subword-swap", 0, r, -1, Word(X, ()), w)
     # positions count from the start only: w ends with r's first letter
-    with pytest.raises(ValueError):
-        subword_swap(w, EX, -1, r, 1)
-    with pytest.raises(ValueError):
-        subword_swap(w, EX, len(w), r, 1)
+    with pytest.raises(ValueError, match="position out of range"):
+        RewriteMove("subword-swap", -1, r, -1, Word(X, ()), w)
+    with pytest.raises(ValueError, match="does not match"):
+        RewriteMove("subword-swap", len(w), r, -1, Word(X, ()), w)
+    assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == swap(w, 1, r, 1)
 
 
 def naive_growth_swaps(w, s):
@@ -106,8 +106,8 @@ def test_growth_swaps_grow_before_seam_cancellation():
         w = random_reduced_word(X, rng.randint(1, 10), rng)
         for pos, r, take in naive_growth_swaps(w, s):
             assert 2 * take < len(r)
-            assert w.letters[pos : pos + take] == r.letters[:take]
-            v = subword_swap(w, EX, pos, r, take)
+            assert w.codes[pos : pos + take] == r.codes[:take]
+            v = swap(w, pos, r, take)
             # raw replacement grows; seams may cancel some of it back
             raw = len(w) + len(r) - 2 * take
             assert len(v) <= raw and (raw - len(v)) % 2 == 0
@@ -118,7 +118,7 @@ def test_rewrite_move_replay_validation():
     w = parse_word(X, "x3")
     r = EX.relators[0]  # x1^2 x2 x3^2 x2^-1
     mv = RewriteMove("insert-conjugate", 0, r, 1, Word(X, ()), w)
-    assert mv.post_word == insert_conjugate(w, EX, 0, Word(X, ()), r, 1)
+    assert mv.post_word == r * w
     with pytest.raises(ValueError):
         RewriteMove("subword-swap", 0, r, -1, parse_word(X, "x2"), w)
     with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ def test_rewrite_move_replay_validation():
     # a swap's relator must match at its position, by exponent -1
     u = parse_word(X, "x1 x3")
     swap_move = RewriteMove("subword-swap", 0, r, -1, Word(X, ()), u)
-    assert swap_move.post_word == subword_swap(u, EX, 0, r, 1)
+    assert swap_move.post_word == swap(u, 0, r, 1)
     with pytest.raises(ValueError, match="exponent -1"):
         RewriteMove("subword-swap", 0, r, 1, Word(X, ()), u)
     with pytest.raises(ValueError, match="does not match"):

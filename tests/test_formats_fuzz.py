@@ -29,7 +29,7 @@ from cakelab.presentations import (
     shorten_all,
 )
 from cakelab.smallcancel import WspWitness, format_witness, parse_witness
-from cakelab.words import Alphabet, Letter, free_reduce, parse_word
+from cakelab.words import Alphabet, Letter, from_codes, parse_word
 
 X = Alphabet(("x1", "x2", "x3"))
 EX = Presentation(
@@ -43,7 +43,7 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
 
 words = st.lists(
     st.builds(Letter, st.integers(0, 2), st.sampled_from((1, -1))), max_size=8
-).map(lambda lts: free_reduce(X, lts))
+).map(lambda lts: from_codes(X, [2 * lt.gen + (lt.sign < 0) for lt in lts]))
 relators = words.map(lambda w: w.cyclic_reduce()[0]).filter(bool)
 presentations = st.lists(relators, max_size=3, unique=True).map(
     lambda rels: Presentation(X, tuple(rels))

@@ -129,3 +129,25 @@ def test_only_words_cuts_fields():
         and node.func.attr in ("partition", "rpartition")
     ]
     assert cuts == []
+
+
+def test_only_words_names_letters():
+    # every other module reads ``Word.codes``; the package entry point only
+    # re-exports ``Letter``, the boundary type of ``Word(alphabet, letters)``
+    def names(node, module):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.alias) and module != "__init__":
+            return [node.name]
+        return []
+
+    named = [
+        f"{name}.py:{node.lineno} {ident}"
+        for name, tree in modules().items() if name != "words"
+        for node in ast.walk(tree)
+        for ident in names(node, name)
+        if ident in ("Letter", "letters", "free_reduce")
+    ]
+    assert named == []

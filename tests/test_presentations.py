@@ -1,6 +1,7 @@
 """Presentations, symmetrized closures, Tietze splitting, files."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -8,11 +9,11 @@ import pytest
 import cakelab.presentations
 import cakelab.words
 
+from cakelab.artin import braid_presentation
 from cakelab.presentations import (
     Presentation,
     PresentationHistory,
     alternating_word,
-    braid_presentation,
     format_history,
     format_presentation,
     include_word,
@@ -23,7 +24,7 @@ from cakelab.presentations import (
     symmetrize,
     tietze_split,
 )
-from cakelab.words import Alphabet, Word, parse_word
+from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
 
 X = Alphabet(("x1", "x2", "x3"))
 R1 = parse_word(X, "x1^2 x2 x3^2 x2^-1")
@@ -36,7 +37,7 @@ def closure_oracle(relators):
     out = set()
     for r in relators:
         for base in (r, ~r):
-            ls = base.letters
+            ls = tuple(base)
             for k in range(len(ls)):
                 out.add(ls[k:] + ls[:k])
     return out
@@ -54,7 +55,7 @@ def test_large_presentation_builds_in_linear_time():
     assert len(set(p.relators)) == 20_000
     copy = Alphabet(names)
     assert copy == alphabet and hash(copy) == hash(alphabet) and copy is not alphabet
-    assert Word(copy, relators[0].letters) == relators[0]
+    assert Word(copy, relators[0]) == relators[0]
     assert alphabet != Alphabet(names[:-1]) and alphabet != names
     with pytest.raises(ValueError, match="^duplicate relator"):
         Presentation(alphabet, relators + relators[-1:])
@@ -62,7 +63,7 @@ def test_large_presentation_builds_in_linear_time():
 
 def test_symmetrize_matches_rotation_oracle():
     s = symmetrize(P)
-    assert {w.letters for w in s.elements} == closure_oracle(P.relators)
+    assert {tuple(w) for w in s.elements} == closure_oracle(P.relators)
     assert len(s) == 24
 
 
@@ -70,7 +71,7 @@ def test_symmetrize_closed_under_inverse_and_rotation():
     s = symmetrize(P)
     for w in s.elements:
         assert ~w in s
-        rot = Word(X, w.letters[1:] + w.letters[:1])
+        rot = Word(X, tuple(w)[1:] + tuple(w)[:1])
         assert rot in s
 
 
@@ -113,7 +114,7 @@ def test_tietze_split_shape():
     assert str(q.relators[-1]) == "t1^-1 x1^2"
     assert st.replaced_relator_index == 0
     assert st.old_relator == R1
-    assert len(st.defined_as) == 2
+    assert st.defined_as == R1.codes[:2] == (0, 0)
 
 
 def test_tietze_split_requires_length_four():
@@ -163,6 +164,31 @@ def test_lift_undoes_include():
         assert lift_word(include_word(w, h), h) == w
 
 
+def lift_reference(w, h):
+    """Substitution by Words: each new generator's image is the product of
+    its two defining letters' images, and a word's is the product of its
+    letters' images."""
+    start = h.start.alphabet
+    images = [Word(start, ((g, 1),)) for g in range(len(start))]
+    for st in h.steps:
+        a, b = ((c >> 1, -1 if c & 1 else 1) for c in st.defined_as)
+        images.append(images[a[0]] ** a[1] * images[b[0]] ** b[1])
+    out = Word(start)
+    for lt in w:
+        out = out * images[lt.gen] ** lt.sign
+    return out
+
+
+def test_lift_word_matches_substitution():
+    rng = random.Random(21)
+    for p in (P, parse_presentation("gens: a b\nrel: a^3 b^-2 a^-1 b^4\nrel: b a b^2 a^-2\n")):
+        h = shorten_all(p)
+        assert len(h.steps) > 3
+        for _ in range(50):
+            w = random_reduced_word(h.end.alphabet, rng.randint(0, 12), rng)
+            assert lift_word(w, h) == lift_reference(w, h), w
+
+
 def test_lift_of_definition_relators_is_trivial_or_original():
     h = shorten_all(P)
     lifted = [lift_word(r, h) for r in h.end.relators]
@@ -184,6 +210,9 @@ def test_alternating_word_shape():
     assert str(w) == "x1 x2 x1 x2 x1"
     w = alternating_word(X, 2, 0, 4)
     assert str(w) == "x3 x1 x3 x1"
+    for i, j in ((0, 3), (3, 0), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            alternating_word(X, i, j, 1)
 
 
 def test_braid_presentation_structure():
@@ -194,6 +223,24 @@ def test_braid_presentation_structure():
     for r in p.relators:
         assert r.is_cyclically_reduced
     assert braid_presentation(2).relators == ()
+
+
+def braid_reference(n):
+    """The braid presentation built pair by pair from alternating words."""
+    alphabet = Alphabet(tuple(f"s{i}" for i in range(1, n)))
+    pairs = [(i, j, 3 if j - i == 1 else 2) for i in range(n - 1) for j in range(i + 1, n - 1)]
+    return Presentation(alphabet, tuple(
+        alternating_word(alphabet, i, j, m) * ~alternating_word(alphabet, j, i, m)
+        for i, j, m in pairs))
+
+
+def test_braid_presentation_is_the_artin_group_of_its_pair_graph():
+    for n in range(2, 12):
+        p = braid_presentation(n)
+        assert p == braid_reference(n), n
+        assert format_presentation(p) == format_presentation(braid_reference(n))
+    with pytest.raises(ValueError, match="at least 2 strands"):
+        braid_presentation(1)
 
 
 def test_presentation_file_round_trip():

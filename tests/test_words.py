@@ -14,7 +14,7 @@ from cakelab.words import (
     Letter,
     Word,
     concat,
-    free_reduce,
+    from_codes,
     parse_word,
     random_reduced_word,
     seam_reduced,
@@ -43,21 +43,28 @@ letters_st = st.lists(
 )
 
 
+def reduce_raw(raw):
+    """The Word a raw Letter sequence freely reduces to, through its codes."""
+    return from_codes(ABC, [2 * lt.gen + (lt.sign < 0) for lt in raw])
+
+
 @given(letters_st)
 def test_free_reduce_matches_naive(raw):
-    assert free_reduce(ABC, raw).letters == naive_reduce(raw)
+    w = reduce_raw(raw)
+    assert tuple(w) == naive_reduce(raw)
+    assert Word(ABC, naive_reduce(raw)) == w
 
 
 @given(letters_st, letters_st)
 def test_concat_is_reduce_of_concatenation(xs, ys):
-    a = free_reduce(ABC, xs)
-    b = free_reduce(ABC, ys)
-    assert concat(a, b).letters == naive_reduce(a.letters + b.letters)
+    a = reduce_raw(xs)
+    b = reduce_raw(ys)
+    assert tuple(concat(a, b)) == naive_reduce(tuple(a) + tuple(b))
 
 
 @given(letters_st)
 def test_inverse_cancels(raw):
-    w = free_reduce(ABC, raw)
+    w = reduce_raw(raw)
     assert len(w * ~w) == 0
     assert len(~w * w) == 0
     assert ~~w == w
@@ -65,13 +72,13 @@ def test_inverse_cancels(raw):
 
 @given(letters_st)
 def test_text_round_trip(raw):
-    w = free_reduce(ABC, raw)
+    w = reduce_raw(raw)
     assert parse_word(ABC, str(w)) == w
 
 
 @given(letters_st, st.integers(-3, 3))
 def test_power(raw, k):
-    w = free_reduce(ABC, raw)
+    w = reduce_raw(raw)
     expect = Word(ABC, ())
     base = w if k >= 0 else ~w
     for _ in range(abs(k)):
@@ -81,7 +88,7 @@ def test_power(raw, k):
 
 @given(letters_st)
 def test_cyclic_reduce_conjugacy(raw):
-    w = free_reduce(ABC, raw)
+    w = reduce_raw(raw)
     core, conj = w.cyclic_reduce()
     assert core.is_cyclically_reduced
     assert conj * core * ~conj == w
@@ -89,26 +96,26 @@ def test_cyclic_reduce_conjugacy(raw):
 
 @given(letters_st)
 def test_slices_are_words(raw):
-    w = free_reduce(ABC, raw)
+    w = reduce_raw(raw)
     for i in range(len(w) + 1):
         for j in range(i, len(w) + 1):
             piece = w[i:j]
             assert isinstance(piece, Word)
             # any contiguous run of a reduced word is reduced
-            assert free_reduce(ABC, piece.letters) == piece
+            assert Word(ABC, piece) == piece
 
 
 @given(letters_st, letters_st, st.integers(0, 24), st.integers(0, 24))
 def test_unchecked_builds_pass_the_public_check(xs, ys, i, j):
     # arithmetic builds its results without the check; each must pass it
-    a, b = free_reduce(ABC, xs), free_reduce(ABC, ys)
+    a, b = reduce_raw(xs), reduce_raw(ys)
     core, conj = a.cyclic_reduce()
     rotations = symmetrize(Presentation(ABC, (core,) if core else ())).ordered
     built = [a[i:j], a.inverse(), concat(a, b), core, conj, *rotations,
              swap(a, min(i, len(a)), b, min(j, len(b)))]
     for w in built:
-        assert Word(w.alphabet, w.letters) == w
-        assert all(type(lt) is Letter for lt in w.letters)
+        assert Word(w.alphabet, w) == w
+        assert all(type(lt) is Letter for lt in w)
 
 
 def test_word_validation_rejects_unreduced():
@@ -117,7 +124,7 @@ def test_word_validation_rejects_unreduced():
     # a plain tuple spelling is checked and rebuilt as Letters
     w = Word(ABC, ((0, 1), (1, -1)))
     assert w == parse_word(ABC, "a b^-1")
-    assert all(type(lt) is Letter for lt in w.letters)
+    assert all(type(lt) is Letter for lt in w)
     with pytest.raises(ValueError, match="not freely reduced"):
         Word(ABC, ((0, 1), (0, -1)))
 
@@ -129,6 +136,12 @@ def test_word_validation_rejects_foreign_letters():
         Word(ABC, (Letter(0, 2),))
     with pytest.raises(ValueError, match="sign must be"):
         ABC.letter("a", 0)
+    with pytest.raises(ValueError, match="unknown generator"):
+        ABC.letter("z")
+    assert ABC.letter("b", -1).codes == (3,)
+    # every letter is checked before the reduction is
+    with pytest.raises(ValueError, match="out of range"):
+        Word(ABC, (Letter(0, 1), Letter(0, -1), Letter(7, 1)))
     with pytest.raises(ValueError, match="out of range"):
         random_reduced_word(ABC, 3, random.Random(1), gens=(0, 7))
 
@@ -212,7 +225,20 @@ def test_random_reduced_word_properties():
         assert len(w) == length
     # restricted generator support
     w = random_reduced_word(ABC, 30, rng, gens=(0, 2))
-    assert {l.gen for l in w.letters} <= {0, 2}
+    assert {l.gen for l in w} <= {0, 2}
+
+
+def test_random_reduced_word_caps_length_before_drawing(monkeypatch):
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 5)
+    assert len(random_reduced_word(ABC, 5, random.Random(1))) == 5
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew with {name} before refusing")
+
+    for length in (6, 10**20):
+        with pytest.raises(ValueError, match="^word longer than 5 letters$"):
+            random_reduced_word(ABC, length, NoDraws())
 
 
 def test_random_reduced_word_deterministic():
@@ -231,5 +257,5 @@ def test_extended_preserves_prefix():
 @settings(max_examples=40)
 @given(letters_st, letters_st, letters_st)
 def test_concat_associative(xs, ys, zs):
-    a, b, c = (free_reduce(ABC, t) for t in (xs, ys, zs))
+    a, b, c = (reduce_raw(t) for t in (xs, ys, zs))
     assert (a * b) * c == a * (b * c)
