@@ -1,14 +1,9 @@
-"""Key-exchange engines over commuting endomorphism families.
+"""Key exchange over commuting endomorphism families.
 
-The main protocol runs on a rooted tree split at its root: each party owns
+The protocol runs on a rooted tree split at its root: each party owns
 one side, draws a private endomorphism supported there, and applies it to
 the public word.  Side supports are disjoint, so the two private maps
 commute and both parties compute the same key word letter for letter.
-
-The sandwich variant runs on a two-sided graph where every cross pair
-commutes (the group is a direct product of two free groups); parties
-multiply the public word from both ends and keys are compared in the normal
-form that sorts each side's letters together.
 
 Bitstream transport: 1-bits travel as disguised copies of the reference
 word, 0-bits as the reference word times one extra generator.
@@ -22,13 +17,10 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
-from . import words
 from .artin import (
     GroupEndomorphism,
-    LabeledGraph,
     SplitPlatform,
     apply_endo,
-    artin_from_graph,
     both_sides_move,
     build_tree,
     format_tree,
@@ -39,7 +31,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Records, Word, _word, from_codes, random_reduced_word
+from .words import Alphabet, Records, Word, _word, random_reduced_word
 
 __all__ = [
     "ProtocolSetupError",
@@ -53,13 +45,6 @@ __all__ = [
     "finalize",
     "run_exchange",
     "exchange_on",
-    "SandwichConfig",
-    "sandwich_setup",
-    "sandwich_message",
-    "sandwich_key",
-    "sandwich_normal_form",
-    "sandwich_exchange",
-    "sandwich_exchange_on",
     "bitstream_encode",
     "bitstream_decode",
     "equality_free",
@@ -216,99 +201,6 @@ def exchange_on(config: ProtocolConfig, seed_a: int, seed_b: int):
     if key_a != key_b:
         raise ProtocolIntegrityError("honest parties disagree on the key")
     transcript = Transcript((("alice", msg_a), ("bob", msg_b)), config_digest(config))
-    return transcript, key_a, key_b
-
-
-# -- sandwich variant -------------------------------------------------------
-
-@dataclass(frozen=True)
-class SandwichConfig:
-    """Two free sides with every cross pair commuting (all cross edges
-    labeled 2, no within-side edges)."""
-
-    graph: LabeledGraph
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-    public_word: Word
-    presentation: Presentation
-
-    def __post_init__(self):
-        a, b = set(self.side_a), set(self.side_b)
-        if a & b or a | b != set(range(len(self.graph.vertices))):
-            raise ValueError("sides must partition the vertices")
-        for i, j, m in self.graph.edges:
-            if (i in a) == (j in a):
-                raise ValueError("within-side edges break the product structure")
-            if m != 2:
-                raise ValueError("cross-side edges must be labeled 2")
-        for i in self.side_a:
-            for j in self.side_b:
-                if self.graph.label(i, j) != 2:
-                    raise ValueError("every cross-side pair must commute")
-
-
-def sandwich_setup(seed: int, size_a: int = 2, size_b: int = 2, word_len: int = 8) -> SandwichConfig:
-    if size_a < 1 or size_b < 1:
-        raise ValueError("both sides need at least one generator")
-    if 4 * size_a * size_b > words.MAX_WORD_LETTERS:  # artin_from_graph's cap, before any edge
-        raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
-    names = tuple(f"a{i + 1}" for i in range(size_a)) + tuple(f"b{i + 1}" for i in range(size_b))
-    side_a = tuple(range(size_a))
-    side_b = tuple(range(size_a, size_a + size_b))
-    graph = LabeledGraph(names, [(i, j, 2) for i in side_a for j in side_b])
-    presentation = artin_from_graph(graph)
-    rng = Random(seed)
-    for _ in range(1000):
-        w = random_reduced_word(presentation.alphabet, word_len, rng)
-        sup = _support(w)
-        if sup & set(side_a) and sup & set(side_b):
-            return SandwichConfig(graph, side_a, side_b, w, presentation)
-    raise ProtocolSetupError("could not sample a public word touching both sides")
-
-
-def sandwich_message(config: SandwichConfig, side: str, private_seed: int):
-    """Multiply the public word by private words of the own side from both
-    ends: returns ((s1, s2), s1 w s2)."""
-    verts = config.side_a if side == "A" else config.side_b
-    rng = Random(private_seed)
-    alphabet = config.presentation.alphabet
-    s1 = random_reduced_word(alphabet, rng.randint(1, 4), rng, gens=verts)
-    s2 = random_reduced_word(alphabet, rng.randint(1, 4), rng, gens=verts)
-    return (s1, s2), s1 * config.public_word * s2
-
-
-def sandwich_normal_form(config: SandwichConfig, w: Word) -> Word:
-    """Sort commuting letters side by side: the A-projection then the
-    B-projection.  Faithful because the group is a product of two free
-    groups."""
-    alphabet = config.presentation.alphabet
-    a = set(config.side_a)
-    part_a = from_codes(alphabet, [c for c in w.codes if c >> 1 in a])
-    part_b = from_codes(alphabet, [c for c in w.codes if c >> 1 not in a])
-    return part_a * part_b
-
-
-def sandwich_key(config: SandwichConfig, own_pair, peer_message: Word) -> SessionKey:
-    s1, s2 = own_pair
-    return derive_key(sandwich_normal_form(config, s1 * peer_message * s2))
-
-
-def sandwich_exchange(seed_setup: int, seed_a: int, seed_b: int, size_a: int = 2,
-                      size_b: int = 2, word_len: int = 8):
-    config = sandwich_setup(seed_setup, size_a, size_b, word_len)
-    return sandwich_exchange_on(config, seed_a, seed_b)
-
-
-def sandwich_exchange_on(config: SandwichConfig, seed_a: int, seed_b: int):
-    """sandwich_exchange on a configuration already set up."""
-    pair_a, msg_a = sandwich_message(config, "A", seed_a)
-    pair_b, msg_b = sandwich_message(config, "B", seed_b)
-    key_a = sandwich_key(config, pair_a, msg_b)
-    key_b = sandwich_key(config, pair_b, msg_a)
-    if key_a != key_b:
-        raise ProtocolIntegrityError("honest parties disagree on the sandwich key")
-    text = f"gens: {' '.join(config.graph.vertices)}\nword: {config.public_word}\n"
-    transcript = Transcript((("alice", msg_a), ("bob", msg_b)), _sha256(text))
     return transcript, key_a, key_b
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .artin import artin_from_graph, format_tree, random_tree
@@ -24,8 +25,6 @@ from .cake import (
     equality_oracle,
     exchange_on,
     format_transcript,
-    sandwich_exchange_on,
-    sandwich_setup,
     setup,
 )
 from .diffusion import DisguiseBudget, disguise, format_move_log
@@ -80,12 +79,12 @@ def _cmd_gen(args) -> int:
     pres = artin_from_graph(tree.graph)
     tree_text = format_tree(tree)
     pres_text = format_presentation(pres)
-    sys.stdout.write(tree_text)
-    sys.stdout.write(pres_text)
     if args.out_tree:
         _write(args.out_tree, tree_text)
     if args.out_pres:
         _write(args.out_pres, pres_text)
+    sys.stdout.write(tree_text)
+    sys.stdout.write(pres_text)
     return 0
 
 
@@ -105,55 +104,40 @@ def _cmd_tietze(args) -> int:
     p = parse_presentation(_read(args.presentation))
     h = shorten_all(p)
     history_text = format_history(h)
+    lifted = lift_word(parse_word(h.end.alphabet, args.lift), h) if args.lift else None
+    if args.out:
+        _write(args.out, history_text)
     for line in history_text.splitlines():
         if line.startswith("step:"):
             print(line)
     sys.stdout.write(format_presentation(h.end))
     if args.lift:
-        w = parse_word(h.end.alphabet, args.lift)
-        print(f"lift: {lift_word(w, h)}")
-    if args.out:
-        _write(args.out, history_text)
+        print(f"lift: {lifted}")
     return 0
-
-
-def _print_exchange(transcript_path, alphabet: Alphabet, transcript, key_a, key_b) -> None:
-    """Print an exchange's transcript below its gens and config lines (the
-    messages and keys), and write the whole of it when a path is given."""
-    text = format_transcript(alphabet, transcript, key_a, key_b)
-    sys.stdout.write(text.split("\n", 2)[2])
-    if transcript_path:
-        _write(transcript_path, text)
 
 
 def _cmd_cake_run(args) -> int:
     config = setup(args.seed, args.levels, args.max_degree, args.label_hi, args.word_len)
     transcript, key_a, key_b = exchange_on(config, args.seed_a, args.seed_b)
+    text = format_transcript(config.platform.alphabet, transcript, key_a, key_b)
+    if args.transcript:
+        _write(args.transcript, text)
     sys.stdout.write(format_tree(config.platform.tree))
     sys.stdout.write(format_presentation(config.platform.presentation))
     print(f"word: {config.public_word}")
-    _print_exchange(args.transcript, config.platform.alphabet, transcript, key_a, key_b)
-    return 0
-
-
-def _cmd_sandwich_run(args) -> int:
-    config = sandwich_setup(args.seed, args.size_a, args.size_b, args.word_len)
-    transcript, key_a, key_b = sandwich_exchange_on(config, args.seed_a, args.seed_b)
-    print(f"gens: {' '.join(config.graph.vertices)}")
-    print(f"word: {config.public_word}")
-    _print_exchange(args.transcript, config.presentation.alphabet, transcript, key_a, key_b)
+    sys.stdout.write(text.split("\n", 2)[2])  # the messages and keys
     return 0
 
 
 def _cmd_disguise(args) -> int:
     p = parse_presentation(_read(args.presentation))
     w = parse_word(p.alphabet, args.word)
+    budget = DisguiseBudget(args.moves, args.max_conj, args.max_len)
     if args.length3:
         h = shorten_all(p)
         p = h.end
         w = include_word(w, h)
         print(f"gens: {' '.join(p.alphabet.names)}")
-    budget = DisguiseBudget(args.moves, args.max_conj, args.max_len)
     word, log = disguise(w, p, budget, args.seed)
     print(f"disguised: {word}")
     if args.witness:
@@ -169,11 +153,11 @@ def _cmd_wp(args) -> int:
     if witness is None:
         print("unknown")
         return 1
-    print("trivial")
     text = format_witness(witness)
-    sys.stdout.write(text)
     if args.witness:
         _write(args.witness, text)
+    print("trivial")
+    sys.stdout.write(text)
     return 0
 
 
@@ -245,16 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--transcript")
     r.set_defaults(func=_cmd_cake_run)
 
-    s = sub.add_parser("sandwich-run", help="two-sided multiplication exchange on a commuting platform")
-    s.add_argument("--size-a", type=int, default=2)
-    s.add_argument("--size-b", type=int, default=2)
-    s.add_argument("--word-len", type=int, default=8)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--seed-a", type=int, required=True)
-    s.add_argument("--seed-b", type=int, required=True)
-    s.add_argument("--transcript")
-    s.set_defaults(func=_cmd_sandwich_run)
-
     d = sub.add_parser("disguise", help="rewrite a word with equality-preserving moves")
     d.add_argument("--presentation", required=True)
     d.add_argument("--word", required=True)
@@ -292,8 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = set()
+
+    def show_warning(message, *_) -> None:
+        # each distinct library warning once, without a source path or line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = show_warning
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

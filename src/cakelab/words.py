@@ -402,23 +402,21 @@ def word_sort_key(w: Word):
     return len(w.codes), w.codes
 
 
-def random_reduced_word(alphabet: Alphabet, length: int, rng, gens: Sequence[int] | None = None) -> Word:
+def random_reduced_word(alphabet: Alphabet, length: int, rng) -> Word:
     """Uniform reduced word of exactly ``length`` letters.
 
-    Each letter is drawn uniformly from the signed generators (restricted to
-    ``gens`` when given), rejecting only the inverse of the previous letter.
-    A length over ``MAX_WORD_LETTERS`` is refused before any letter is drawn.
+    Each letter is drawn uniformly from the signed generators, rejecting
+    only the inverse of the previous letter.  A length over
+    ``MAX_WORD_LETTERS`` is refused before any letter is drawn.
     """
     if length > MAX_WORD_LETTERS:
         raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
-    pool = tuple(gens) if gens is not None else tuple(range(len(alphabet.names)))
-    if not pool and length > 0:
+    n = len(alphabet.names)
+    if not n and length > 0:
         raise ValueError("no generators to draw from")
-    if any(not 0 <= g < len(alphabet.names) for g in pool):
-        raise ValueError(f"generator index out of range in {pool}")
     codes: list[int] = []
     while len(codes) < length:
-        c = 2 * pool[rng.randrange(len(pool))] + (rng.choice((1, -1)) < 0)
+        c = 2 * rng.randrange(n) + (rng.choice((1, -1)) < 0)
         if codes and codes[-1] == c ^ 1:
             continue
         codes.append(c)

@@ -1,4 +1,4 @@
-"""Key exchange: tree platform, sandwich variant, bitstream transport."""
+"""Key exchange: tree platform, bitstream transport."""
 
 import hashlib
 import random
@@ -16,7 +16,6 @@ from cakelab.cake import (
     ProtocolConfig,
     ProtocolIntegrityError,
     ProtocolSetupError,
-    SandwichConfig,
     bitstream_decode,
     bitstream_encode,
     config_digest,
@@ -29,14 +28,8 @@ from cakelab.cake import (
     parse_transcript,
     party_step,
     run_exchange,
-    sandwich_exchange,
-    sandwich_key,
-    sandwich_message,
-    sandwich_normal_form,
-    sandwich_setup,
     setup,
 )
-from cakelab.artin import LabeledGraph
 from cakelab.diffusion import DisguiseBudget
 from cakelab.presentations import Presentation, parse_word
 from cakelab.words import Alphabet, Word, random_reduced_word
@@ -279,89 +272,6 @@ def test_parse_transcript_names_the_config_line():
     # the config body is read as hex after the file, so its error names the record
     with pytest.raises(ValueError, match=r"^config line: non-hexadecimal"):
         parse_transcript("gens: a b\nconfig: 0g\nmsg 1 alice: a\n")
-
-
-# ------------------------------------------------------------- sandwich
-
-def test_sandwich_setup_structure():
-    cfg = sandwich_setup(3)
-    assert cfg.graph.vertices == ("a1", "a2", "b1", "b2")
-    assert all(m == 2 for _, _, m in cfg.graph.edges)
-    assert len(cfg.graph.edges) == 4
-    support = {lt.gen for lt in cfg.public_word}
-    assert support & set(cfg.side_a) and support & set(cfg.side_b)
-
-
-def test_sandwich_setup_caps_relator_letters_before_building(monkeypatch):
-    def no_graph(*args):
-        raise AssertionError("built the graph before refusing it")
-
-    with monkeypatch.context() as m:
-        m.setattr(cakelab.cake, "LabeledGraph", no_graph)
-        with pytest.raises(ValueError, match="^relators longer than 1000000 letters in total$"):
-            sandwich_setup(0, 600, 600)
-    # the cap is artin_from_graph's: 4 letters per commuting pair
-    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 16)
-    assert len(sandwich_setup(0, 2, 2).presentation.relators) == 4
-    edges = [(i, j, 2) for i in range(2) for j in range(2, 5)]
-    for build in (lambda: sandwich_setup(0, 2, 3),
-                  lambda: artin_from_graph(LabeledGraph(("a1", "a2", "b1", "b2", "b3"), edges))):
-        with pytest.raises(ValueError, match="^relators longer than 16 letters in total$"):
-            build()
-
-
-def test_sandwich_config_rejects_bad_platforms():
-    g_within = LabeledGraph(("a1", "a2", "b1"),
-                            frozenset({(0, 1, 2), (0, 2, 2), (1, 2, 2)}))
-    w = parse_word(g_within.alphabet(), "a1 b1")
-    from cakelab.artin import artin_from_graph
-
-    with pytest.raises(ValueError):
-        SandwichConfig(g_within, (0, 1), (2,), w, artin_from_graph(g_within))
-    g_sparse = LabeledGraph(("a1", "a2", "b1"), frozenset({(0, 2, 2)}))
-    with pytest.raises(ValueError):
-        SandwichConfig(g_sparse, (0, 1), (2,), w, artin_from_graph(g_sparse))
-
-
-def test_sandwich_normal_form_separates_sides():
-    cfg = sandwich_setup(3)
-    a = cfg.presentation.alphabet
-    w = parse_word(a, "b1 a1 b2 a2^-1 b1")
-    nf = sandwich_normal_form(cfg, w)
-    assert str(nf) == "a1 a2^-1 b1 b2 b1"
-
-
-def test_sandwich_normal_form_identifies_commuted_words():
-    cfg = sandwich_setup(3)
-    a = cfg.presentation.alphabet
-    x = parse_word(a, "a1 b1 a2 b2")
-    y = parse_word(a, "b1 b2 a1 a2")
-    assert sandwich_normal_form(cfg, x) == sandwich_normal_form(cfg, y)
-
-
-def test_sandwich_exchange_agreement():
-    for i in range(20):
-        _, ka, kb = sandwich_exchange(100 + i, 7 + i, 9 + i)
-        assert ka == kb
-
-
-def test_sandwich_key_with_inverse_pair_sides():
-    # a private pair may multiply to the identity; keys still agree
-    cfg = sandwich_setup(3)
-    a = cfg.presentation.alphabet
-    s = parse_word(a, "a1 a2")
-    pair_a = (s, ~s)
-    msg_a = s * cfg.public_word * ~s
-    pair_b, msg_b = sandwich_message(cfg, "B", 23)
-    ka = sandwich_key(cfg, pair_a, msg_b)
-    kb = sandwich_key(cfg, pair_b, msg_a)
-    assert ka == kb
-
-
-def test_sandwich_messages_hide_but_determine_key():
-    _, ka, _ = sandwich_exchange(3, 17, 23)
-    _, kc, _ = sandwich_exchange(3, 18, 23)
-    assert ka != kc
 
 
 # ------------------------------------------------------------ bitstream

@@ -1,7 +1,11 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import itertools
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -280,29 +284,6 @@ def test_cake_run_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CAKE_RUN_L4_SEED11_SHA256
 
 
-# stdout of `sandwich-run --seed 3 --seed-a 17 --seed-b 23`: the generators,
-# the word, both messages and both keys.
-SANDWICH_RUN_SEED3_SHA256 = "a63f2ef44d982b443396e2b1ccbd95e6a44f0e2f02058e938de697b6baef91fb"
-
-
-def test_sandwich_run_output(capsys, tmp_path):
-    path = tmp_path / "sandwich.txt"
-    code, out, err = run(capsys, ["sandwich-run", "--seed", "3", "--seed-a", "17",
-                                  "--seed-b", "23", "--transcript", str(path)])
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert lines[0] == "gens: a1 a2 b1 b2"
-    assert lines[1].startswith("word: ")
-    assert lines[2].startswith("msg 1 alice: ")
-    assert lines[3].startswith("msg 2 bob: ")
-    ka = lines[4].removeprefix("key-a: ")
-    kb = lines[5].removeprefix("key-b: ")
-    assert ka == kb
-    assert hashlib.sha256(out.encode()).hexdigest() == SANDWICH_RUN_SEED3_SHA256
-    # the transcript file holds the same messages and keys
-    assert path.read_text().splitlines()[2:] == lines[2:]
-
-
 # -------------------------------------------------------------- disguise
 
 def test_disguise_prints_word_and_witness(capsys, ex_file):
@@ -517,13 +498,9 @@ def test_oversized_trees_are_input_errors(argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["cake", "run", "--word-len", "2000000"], "word longer than 1000000 letters"),
-    (["sandwich-run", "--word-len", "2000000"], "word longer than 1000000 letters"),
-    (["sandwich-run", "--size-a", "600", "--size-b", "600"],
-     "relators longer than 1000000 letters in total"),
 ])
 def test_oversized_words_are_input_errors(tmp_path, argv, message):
-    # a public word of 2 million letters, or 360,000 commuting pairs of
-    # generators, is refused before a letter is drawn or an edge is built
+    # a public word of 2 million letters is refused before a letter is drawn
     import subprocess
     import sys
     import time
@@ -536,3 +513,71 @@ def test_oversized_words_are_input_errors(tmp_path, argv, message):
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--levels", "3", "--max-degree", "4", "--seed", "11", "--out-tree", "{missing}"],
+    ["tietze", "--presentation", "{ex}", "--out", "{missing}"],
+    ["tietze", "--presentation", "{ex}", "--out", "{tmp}/h.txt", "--lift", "zz"],
+    ["wp", "--presentation", "{ex}", "--word", "x1^2 x2 x3^2 x2^-1", "--depth", "2",
+     "--witness", "{missing}"],
+    ["cake", "run", "--seed", "0", "--seed-a", "1", "--seed-b", "2", "--transcript", "{missing}"],
+    ["disguise", "--presentation", "{ex}", "--word", "x1", "--moves", "-1", "--seed", "1",
+     "--length3"],
+], ids=["gen-out-tree", "tietze-out", "tietze-lift", "wp-witness", "cake-run-transcript",
+        "disguise-length3-moves"])
+def test_input_errors_leave_stdout_empty(capsys, ex_file, tmp_path, argv):
+    # a bad word or an unwritable path is refused before the first byte of
+    # the result, and no file is left behind
+    names = {"ex": ex_file, "tmp": str(tmp_path), "missing": str(tmp_path / "no" / "f.txt")}
+    code, out, err = run(capsys, [a.format(**names) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [f.name for f in tmp_path.iterdir()] == ["ex.txt"]
+
+
+@pytest.mark.parametrize("argv, stdout, warning", [
+    (["bits", "--presentation", "{ex}", "--word", "x2 x3", "--bits", "00", "--seed", "16"],
+     "sent 1: x2 x3 x2^-1\nsent 2: x2 x3 x2^-1\ndecoded: 00\nbits: ok\n",
+     "0-bit words are only best-effort distinct once relators exist"),
+    (["disguise", "--presentation", "{gens_only}", "--word", "a b", "--moves", "3", "--seed", "1"],
+     "disguised: a b\n", "presentation has no relators; nothing to disguise with"),
+    (["disguise", "--presentation", "{ex}", "--word", "x1 x2", "--moves", "3", "--seed", "1",
+      "--max-len", "0"],
+     "disguised: x1 x2\n", "disguise could not produce a textually different word"),
+], ids=["bits-zero", "disguise-no-relators", "disguise-max-len-0"])
+def test_library_warnings_print_as_one_line(capsys, ex_file, tmp_path, argv, stdout, warning):
+    # stderr names no source file or line, so every checkout prints the same
+    # bytes; a second run in the same process prints its warning again
+    gens_only = tmp_path / "gens.txt"
+    gens_only.write_text("gens: a b\n")
+    argv = [a.format(ex=ex_file, gens_only=gens_only) for a in argv]
+    for _ in range(2):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, stdout, f"warning: {warning}\n")
+
+
+def test_removed_sandwich_run_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sandwich-run", "--seed", "3", "--seed-a", "17", "--seed-b", "23"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sandwich-run'" in capsys.readouterr().err
+
+
+def _command_paths(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path}
+    return set().union(*(_command_paths(p, path + (name,)) for name, p in subs[0].choices.items()))
+
+
+def test_readme_command_block_parses_and_covers_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(l)[1:] for l in block.splitlines() if l.startswith("cakelab ")]
+    parser = cli.build_parser()
+    used = set()
+    for argv in lines:
+        parser.parse_args(argv)
+        used.add(tuple(itertools.takewhile(lambda a: not a.startswith("-"), argv)))
+    assert used == _command_paths(parser)

@@ -142,8 +142,6 @@ def test_word_validation_rejects_foreign_letters():
     # every letter is checked before the reduction is
     with pytest.raises(ValueError, match="out of range"):
         Word(ABC, (Letter(0, 1), Letter(0, -1), Letter(7, 1)))
-    with pytest.raises(ValueError, match="out of range"):
-        random_reduced_word(ABC, 3, random.Random(1), gens=(0, 7))
 
 
 def test_alphabet_name_rules():
@@ -223,9 +221,6 @@ def test_random_reduced_word_properties():
     for length in (0, 1, 5, 40):
         w = random_reduced_word(ABC, length, rng)
         assert len(w) == length
-    # restricted generator support
-    w = random_reduced_word(ABC, 30, rng, gens=(0, 2))
-    assert {l.gen for l in w} <= {0, 2}
 
 
 def test_random_reduced_word_caps_length_before_drawing(monkeypatch):
