@@ -224,13 +224,13 @@ def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple
     if label_hi < 4:
         raise ValueError("label_hi must be at least 4")
     max_vertices = words.MAX_WORD_LETTERS // 8 + 1
-    rng = Random(seed)
+    bits = Random(seed).getrandbits
     parent = [-1, 0, 0]  # root degree exactly 2
     current = range(1, 3)
     for _ in range(2, levels):
-        cap = max_degree - 1  # one slot is taken by the parent edge
         for _ in range(1000):
-            counts = [rng.randint(0, cap) for _ in current]
+            # 0 to max_degree - 1 children: one slot is taken by the parent edge
+            counts = [_below(bits, max_degree) for _ in current]
             if any(counts):
                 break
         else:
@@ -241,8 +241,20 @@ def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple
         for v, k in zip(current, counts):
             parent += [v] * k
         current = range(n, len(parent))
-    labels = [rng.randint(4, label_hi) if p >= 0 else 0 for p in parent]
+    span = label_hi - 3
+    labels = [0] + [4 + _below(bits, span) for _ in range(len(parent) - 1)]
     return parent, labels
+
+
+def _below(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` for n >= 1, drawn as it draws (``n.bit_length()``
+    bits, again while out of range), so a seeded stream gives the same numbers
+    as ``randrange``, ``randint`` and ``choice`` without their call layers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def build_tree(parent: list, labels: list) -> RootedTree:
@@ -343,8 +355,17 @@ class GroupEndomorphism:
         return frozenset(g for g, v in enumerate(self.vertex_map) if v != g)
 
 
+def _endo(alphabet: Alphabet, vertex_map: tuple) -> GroupEndomorphism:
+    """Unchecked: ``vertex_map`` is a tuple of generator indices of
+    ``alphabet``, as in any composite or listed move of checked maps."""
+    e = object.__new__(GroupEndomorphism)
+    object.__setattr__(e, "alphabet", alphabet)
+    object.__setattr__(e, "vertex_map", vertex_map)
+    return e
+
+
 def identity_endo(alphabet: Alphabet) -> GroupEndomorphism:
-    return GroupEndomorphism(alphabet, tuple(range(len(alphabet.names))))
+    return _endo(alphabet, tuple(range(len(alphabet.names))))
 
 
 def apply_endo(w: Word, e: GroupEndomorphism) -> Word:
@@ -360,7 +381,7 @@ def compose(e1: GroupEndomorphism, e2: GroupEndomorphism) -> GroupEndomorphism:
     if e1.alphabet != e2.alphabet:
         raise ValueError("alphabet mismatch")
     vm1 = e1.vertex_map
-    return GroupEndomorphism(e1.alphabet, tuple([vm1[v] for v in e2.vertex_map]))
+    return _endo(e1.alphabet, tuple([vm1[v] for v in e2.vertex_map]))
 
 
 def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
@@ -441,13 +462,28 @@ def _sibling_pairs(kids, labels: list, shape: list, parents):
                     yield x, y
 
 
+def _has_fork(kids, labels: list, vertices) -> bool:
+    """Whether one of ``vertices`` has two children on one edge label.  The
+    move rule pairs only such siblings, so a side without this fork admits
+    no elementary move."""
+    for v in vertices:
+        ks = kids[v]
+        if len(ks) > 1 and len({labels[c] for c in ks}) < len(ks):
+            return True
+    return False
+
+
 def both_sides_move(parent: list, labels: list) -> bool:
     """Whether each side of ``sample_tree``'s arrays admits an elementary
-    move, decided by the move rule before any tree is built."""
+    move, decided by the move rule before any tree is built.  A side with no
+    fork (two children on one label) is refused by one O(n) pass, before any
+    shape is computed; most draws end there."""
     kids = _children_lists(parent)
+    sides = [_breadth_first(kids, top) for top in (1, 2)]
+    if not all(_has_fork(kids, labels, side) for side in sides):
+        return False
     shape = _shape_ids(kids, labels, 0)
-    return all(next(_sibling_pairs(kids, labels, shape, _breadth_first(kids, top)), None)
-               for top in (1, 2))
+    return all(next(_sibling_pairs(kids, labels, shape, side), None) for side in sides)
 
 
 def enumerate_side_moves(platform: SplitPlatform, side: str) -> tuple[ElementaryMove, ...]:
@@ -478,7 +514,7 @@ def _move_endo(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphi
         vmap[move.a] = move.b
     else:
         _pair_subtrees(platform.tree, move.a, move.b, vmap)
-    return GroupEndomorphism(platform.alphabet, vmap)
+    return _endo(platform.alphabet, tuple(vmap))
 
 
 def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
@@ -499,13 +535,13 @@ def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorph
     if not endos:
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")
         return identity_endo(alphabet)
-    rng = Random(seed)
+    bits = Random(seed).getrandbits
     side_set = frozenset(platform.side(side))
     for _ in range(64):
-        k = rng.randint(1, 3)
+        k = 1 + _below(bits, 3)
         endo = identity_endo(alphabet)
         for _ in range(k):
-            endo = compose(rng.choice(endos), endo)
+            endo = compose(endos[_below(bits, len(endos))], endo)
         if endo.moved & side_set:
             return endo
     return endos[0]  # single moves never fix the whole side

@@ -133,14 +133,21 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     A vertex map moves a word exactly when it moves one of the word's
     generators, so a word is kept when it shares a generator with each
     side's moved set, and no endomorphism is applied to it.
-    A draw whose sides cannot both move costs only its RNG draws and one
-    pass of the move rule over the sampler's arrays: only a tree that passes
-    is built, split and has its moves listed.  An exchange compiles no
-    relators: words and endomorphisms need only the platform's alphabet, and
-    the presentation is built only when read.
+    A draw whose sides cannot both move costs little more than seeding its
+    RNG: the draws themselves, and one pass over the sampler's arrays that
+    finds a side where no vertex has two children on one edge label (most
+    draws) or, failing that, the move rule.  Only a tree that passes is built, split and has
+    its moves listed.  With fewer than 3 levels or a max_degree below 3 no
+    vertex can have two children, so no side can ever move; such parameters
+    are refused before any draw.  An exchange compiles no relators: words and
+    endomorphisms need only the platform's alphabet, and the presentation
+    is built only when read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
+    if levels < 3 or max_degree < 3:
+        raise ProtocolSetupError(f"no side can move with levels {levels} and max_degree "
+                                 f"{max_degree}: both must be at least 3")
     rng = Random(seed)
     for _ in range(1000):
         parent, labels = sample_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))

@@ -77,7 +77,8 @@ class Alphabet:
                 raise ValueError("generator names must be non-empty")
             if name == "1":
                 raise ValueError("'1' is reserved for the empty word")
-            if any(ch.isspace() or ch in _FORBIDDEN_IN_NAMES for ch in name):
+            # split() cuts at exactly the characters isspace() accepts
+            if name.split() != [name] or not _FORBIDDEN_IN_NAMES.isdisjoint(name):
                 raise ValueError(f"illegal character in generator name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")

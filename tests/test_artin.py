@@ -517,6 +517,29 @@ def test_move_rule_matches_recursive_shapes():
     assert swaps > 100 and 10 < viable < 90
 
 
+def test_fork_test_never_rejects_a_side_that_moves():
+    # both_sides_move refuses a side with no two children on one label
+    # before it computes shapes; the refusal must never meet a side with a move
+    forkless = 0
+    for t, _ in move_rule_corpus():
+        plat = split_at_root(t)
+        for side in ("A", "B"):
+            if not cakelab.artin._has_fork(t._children, t._shapes[0], plat.side(side)):
+                assert side_moves_reference(plat, side) == ()
+                forkless += 1
+    assert forkless > 50
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**48 - 1])
+def test_below_draws_as_randrange_does(seed):
+    # powers of two and their neighbours set where the redraw loop runs
+    for n in range(1, 71):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draws = [cakelab.artin._below(ours.getrandbits, n) for _ in range(50)]
+        assert draws == [theirs.randrange(n) for _ in range(50)], n
+        assert ours.getstate() == theirs.getstate(), n
+
+
 def test_platform_lists_each_sides_moves_once(monkeypatch):
     plat = split_at_root(small_tree())
     calls = []

@@ -219,8 +219,12 @@ def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
 
 @pytest.mark.parametrize("levels", [3, 4, 5])
 def test_setup_matches_the_build_everything_loop(levels):
-    for seed in range(200):
-        assert setup(seed, levels=levels) == setup_reference(seed, levels), seed
+    # max_degree 3 and 5 and label_hi 4, 5 and 8 draw counts and labels
+    # from ranges of other sizes, where the redraw loop runs differently
+    for max_degree, label_hi, seeds in [(4, 7, 200), (3, 4, 40), (3, 8, 40), (5, 5, 40), (5, 8, 40)]:
+        for seed in range(seeds):
+            assert setup(seed, levels, max_degree, label_hi) == \
+                setup_reference(seed, levels, max_degree, label_hi), (max_degree, label_hi, seed)
 
 
 @pytest.mark.parametrize("levels", [3, 4, 5])

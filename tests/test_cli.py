@@ -496,6 +496,24 @@ def test_oversized_trees_are_input_errors(argv):
     assert proc.stdout == ""
 
 
+def test_setup_refuses_shapes_without_moves_before_drawing():
+    # max_degree 2 makes each side a path with no sibling pair; drawing and
+    # rejecting 1,000 such trees of 10,000 levels took about a minute
+    import subprocess
+    import sys
+    import time
+
+    argv = ["cake", "run", "--levels", "10000", "--max-degree", "2",
+            "--seed", "1", "--seed-a", "2", "--seed-b", "3"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cake", "run", "--word-len", "2000000"], "word longer than 1000000 letters"),
 ])

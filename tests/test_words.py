@@ -154,6 +154,34 @@ def test_alphabet_name_rules():
             Alphabet((bad,))
 
 
+def alphabet_error_reference(name):
+    """The name rule as it read each character: None, or the refusal."""
+    if not name:
+        return "generator names must be non-empty"
+    if name == "1":
+        return "'1' is reserved for the empty word"
+    if any(ch.isspace() or ch in "^=@:#" for ch in name):
+        return f"illegal character in generator name {name!r}"
+    return None
+
+
+def test_alphabet_name_check_matches_the_per_character_rule():
+    spaces = [c for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    checked = 0
+    for c in [*range(0x3100), *spaces]:
+        ch = chr(c)
+        for name in (ch, f"x{ch}", f"{ch}y", f"x{ch}y", ch * 2):
+            try:
+                Alphabet((name,))
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert got == alphabet_error_reference(name), (hex(c), name)
+            checked += 1
+    assert checked > 60000
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word(ABC, "z")
