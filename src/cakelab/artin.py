@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Records, Word, from_codes
+from .words import Alphabet, Records, Word, _below, from_codes
 
 __all__ = [
     "LabeledGraph",
@@ -208,23 +208,37 @@ class RootedTree:
 
 
 def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple[list, list]:
-    """The raw arrays of ``random_tree``'s tree, drawn in its order: the
-    parent array (root 0, its children 1 and 2, then breadth-first) and the
-    label of each vertex's parent edge (0 for the root).
+    """The raw arrays of ``random_tree``'s tree, drawn from one seeded stream
+    in two stages: ``draw_counts`` gives the parent array (root 0, its
+    children 1 and 2, then breadth-first), and ``draw_labels`` the label of
+    each vertex's parent edge (0 for the root).
 
     A tree with more than ``MAX_WORD_LETTERS // 8`` edges would have a
     presentation longer than ``MAX_WORD_LETTERS`` letters, since every edge's
     relator has at least 8; the level that would pass that is refused before
     it is built.
     """
+    _check_sample(levels, max_degree, label_hi)
+    bits = Random(seed).getrandbits
+    parent = draw_counts(bits, levels, max_degree)
+    return parent, draw_labels(bits, len(parent), label_hi)
+
+
+def _check_sample(levels: int, max_degree: int, label_hi: int) -> None:
+    """Refuse what ``sample_tree`` cannot draw, before any draw."""
     if levels < 2:
         raise ValueError("need at least 2 levels")
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    if label_hi < 4:
+    if label_hi < 4:  # an empty label range would redraw forever
         raise ValueError("label_hi must be at least 4")
+
+
+def draw_counts(bits, levels: int, max_degree: int) -> list:
+    """``sample_tree``'s first stage: each level's child counts, drawn from
+    ``bits`` (a ``getrandbits``) until the level is not empty, as the parent
+    array.  A vertex's children stand next to each other in it."""
     max_vertices = words.MAX_WORD_LETTERS // 8 + 1
-    bits = Random(seed).getrandbits
     parent = [-1, 0, 0]  # root degree exactly 2
     current = range(1, 3)
     for _ in range(2, levels):
@@ -241,20 +255,14 @@ def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple
         for v, k in zip(current, counts):
             parent += [v] * k
         current = range(n, len(parent))
+    return parent
+
+
+def draw_labels(bits, size: int, label_hi: int) -> list:
+    """``sample_tree``'s second stage: the parent-edge label of each of
+    ``size`` vertices, uniform in [4, label_hi], and 0 for the root."""
     span = label_hi - 3
-    labels = [0] + [4 + _below(bits, span) for _ in range(len(parent) - 1)]
-    return parent, labels
-
-
-def _below(getrandbits, n: int) -> int:
-    """``Random.randrange(n)`` for n >= 1, drawn as it draws (``n.bit_length()``
-    bits, again while out of range), so a seeded stream gives the same numbers
-    as ``randrange``, ``randint`` and ``choice`` without their call layers."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+    return [0] + [4 + _below(bits, span) for _ in range(size - 1)]
 
 
 def build_tree(parent: list, labels: list) -> RootedTree:
@@ -473,11 +481,28 @@ def _has_fork(kids, labels: list, vertices) -> bool:
     return False
 
 
+def branching_sides(parent: list) -> set:
+    """The tops (1 and 2) of the sides of a ``draw_counts`` parent array that
+    hold a vertex with two children, found before any label is drawn.  The
+    array lists a vertex's children next to each other, so such a vertex is
+    the parent of two neighbouring entries.  The move rule pairs only
+    siblings, so a side that is missing here admits no elementary move."""
+    side = [0, 1, 2]
+    found = set()
+    for v in range(3, len(parent)):
+        p = parent[v]
+        side.append(side[p])
+        if p == parent[v - 1]:  # parent[2] is the root, which no v >= 3 has
+            found.add(side[p])
+    return found
+
+
 def both_sides_move(parent: list, labels: list) -> bool:
     """Whether each side of ``sample_tree``'s arrays admits an elementary
     move, decided by the move rule before any tree is built.  A side with no
     fork (two children on one label) is refused by one O(n) pass, before any
-    shape is computed; most draws end there."""
+    shape is computed.  ``setup`` sends only the draws that ``branching_sides``
+    passed, so most of what it refuses never draws its labels."""
     kids = _children_lists(parent)
     sides = [_breadth_first(kids, top) for top in (1, 2)]
     if not all(_has_fork(kids, labels, side) for side in sides):

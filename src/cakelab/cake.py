@@ -14,24 +14,28 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Callable, Optional
 
 from .artin import (
     GroupEndomorphism,
     SplitPlatform,
+    _check_sample,
     apply_endo,
     both_sides_move,
+    branching_sides,
     build_tree,
+    draw_counts,
+    draw_labels,
     format_tree,
     random_endo,
-    sample_tree,
     split_at_root,
 )
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Records, Word, _word, random_reduced_word
+from .words import Alphabet, Records, Word, _below, _word, random_reduced_word
 
 __all__ = [
     "ProtocolSetupError",
@@ -68,9 +72,24 @@ def _support(w: Word) -> frozenset:
     return frozenset([c >> 1 for c in w.codes])
 
 
+@cache
+def _sha256_type():
+    """The interpreter's own SHA-256, found on first use as ``random`` finds
+    its SHA-512.  ``hashlib`` maps OpenSSL's libcrypto, which takes a bare
+    interpreter from 13.1 to 16.8 MiB of RSS and 3.6 ms of import for the
+    same digest, so it is loaded only where neither built-in module exists."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _sha256(text: str) -> bytes:
-    import hashlib  # on first use: checks, rewrites and searches never need its RSS
-    return hashlib.sha256(text.encode()).digest()
+    return _sha256_type()(text.encode()).digest()
 
 
 def derive_key(w: Word) -> "SessionKey":
@@ -133,24 +152,33 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     A vertex map moves a word exactly when it moves one of the word's
     generators, so a word is kept when it shares a generator with each
     side's moved set, and no endomorphism is applied to it.
-    A draw whose sides cannot both move costs little more than seeding its
-    RNG: the draws themselves, and one pass over the sampler's arrays that
-    finds a side where no vertex has two children on one edge label (most
-    draws) or, failing that, the move rule.  Only a tree that passes is built, split and has
-    its moves listed.  With fewer than 3 levels or a max_degree below 3 no
-    vertex can have two children, so no side can ever move; such parameters
-    are refused before any draw.  An exchange compiles no relators: words and
-    endomorphisms need only the platform's alphabet, and the presentation
-    is built only when read.
+    Each draw runs ``sample_tree``'s two stages on its own seeded stream.
+    Most draws are refused after the first, on their child counts alone,
+    when a side has no vertex with two children: such a draw costs its
+    seeding and its counts, and draws no label.  A draw that passes draws
+    its labels and meets the move rule, which refuses a side where no vertex
+    has two children on one edge label before it computes any shape.  Only
+    a tree that passes both is built, split and has its moves listed.  With
+    fewer than 3 levels or a max_degree below 3 no vertex can have two
+    children, so no side can ever move; such parameters, and a label_hi
+    below 4, are refused before any draw.  An exchange compiles no
+    relators: words and endomorphisms need only the platform's alphabet, and
+    the presentation is built only when read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
     if levels < 3 or max_degree < 3:
         raise ProtocolSetupError(f"no side can move with levels {levels} and max_degree "
                                  f"{max_degree}: both must be at least 3")
+    _check_sample(levels, max_degree, label_hi)
     rng = Random(seed)
     for _ in range(1000):
-        parent, labels = sample_tree(levels, max_degree, label_hi, seed=rng.getrandbits(48))
+        # sample_tree's two stages, with a refusal between them
+        bits = Random(rng.getrandbits(48)).getrandbits
+        parent = draw_counts(bits, levels, max_degree)
+        if len(branching_sides(parent)) < 2:
+            continue
+        labels = draw_labels(bits, len(parent), label_hi)
         if not both_sides_move(parent, labels):
             continue
         platform = split_at_root(build_tree(parent, labels))
@@ -231,6 +259,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
     if p.relators and 0 in bits:
         warnings.warn("0-bit words are only best-effort distinct once relators exist")
     rng = Random(seed)
+    draw = rng.getrandbits
     alphabet = u.alphabet
     n = len(alphabet.names)
     out = []
@@ -243,7 +272,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
             out.append(word)
         else:
             while True:
-                c = 2 * rng.randrange(n) + (rng.choice((1, -1)) < 0)
+                c = 2 * _below(draw, n) + _below(draw, 2)  # randrange(n), then choice((1, -1))
                 if u.codes[-1] != c ^ 1:
                     break
             out.append(_word(alphabet, u.codes + (c,)))

@@ -403,21 +403,35 @@ def word_sort_key(w: Word):
     return len(w.codes), w.codes
 
 
+def _below(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` for n >= 1, drawn as it draws (``n.bit_length()``
+    bits, again while out of range), so a seeded stream gives the same numbers
+    as ``randrange``, ``randint`` and ``choice`` without their call layers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_reduced_word(alphabet: Alphabet, length: int, rng) -> Word:
     """Uniform reduced word of exactly ``length`` letters.
 
     Each letter is drawn uniformly from the signed generators, rejecting
-    only the inverse of the previous letter.  A length over
-    ``MAX_WORD_LETTERS`` is refused before any letter is drawn.
+    only the inverse of the previous letter: the generator as
+    ``rng.randrange(n)`` draws it, then the sign as ``rng.choice((1, -1))``
+    does.  A length over ``MAX_WORD_LETTERS`` is refused before any letter
+    is drawn.
     """
     if length > MAX_WORD_LETTERS:
         raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
     n = len(alphabet.names)
     if not n and length > 0:
         raise ValueError("no generators to draw from")
+    bits = rng.getrandbits
     codes: list[int] = []
     while len(codes) < length:
-        c = 2 * rng.randrange(n) + (rng.choice((1, -1)) < 0)
+        c = 2 * _below(bits, n) + _below(bits, 2)
         if codes and codes[-1] == c ^ 1:
             continue
         codes.append(c)

@@ -530,12 +530,61 @@ def test_fork_test_never_rejects_a_side_that_moves():
     assert forkless > 50
 
 
+def test_count_stage_never_rejects_a_side_that_moves():
+    # setup refuses a draw on its child counts when a side has no vertex
+    # with two children; the refusal must never meet a side with a move, and
+    # it must name exactly the sides whose tree has such a vertex
+    refused = 0
+    for t, arrays in move_rule_corpus():
+        if arrays is None:  # renumbered, so not a sampler's parent array
+            continue
+        plat = split_at_root(t)
+        branching = cakelab.artin.branching_sides(arrays[0])
+        for top, side in ((1, "A"), (2, "B")):
+            forked = any(len(t.children(v)) > 1 for v in plat.side(side))
+            assert (top in branching) == forked
+            if not forked:
+                assert side_moves_reference(plat, side) == ()
+                refused += 1
+    assert refused > 50
+
+
+def sample_tree_reference(levels, max_degree, label_hi, rng):
+    """The sampler in one pass through ``rng.randint``: each level's child
+    counts until one is not zero, then every parent-edge label."""
+    parent, current = [-1, 0, 0], [1, 2]
+    for _ in range(2, levels):
+        counts = [0]
+        while not any(counts):
+            counts = [rng.randint(0, max_degree - 1) for _ in current]
+        n = len(parent)
+        for v, k in zip(current, counts):
+            parent += [v] * k
+        current = list(range(n, len(parent)))
+    return parent, [0] + [rng.randint(4, label_hi) for _ in parent[1:]]
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_the_two_stages_draw_sample_trees_arrays(levels):
+    # setup draws the counts, tests them, then draws the labels from the
+    # same stream; together they must be sample_tree's draw, number for number
+    for seed in range(200):
+        max_degree, label_hi = 2 + seed % 4, 4 + seed % 5
+        rng = random.Random(seed)
+        parent = cakelab.artin.draw_counts(rng.getrandbits, levels, max_degree)
+        labels = cakelab.artin.draw_labels(rng.getrandbits, len(parent), label_hi)
+        reference = random.Random(seed)
+        assert (parent, labels) == sample_tree(levels, max_degree, label_hi, seed) == \
+            sample_tree_reference(levels, max_degree, label_hi, reference), seed
+        assert rng.getstate() == reference.getstate(), seed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**48 - 1])
 def test_below_draws_as_randrange_does(seed):
     # powers of two and their neighbours set where the redraw loop runs
     for n in range(1, 71):
         ours, theirs = random.Random(seed), random.Random(seed)
-        draws = [cakelab.artin._below(ours.getrandbits, n) for _ in range(50)]
+        draws = [cakelab.words._below(ours.getrandbits, n) for _ in range(50)]
         assert draws == [theirs.randrange(n) for _ in range(50)], n
         assert ours.getstate() == theirs.getstate(), n
 

@@ -171,16 +171,31 @@ def test_setup_builds_only_the_kept_presentation(monkeypatch):
 
 
 def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
-    # rejected draws are decided on the sampler's arrays: one tree is built
-    # and split, and each side's moves are enumerated once for the whole
+    # rejected draws are decided on the sampler's arrays: labels are drawn
+    # only for child counts that branch on both sides, one tree is built and
+    # split, and each side's moves are enumerated once for the whole
     # exchange, however many trees were drawn and however often the parties
     # draw their endomorphisms
-    calls = {"sample_tree": 0, "build_tree": 0, "split_at_root": 0}
+    calls = {"build_tree": 0, "split_at_root": 0}
     for name in calls:
         def spy(*args, _name=name, _real=getattr(cakelab.cake, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cakelab.cake, name, spy)
+    counted, labelled = [], []
+
+    def spy_counts(*args):
+        counted.append(cakelab.artin.draw_counts(*args))
+        return counted[-1]
+
+    def spy_labels(bits, size, label_hi):
+        assert size == len(counted[-1])
+        assert cakelab.artin.branching_sides(counted[-1]) == {1, 2}
+        labelled.append(size)
+        return cakelab.artin.draw_labels(bits, size, label_hi)
+
+    monkeypatch.setattr(cakelab.cake, "draw_counts", spy_counts)
+    monkeypatch.setattr(cakelab.cake, "draw_labels", spy_labels)
     sides = []
 
     def spy_moves(platform, side):
@@ -189,7 +204,7 @@ def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
 
     monkeypatch.setattr(cakelab.artin, "enumerate_side_moves", spy_moves)
     run_exchange(9000, 100, 200)
-    assert calls["sample_tree"] > 1
+    assert len(counted) > len(labelled) >= 1
     assert calls["build_tree"] == calls["split_at_root"] == 1
     assert sorted(sides) == ["A", "B"]
 
@@ -242,6 +257,37 @@ def test_a_move_moves_a_word_exactly_when_it_moves_one_of_its_generators(levels)
                 moved += apply_endo(w, e) != w
                 pairs += 1
     assert pairs > 1000 and 0.2 < moved / pairs < 0.8
+
+
+def test_sha256_is_hashlibs_digest():
+    # keys and config digests hash with the interpreter's built-in SHA-256
+    texts = [cakelab.cake.config_text(setup(seed, levels=3 + seed % 3)) for seed in range(50)]
+    texts += ["", "ключ · 鍵 · \U0001f511 · a1 a2^-1"]
+    for text in texts:
+        assert cakelab.cake._sha256(text) == hashlib.sha256(text.encode()).digest(), text
+
+
+def test_an_exchange_never_loads_openssl():
+    # hashlib's _hashlib maps OpenSSL's libcrypto; with a built-in sha256 an
+    # exchange and a transcript round trip must not import it
+    import subprocess
+    import sys
+    import textwrap
+
+    code = textwrap.dedent("""
+        import importlib.util, sys
+        from cakelab.cake import format_transcript, parse_transcript, run_exchange
+        transcript, ka, kb = run_exchange(5, 1001, 2002, levels=4)
+        alphabet = transcript.messages[0][1].alphabet
+        assert parse_transcript(format_transcript(alphabet, transcript, ka, kb))[1] == transcript
+        builtin = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+        print(builtin, "_hashlib" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    builtin, loaded = proc.stdout.split()
+    if builtin == "True":
+        assert loaded == "False"
 
 
 def test_derive_key_is_word_determined():

@@ -514,6 +514,21 @@ def test_setup_refuses_shapes_without_moves_before_drawing():
     assert "Traceback" not in proc.stderr
 
 
+def test_cake_run_refuses_label_hi_below_4_before_drawing():
+    # label_hi 3 leaves no label to draw, and a label draw over an empty
+    # range would redraw forever: setup refuses it before the first tree
+    import subprocess
+    import sys
+    import time
+
+    argv = ["cake", "run", "--label-hi", "3", "--seed", "1", "--seed-a", "2", "--seed-b", "3"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: label_hi must be at least 4\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cake", "run", "--word-len", "2000000"], "word longer than 1000000 letters"),
 ])

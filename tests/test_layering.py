@@ -151,3 +151,35 @@ def test_only_words_names_letters():
         if ident in ("Letter", "letters", "free_reduce")
     ]
     assert named == []
+
+
+def import_time_nodes(tree):
+    """Every node that runs when the module is imported: function bodies
+    are left out, and class bodies and if, try and with blocks are read."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_hashlib_on_import():
+    # hashlib maps OpenSSL's libcrypto, several MiB of RSS; keys hash with
+    # the interpreter's built-in sha256, and hashlib is loaded only in a
+    # function, where no built-in one exists
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module]
+        return []
+
+    found = [
+        f"{name}.py:{node.lineno} {module}"
+        for name, tree in modules().items()
+        for node in import_time_nodes(tree)
+        for module in imported(node)
+        if module.split(".")[0] in ("hashlib", "_hashlib")
+    ]
+    assert found == []

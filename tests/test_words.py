@@ -264,6 +264,28 @@ def test_random_reduced_word_caps_length_before_drawing(monkeypatch):
             random_reduced_word(ABC, length, NoDraws())
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**48 - 1])
+def test_random_reduced_word_draws_as_randrange_and_choice_do(seed):
+    # each letter is the generator randrange(n) draws and the sign
+    # choice((1, -1)) draws, from the same stream; n = 1..70 crosses the
+    # powers of two where the redraw loop changes
+    def reference(alphabet, length, rng):
+        n, codes = len(alphabet.names), []
+        while len(codes) < length:
+            c = 2 * rng.randrange(n) + (rng.choice((1, -1)) < 0)
+            if not (codes and codes[-1] == c ^ 1):
+                codes.append(c)
+        return cakelab.words.from_codes(alphabet, codes)
+
+    for n in range(1, 71):
+        alphabet = Alphabet(tuple(f"g{i}" for i in range(n)))
+        for length in (0, 1, 7, 40):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert random_reduced_word(alphabet, length, ours) == reference(alphabet, length, theirs), \
+                (n, length)
+            assert ours.getstate() == theirs.getstate(), (n, length)
+
+
 def test_random_reduced_word_deterministic():
     a = random_reduced_word(ABC, 12, random.Random(9))
     b = random_reduced_word(ABC, 12, random.Random(9))
