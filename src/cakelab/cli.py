@@ -135,10 +135,10 @@ def _cmd_disguise(args) -> int:
     budget = DisguiseBudget(args.moves, args.max_conj, args.max_len)
     if args.length3:
         h = shorten_all(p)
-        p = h.end
-        w = include_word(w, h)
-        print(f"gens: {' '.join(p.alphabet.names)}")
+        p, w = h.end, include_word(w, h)
     word, log = disguise(w, p, budget, args.seed)
+    if args.length3:
+        print(f"gens: {' '.join(p.alphabet.names)}")
     print(f"disguised: {word}")
     if args.witness:
         sys.stdout.write(format_move_log(log))

@@ -3,9 +3,10 @@ splitting.
 
 The splitting move introduces a fresh generator naming the first two letters
 of a long relator; iterating it drives every relator down to length <= 3
-while keeping the group isomorphic.  Histories record each split so that
-words over the final presentation can be translated back to the original
-generators (``lift_word``).
+while keeping the group isomorphic.  A history is a start presentation and
+its steps, each a name, two letter codes and a relator index; one replay,
+linear in the letters, checks the steps and derives the end presentation,
+and words over it translate back to the original generators (``lift_word``).
 
 A presentation's symmetrized set is compiled once, on first use, and held by
 the presentation: every verdict and rewrite on it reads that one object.
@@ -14,21 +15,22 @@ the presentation: every verdict and rewrite on it reads that one object.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import words
 from .words import (
     Alphabet,
     Records,
     Word,
+    _check_name,
+    _parse_codes,
     _word,
     common_prefix_len,
     fields,
     from_codes,
-    parse_word,
     splice,
 )
 
@@ -38,7 +40,6 @@ __all__ = [
     "TietzeStep",
     "PresentationHistory",
     "symmetrize",
-    "tietze_split",
     "shorten_all",
     "lift_word",
     "include_word",
@@ -292,119 +293,115 @@ def symmetrize(p: Presentation) -> SymmetrizedSet:
     return p._symmetrized
 
 
-@dataclass(frozen=True)
-class TietzeStep:
-    """One split: ``old_relator = l1 l2 u`` becomes ``new_gen u`` plus ``new_gen^-1 l1 l2``."""
+class TietzeStep(NamedTuple):
+    """One split: relator ``replaced_relator_index``, ``l1 l2 u``, becomes
+    ``new_gen u``, and ``new_gen^-1 l1 l2`` is appended."""
 
     new_gen: str
     defined_as: tuple[int, int]  # the letter codes of l1 l2
     replaced_relator_index: int
-    old_relator: Word
-    new_relator: Word
 
 
-def _fresh_name(alphabet: Alphabet) -> str:
-    k = 1
-    while f"t{k}" in alphabet:
-        k += 1
-    return f"t{k}"
+class _Replay:
+    """Splits applied in place from ``start``, the one path every history
+    takes.  Each relator is a reversed code list, so a split pops two codes
+    and pushes one, and ``index`` maps each name so far to its generator:
+    a replay is linear in the letters, and the end is built once."""
 
+    def __init__(self, start: Presentation):
+        self.start, self.steps = start, []
+        self.index = {name: g for g, name in enumerate(start.alphabet.names)}
+        self.relators = [list(r.codes[::-1]) for r in start.relators]
 
-def tietze_split(p: Presentation, idx: int, new_name: str | None = None):
-    """Split relator ``idx`` (length >= 4) by naming its first two letters.
+    def split(self, idx: int, name: str) -> tuple[int, int]:
+        """Name the first two letters of relator idx (length >= 4) ``name``,
+        and return their codes; old codes stay, as the new generator is last."""
+        if not 0 <= idx < len(self.relators):
+            raise ValueError(f"relator index {idx} out of range")
+        r = self.relators[idx]
+        if len(r) < 4:
+            shown = _word(Alphabet(tuple(self.index)), tuple(r[::-1]))
+            raise ValueError(f"relator {str(shown)!r} too short to split")
+        if name in self.index:
+            raise ValueError(f"generator {name!r} already exists")
+        _check_name(name)
+        t = 2 * len(self.index)  # the new generator's code
+        self.index[name] = len(self.index)
+        pair = r.pop(), r.pop()
+        r.append(t)
+        # no relator held t, the split one starts with it and the new one with t^-1: all stay distinct
+        self.relators.append([pair[1], pair[0], t + 1])
+        self.steps.append(TietzeStep(name, pair, idx))
+        return pair
 
-    Returns ``(new_presentation, step)``.  The new presentation has one more
-    generator, the target relator shortened by one letter, and a length-3
-    defining relator appended; the presented group is unchanged.
-    """
-    if not (0 <= idx < len(p.relators)):
-        raise ValueError(f"relator index {idx} out of range")
-    r = p.relators[idx]
-    if len(r) < 4:
-        raise ValueError(f"relator {str(r)!r} too short to split")
-    name = new_name if new_name is not None else _fresh_name(p.alphabet)
-    if name in p.alphabet:
-        raise ValueError(f"generator {name!r} already exists")
-    bigger = p.alphabet.extended([name])
-    t = 2 * len(p.alphabet.names)  # the new generator's code
-    replacement = _word(bigger, (t,) + r.codes[2:])
-    definition = _word(bigger, (t + 1,) + r.codes[:2])
-    # codes are stable because alphabets only ever grow by appending
-    relators = [_word(bigger, old.codes) for old in p.relators]
-    relators[idx] = replacement
-    # no old relator holds t, the replacement starts with t and the
-    # definition with t^-1, so all stay distinct
-    relators.append(definition)
-    step = TietzeStep(name, r.codes[:2], idx, r, replacement)
-    return Presentation(bigger, tuple(relators)), step
+    def end(self) -> Presentation:
+        alphabet = Alphabet(tuple(self.index))
+        return Presentation(alphabet, tuple([_word(alphabet, tuple(r[::-1])) for r in self.relators]))
+
+    def history(self) -> "PresentationHistory":
+        """The history of the splits so far, each checked as it was made."""
+        h = object.__new__(PresentationHistory)
+        h.__dict__.update(start=self.start, steps=tuple(self.steps), end=self.end())
+        return h
 
 
 @dataclass(frozen=True)
 class PresentationHistory:
-    """A replayable chain of splits from ``start`` to ``end``."""
+    """A chain of splits: ``start`` and its ``steps``, which the constructor
+    replays and checks.  ``end``, the presentation they lead to, is derived
+    by that replay, in time linear in the letters."""
 
     start: Presentation
     steps: tuple[TietzeStep, ...]
-    end: Presentation
+    end: Presentation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if _replay(self.start, self.steps) != self.end:
-            raise ValueError("steps do not replay from start to end")
-
-
-def _unchecked_history(start: Presentation, steps: list, end: Presentation) -> PresentationHistory:
-    """Unchecked: ``steps`` were just made by ``tietze_split`` from ``start``
-    to ``end``, which is the replay ``PresentationHistory`` would repeat."""
-    h = object.__new__(PresentationHistory)
-    object.__setattr__(h, "start", start)
-    object.__setattr__(h, "steps", tuple(steps))
-    object.__setattr__(h, "end", end)
-    return h
-
-
-def _replay(start: Presentation, steps: Iterable[TietzeStep]) -> Presentation:
-    cur = start
-    for st in steps:
-        cur, redo = tietze_split(cur, st.replaced_relator_index, new_name=st.new_gen)
-        if redo.defined_as != st.defined_as or redo.old_relator != st.old_relator:
-            raise ValueError(f"step for {st.new_gen!r} does not match its presentation")
-    return cur
+        replay = _Replay(self.start)
+        for st in self.steps:
+            if replay.split(st.replaced_relator_index, st.new_gen) != st.defined_as:
+                raise ValueError(f"step for {st.new_gen!r} does not match its presentation")
+        self.__dict__.update(steps=tuple(replay.steps), end=replay.end())
 
 
 def shorten_all(p: Presentation) -> PresentationHistory:
-    """Split the first over-long relator until every relator has length <= 3.
+    """Split the first over-long relator until every relator has length <= 3,
+    naming each new generator by the least free ``t<k>``, which never goes back.
 
     Terminates in exactly sum(max(0, len(r) - 3)) steps: each split trims one
     unit of excess and appends a length-3 relator with none.
     """
-    steps = []
-    cur = p
-    while True:
-        idx = next((i for i, r in enumerate(cur.relators) if len(r) > 3), None)
-        if idx is None:
-            break
-        cur, st = tietze_split(cur, idx)
-        steps.append(st)
-    return _unchecked_history(p, steps, cur)
+    replay, k = _Replay(p), 1
+    for idx in range(len(p.relators)):
+        while len(replay.relators[idx]) > 3:
+            while f"t{k}" in replay.index:
+                k += 1
+            replay.split(idx, f"t{k}")
+    return replay.history()
 
 
 def lift_word(w: Word, h: PresentationHistory) -> Word:
     """Rewrite a word over ``h.end`` in the original generators.
 
-    Every introduced generator is replaced by its two-letter definition,
-    iterated down to the start alphabet, then freely reduced.  Lifting is a
-    homomorphism, and on words that never mention the new generators it is
-    the identity.
+    Each new generator in the word is expanded through its two-letter
+    definition down to the start alphabet, with no table of every image, and
+    the result freely reduced.  Lifting is a homomorphism, and on words that
+    never mention the new generators it is the identity.
     """
     if w.alphabet != h.end.alphabet:
         raise ValueError("word is not over the end alphabet of this history")
-    start = h.start.alphabet
-    by_code = [(c,) for c in range(2 * len(start))]  # each code's image, by code
-    for st in h.steps:  # each appends its generator
-        img = from_codes(start, [x for c in st.defined_as for x in by_code[c]])
-        by_code += [img.codes, img.inverse().codes]
-    return from_codes(start, [x for c in w.codes for x in by_code[c]])
+    n, defined = 2 * len(h.start.alphabet), [st.defined_as for st in h.steps]
+
+    def expand():
+        todo = list(w.codes[::-1])
+        while todo:
+            c = todo.pop()
+            if c < n:
+                yield c
+            else:  # (l1 l2)^-1 = l2^-1 l1^-1; the next letter goes on top
+                l1, l2 = defined[(c - n) >> 1]
+                todo += (l1 ^ 1, l2 ^ 1) if c & 1 else (l2, l1)
+
+    return from_codes(h.start.alphabet, expand())
 
 
 def include_word(w: Word, h: PresentationHistory) -> Word:
@@ -433,11 +430,11 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rel_line(rec: Records, relators: dict, steps=()):
+def _rel_line(rec: Records, relators: dict, stepped=()):
     """The ``rel:`` handler of presentation and history files: each relator
     is checked on its line and kept in file order; none may follow a step."""
     def rel(rest: str) -> None:
-        if rec.alphabet is None or steps:
+        if rec.alphabet is None or stepped:
             raise ValueError("rel line must follow the gens line and precede any step line")
         _add_relator(rec.alphabet, rec.word(rest, "relators"), relators)
 
@@ -457,42 +454,33 @@ def parse_presentation(text: str) -> Presentation:
     return _start(rec, relators)
 
 
-def _format_step(st: TietzeStep) -> str:
-    # two letters printed separately, never run-length merged
-    names = st.old_relator.alphabet.names
-    pair = " ".join(names[c >> 1] + ("^-1" if c & 1 else "") for c in st.defined_as)
-    return f"step: {st.new_gen} = {pair} @ {st.replaced_relator_index}"
-
-
 def format_history(h: PresentationHistory) -> str:
     """Start presentation followed by one line per split."""
+    names = h.end.alphabet.names
     lines = [format_presentation(h.start).rstrip("\n")]
-    lines.extend(_format_step(st) for st in h.steps)
+    for name, pair, idx in h.steps:
+        # two letters printed separately, never run-length merged
+        spelled = " ".join(names[c >> 1] + ("^-1" if c & 1 else "") for c in pair)
+        lines.append(f"step: {name} = {spelled} @ {idx}")
     return "\n".join(lines) + "\n"
 
 
 def parse_history(text: str) -> PresentationHistory:
     """Inverse of format_history: the start presentation, then its steps.
     Each step is replayed once, on its own line, so a forged step fails as
-    ``line N: ...``."""
-    rec, relators, steps = Records(text), {}, []
-    start = cur = None
+    ``line N: ...``, and its two letters are read against the names so far."""
+    rec, relators, replay = Records(text), {}, []  # the replay, from the first step line on
 
     def step(rest: str) -> None:
-        nonlocal start, cur
-        if cur is None:
-            start = cur = _start(rec, relators)
+        if not replay:
+            replay.append(_Replay(_start(rec, relators)))
         name, word_text, idx_text = fields(rest, "=", "@")
         name, idx = name.strip(), int(idx_text)
-        pair = parse_word(cur.alphabet, word_text)
+        pair = _parse_codes(replay[0].index, word_text)
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")
-        cur, st = tietze_split(cur, idx, new_name=name)
-        if st.defined_as != pair.codes:
+        if replay[0].split(idx, name) != pair:
             raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
-        steps.append(st)
 
-    rec.read({"gens": None, "rel": _rel_line(rec, relators, steps), "step": step})
-    if start is None:
-        start = cur = _start(rec, relators)
-    return _unchecked_history(start, steps, cur)
+    rec.read({"gens": None, "rel": _rel_line(rec, relators, replay), "step": step})
+    return (replay[0] if replay else _Replay(_start(rec, relators))).history()

@@ -31,11 +31,9 @@ __all__ = [
     "splice",
     "concat",
     "common_prefix_len",
-    "seam_reduced",
     "parse_word",
     "Records",
     "fields",
-    "word_sort_key",
     "random_reduced_word",
 ]
 
@@ -73,13 +71,7 @@ class Alphabet:
         object.__setattr__(self, "names", names)
         seen = set()
         for name in names:
-            if not name:
-                raise ValueError("generator names must be non-empty")
-            if name == "1":
-                raise ValueError("'1' is reserved for the empty word")
-            # split() cuts at exactly the characters isspace() accepts
-            if name.split() != [name] or not _FORBIDDEN_IN_NAMES.isdisjoint(name):
-                raise ValueError(f"illegal character in generator name {name!r}")
+            _check_name(name)
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
@@ -108,14 +100,7 @@ class Alphabet:
         return f"Alphabet({' '.join(self.names)!r})"
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown generator {name!r}") from None
-
-    def extended(self, extra: Iterable[str]) -> "Alphabet":
-        """A new alphabet with ``extra`` names appended (indices preserved)."""
-        return Alphabet(self.names + tuple(extra))
+        return _generator(self._index, name)
 
     def letter(self, name: str, sign: int = 1) -> "Word":
         """One-letter word. ``sign`` must be +1 or -1."""
@@ -124,6 +109,24 @@ class Alphabet:
     def word(self, text: str) -> "Word":
         """Parse ``text`` in the word grammar; see :func:`parse_word`."""
         return parse_word(self, text)
+
+
+def _check_name(name: str) -> None:
+    """Refuse a generator name that the grammar or the file formats reserve."""
+    if not name:
+        raise ValueError("generator names must be non-empty")
+    if name == "1":
+        raise ValueError("'1' is reserved for the empty word")
+    # split() cuts at exactly the characters isspace() accepts
+    if name.split() != [name] or not _FORBIDDEN_IN_NAMES.isdisjoint(name):
+        raise ValueError(f"illegal character in generator name {name!r}")
+
+
+def _generator(index: dict[str, int], name: str) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise ValueError(f"unknown generator {name!r}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -231,13 +234,17 @@ def from_codes(alphabet: Alphabet, codes: Iterable[int]) -> Word:
     >>> from_codes(X, [0, 2, 3])
     Word('x')
     """
+    return _word(alphabet, _reduced(codes))
+
+
+def _reduced(codes: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for c in codes:
         if out and out[-1] == c ^ 1:
             out.pop()
         else:
             out.append(c)
-    return _word(alphabet, tuple(out))
+    return tuple(out)
 
 
 def _word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
@@ -279,17 +286,6 @@ def common_prefix_len(a: Sequence, b: Sequence, start: int = 0) -> int:
     return k
 
 
-def seam_reduced(a: Word, b: Word) -> bool:
-    """True when the product ``a*b`` has no cancellation at the seam.
-
-    Both inputs must be non-empty; asking the question of an empty word is
-    almost always a bug upstream, so it is an error here.
-    """
-    if not a.codes or not b.codes:
-        raise ValueError("seam_reduced needs non-empty words")
-    return a.codes[-1] != b.codes[0] ^ 1
-
-
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the word grammar: whitespace-separated ``name`` or ``name^k`` tokens.
 
@@ -299,6 +295,11 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     accepted and normalised.  A spelling of more than ``MAX_WORD_LETTERS``
     letters is an error, raised before more letters than that are built.
     """
+    return _word(alphabet, _parse_codes(alphabet._index, text))
+
+
+def _parse_codes(index: dict[str, int], text: str) -> tuple[int, ...]:
+    """:func:`parse_word`'s reduced codes, with ``index`` naming the generators."""
     codes: list[int] = []
     for token in text.split():
         if token == "1":
@@ -313,11 +314,11 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
                 raise ValueError(f"zero exponent in token {token!r}")
         else:
             k = 1
-        gen = alphabet.index(name)
+        gen = _generator(index, name)
         if len(codes) + abs(k) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         codes.extend([2 * gen + (k < 0)] * abs(k))
-    return from_codes(alphabet, codes)
+    return _reduced(codes)
 
 
 class Records:
@@ -395,12 +396,6 @@ def fields(body: str, *marks: str) -> list[str]:
         out.append(head)
     out.append(rest)
     return out
-
-
-def word_sort_key(w: Word):
-    """Canonical ordering key: by length, then letterwise (generator, sign),
-    the order of the codes."""
-    return len(w.codes), w.codes
 
 
 def _below(getrandbits, n: int) -> int:

@@ -31,8 +31,8 @@ from cakelab.cake import (
     setup,
 )
 from cakelab.diffusion import DisguiseBudget
-from cakelab.presentations import Presentation, parse_word
-from cakelab.words import Alphabet, Word, random_reduced_word
+from cakelab.presentations import Presentation
+from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
 
 
 # ------------------------------------------------------------- exchange

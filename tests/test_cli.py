@@ -237,6 +237,51 @@ def test_tietze_steps_and_end_presentation(capsys, ex_file, tmp_path):
     assert len(h.steps) == 6
 
 
+LONG_RELATOR = "gens: a b\nrel: a^100000 b\n"  # 26 bytes, 99,998 splits
+
+
+def run_module(argv, timeout=60):
+    import subprocess
+    import sys
+    import time
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.perf_counter() - start
+
+
+def test_tietze_on_a_long_relator_is_linear(tmp_path):
+    # a split rewrites one relator in place, so 99,998 splits take seconds;
+    # rebuilding the presentation at each split was quadratic (8 s at a^2000)
+    from cakelab.presentations import parse_history, shorten_all
+
+    pres, hist = tmp_path / "long.txt", tmp_path / "h.txt"
+    pres.write_text(LONG_RELATOR)
+    proc, seconds = run_module(["tietze", "--presentation", str(pres), "--out", str(hist),
+                                "--lift", "t99997"])
+    assert seconds < 30
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "step: t1 = a a @ 0" and lines[99997] == "step: t99998 = t99997 a @ 0"
+    assert lines[99998] == "gens: a b " + " ".join(f"t{k}" for k in range(1, 99999))
+    assert lines[99999:] == ["rel: t99998 a b", "rel: t1^-1 a^2"] + [
+        f"rel: t{k}^-1 t{k - 1} a" for k in range(2, 99999)] + ["lift: a^99998"]
+    assert parse_history(hist.read_text()) == shorten_all(parse_presentation(LONG_RELATOR))
+
+
+def test_disguise_length3_on_a_long_relator_is_refused_in_time(tmp_path):
+    # the split presentation is built in seconds; its symmetrized set would
+    # pass the letter cap, so disguise refuses it with one error line
+    pres = tmp_path / "long.txt"
+    pres.write_text(LONG_RELATOR)
+    proc, seconds = run_module(["disguise", "--presentation", str(pres), "--word", "a b",
+                                "--moves", "3", "--seed", "1", "--length3"])
+    assert seconds < 30
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: symmetrized set longer than 1000000 letters\n"
+
+
 # ------------------------------------------------------------------ cake
 
 def test_cake_run_output_and_transcript(capsys, tmp_path):

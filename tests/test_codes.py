@@ -14,7 +14,7 @@ from cakelab.cake import bitstream_encode, run_exchange
 from cakelab.diffusion import DisguiseBudget, disguise, format_move_log, parse_move_log
 from cakelab.presentations import Presentation, symmetrize
 from cakelab.smallcancel import WspWitness, bounded_wp_oracle, dehn_reduce, format_witness
-from cakelab.words import Alphabet, Letter, Word, parse_word, random_reduced_word, word_sort_key
+from cakelab.words import Alphabet, Letter, Word, parse_word, random_reduced_word
 
 X = Alphabet(("x1", "x2", "x3"))
 EX = Presentation(X, (parse_word(X, "x1^2 x2 x3^2 x2^-1"), parse_word(X, "x2^2 x3 x1^2 x3^-1")))
@@ -197,7 +197,7 @@ def test_sort_key_orders_as_generator_then_sign(raws):
     def letter_key(w):
         return len(w), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w)
 
-    assert sorted(ws, key=word_sort_key) == sorted(ws, key=letter_key)
+    assert sorted(ws, key=lambda w: (len(w), w.codes)) == sorted(ws, key=letter_key)
 
 
 # -- the oracle's letter bound ------------------------------------------------

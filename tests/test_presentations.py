@@ -1,18 +1,22 @@
 """Presentations, symmetrized closures, Tietze splitting, files."""
 
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
 
-import cakelab.presentations
 import cakelab.words
 
 from cakelab.artin import braid_presentation
 from cakelab.presentations import (
     Presentation,
     PresentationHistory,
+    TietzeStep,
+    _rel_line,
+    _Replay,
+    _start,
     alternating_word,
     format_history,
     format_presentation,
@@ -22,9 +26,8 @@ from cakelab.presentations import (
     parse_presentation,
     shorten_all,
     symmetrize,
-    tietze_split,
 )
-from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
+from cakelab.words import Alphabet, Records, Word, fields, from_codes, parse_word, random_reduced_word
 
 X = Alphabet(("x1", "x2", "x3"))
 R1 = parse_word(X, "x1^2 x2 x3^2 x2^-1")
@@ -76,12 +79,10 @@ def test_symmetrize_closed_under_inverse_and_rotation():
 
 
 def test_symmetrize_ordered_is_deterministic():
-    from cakelab.words import word_sort_key
-
     a = symmetrize(P).ordered
     b = symmetrize(Presentation(X, (R1, R2))).ordered
     assert a == b
-    assert list(a) == sorted(a, key=word_sort_key)
+    assert list(a) == sorted(a, key=lambda w: (len(w), w.codes))
     assert set(a) == symmetrize(P).elements
 
 
@@ -106,28 +107,38 @@ def test_presentation_rejects_bad_relators():
 
 
 def test_tietze_split_shape():
-    q, st = tietze_split(P, 0)
-    assert st.new_gen == "t1"
+    h = PresentationHistory(P, [TietzeStep("t1", (0, 0), 0)])
+    (st,), q = h.steps, h.end
+    assert st == ("t1", (0, 0), 0) and st.new_gen == "t1"
     assert q.alphabet.names == ("x1", "x2", "x3", "t1")
     # replaced relator keeps its slot, definition relator appended
     assert str(q.relators[0]) == "t1 x2 x3^2 x2^-1"
+    assert q.relators[1] == Word(q.alphabet, tuple(R2))
     assert str(q.relators[-1]) == "t1^-1 x1^2"
     assert st.replaced_relator_index == 0
-    assert st.old_relator == R1
+    assert h.start.relators[0] == R1
     assert st.defined_as == R1.codes[:2] == (0, 0)
 
 
 def test_tietze_split_requires_length_four():
     tri = Presentation(X, (parse_word(X, "x1 x2 x3"),))
-    with pytest.raises(ValueError):
-        tietze_split(tri, 0)
+    with pytest.raises(ValueError, match="^relator 'x1 x2 x3' too short to split$"):
+        PresentationHistory(tri, [TietzeStep("t1", (0, 2), 0)])
+    # a relator split down to length 3 is too short in the new alphabet too
+    h = shorten_all(Presentation(X, (parse_word(X, "x1^3 x2"),)))
+    with pytest.raises(ValueError, match="^relator 't1 x1 x2' too short to split$"):
+        PresentationHistory(h.start, h.steps + (TietzeStep("t2", (6, 0), 0),))
 
 
 def test_tietze_fresh_names_skip_taken():
     taken = Alphabet(("t1", "x2"))
-    p = Presentation(taken, (parse_word(taken, "t1^2 x2^2"),))
-    q, st = tietze_split(p, 0)
-    assert st.new_gen == "t2"
+    h = shorten_all(Presentation(taken, (parse_word(taken, "t1^2 x2^2"),)))
+    assert [st.new_gen for st in h.steps] == ["t2"]
+    # names already taken are skipped all along the chain, not only at its start
+    taken = Alphabet(("t1", "x", "t3"))
+    h = shorten_all(Presentation(taken, (parse_word(taken, "x^6"), parse_word(taken, "t3 x t1 x"))))
+    assert [st.new_gen for st in h.steps] == ["t2", "t4", "t5", "t6"]
+    assert h.end.alphabet.names == ("t1", "x", "t3", "t2", "t4", "t5", "t6")
 
 
 def shorten_oracle_steps(p):
@@ -201,8 +212,26 @@ def test_lift_of_definition_relators_is_trivial_or_original():
 
 def test_history_replay_is_validated():
     h = shorten_all(P)
-    with pytest.raises(ValueError):
-        PresentationHistory(h.start, h.steps[:-1], h.end)
+    assert PresentationHistory(h.start, h.steps) == h
+    assert PresentationHistory(h.start, list(h.steps)).end == h.end
+    assert PresentationHistory(h.start, h.steps[:-1]).end != h.end
+    first = h.steps[0]  # t1 = x1 x1 @ 0
+    forged = {
+        "step for 't1' does not match its presentation": first._replace(defined_as=(0, 2)),
+        "relator index 2 out of range": first._replace(replaced_relator_index=2),
+        "relator index -1 out of range": first._replace(replaced_relator_index=-1),
+        "generator 'x2' already exists": first._replace(new_gen="x2"),
+        "illegal character in generator name 't 1'": first._replace(new_gen="t 1"),
+        "illegal character in generator name 't@1'": first._replace(new_gen="t@1"),
+        "'1' is reserved for the empty word": first._replace(new_gen="1"),
+        "generator names must be non-empty": first._replace(new_gen=""),
+    }
+    for message, step in forged.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PresentationHistory(h.start, (step,) + h.steps[1:])
+    # a later step is checked against the presentation the earlier ones made
+    with pytest.raises(ValueError, match="^generator 't1' already exists$"):
+        PresentationHistory(h.start, h.steps[:2] + (h.steps[2]._replace(new_gen="t1"),))
 
 
 def test_alternating_word_shape():
@@ -313,22 +342,33 @@ def test_parse_history_rejects_mismatched_definition():
 
 
 def test_parse_history_replays_each_step_once(monkeypatch):
-    # the step handler replays and checks each step on its line; the history
-    # it returns is not replayed again, but one built directly still is
+    # the step handler replays and checks each step on its line, and the end
+    # presentation is built once, after the file; the history it returns is
+    # not replayed again, but one built directly is
     h = shorten_all(P)
     text = format_history(h)
-    calls = []
+    splits, built = [], []
+    split, post_init = _Replay.split, Presentation.__post_init__
 
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return tietze_split(*args, **kwargs)
+    def spy_split(self, idx, name):
+        splits.append(name)
+        return split(self, idx, name)
 
-    monkeypatch.setattr(cakelab.presentations, "tietze_split", spy)
+    def spy_post_init(self):
+        built.append(self.alphabet.names)
+        post_init(self)
+
+    monkeypatch.setattr(_Replay, "split", spy_split)
+    monkeypatch.setattr(Presentation, "__post_init__", spy_post_init)
     assert parse_history(text) == h
-    assert len(calls) == len(h.steps) > 1
-    calls.clear()
-    PresentationHistory(h.start, h.steps, h.end)
-    assert len(calls) == len(h.steps)
+    names = [st.new_gen for st in h.steps]
+    assert splits == names and len(names) > 1
+    assert built == [X.names, X.names + tuple(names)]  # the start, then the end
+    splits.clear()
+    built.clear()
+    assert PresentationHistory(h.start, h.steps).end == h.end
+    assert splits == names
+    assert built == [X.names + tuple(names)]
 
 
 def test_parse_history_reads_steps_after_the_presentation():
@@ -336,3 +376,176 @@ def test_parse_history_reads_steps_after_the_presentation():
     lines = text.splitlines()
     with pytest.raises(ValueError, match=r"^line 5: rel line must follow the gens line and precede"):
         parse_history("\n".join(lines[:4] + [lines[1]] + lines[4:]) + "\n")
+
+
+# -- the rebuild-per-split design, kept as the reference for the one replay
+
+def split_reference(p, idx, name=None):
+    """Split relator idx (length >= 4) by building the whole bigger
+    presentation: a new alphabet, every relator re-made over it, the split
+    one shortened and the definition appended.  Returns it and the step."""
+    if not (0 <= idx < len(p.relators)):
+        raise ValueError(f"relator index {idx} out of range")
+    r = p.relators[idx]
+    if len(r) < 4:
+        raise ValueError(f"relator {str(r)!r} too short to split")
+    if name is None:
+        name = next(f"t{k}" for k in itertools.count(1) if f"t{k}" not in p.alphabet)
+    if name in p.alphabet:
+        raise ValueError(f"generator {name!r} already exists")
+    bigger = Alphabet(p.alphabet.names + (name,))
+    t = 2 * len(p.alphabet.names)
+    relators = [from_codes(bigger, old.codes) for old in p.relators]
+    relators[idx] = from_codes(bigger, (t,) + r.codes[2:])
+    relators.append(from_codes(bigger, (t + 1,) + r.codes[:2]))
+    return Presentation(bigger, tuple(relators)), (name, r.codes[:2], idx)
+
+
+def shorten_reference(p):
+    """Split the first over-long relator until none is left: the steps and the end."""
+    steps = []
+    while (idx := next((i for i, r in enumerate(p.relators) if len(r) > 3), None)) is not None:
+        p, step = split_reference(p, idx)
+        steps.append(step)
+    return steps, p
+
+
+def history_text_reference(start, steps, end):
+    lines = format_presentation(start).splitlines()
+    for name, pair, idx in steps:
+        letters = " ".join(str(from_codes(end.alphabet, (c,))) for c in pair)
+        lines.append(f"step: {name} = {letters} @ {idx}")
+    return "\n".join(lines) + "\n"
+
+
+def lift_table_reference(w, start, steps):
+    """Lift through a table of every generator's image."""
+    by_code = [(c,) for c in range(2 * len(start))]
+    for _, pair, _ in steps:
+        image = from_codes(start, [x for c in pair for x in by_code[c]])
+        by_code += [image.codes, image.inverse().codes]
+    return from_codes(start, [x for c in w.codes for x in by_code[c]])
+
+
+def parse_history_reference(text):
+    """Each step line splits the presentation the lines before it made."""
+    rec, relators, steps, made = Records(text), {}, [], []
+
+    def step(rest):
+        if not made:
+            made.append(_start(rec, relators))
+        name, word_text, idx_text = fields(rest, "=", "@")
+        name, idx = name.strip(), int(idx_text)
+        pair = parse_word(made[-1].alphabet, word_text)
+        if len(pair) != 2:
+            raise ValueError(f"step definition must have exactly two letters: {rest!r}")
+        bigger, st = split_reference(made[-1], idx, name)
+        if st[1] != pair.codes:
+            raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
+        made.append(bigger)
+        steps.append(st)
+
+    rec.read({"gens": None, "rel": _rel_line(rec, relators, steps), "step": step})
+    start = made[0] if made else _start(rec, relators)
+    return start, steps, made[-1] if made else start
+
+
+REFERENCE_ALPHABETS = [Alphabet(names) for names in (
+    ("a",), ("a", "b"), ("x1", "x2", "x3"), ("t1",), ("t2", "b"), ("a", "t1", "t2"), ("t1", "t3"))]
+
+
+def random_presentation(rng):
+    """1-3 generators, some of them t1 or t2, and 1-4 distinct cyclically
+    reduced relators of 1-14 letters."""
+    alphabet = rng.choice(REFERENCE_ALPHABETS)
+    relators, want = {}, rng.randint(1, 4)
+    while len(relators) < want:
+        r = random_reduced_word(alphabet, rng.randint(1, 14), rng).cyclic_reduce()[0]
+        if r:
+            relators[r] = None
+    return Presentation(alphabet, tuple(relators))
+
+
+def outcome(parse, text):
+    try:
+        start, steps, end = parse(text)
+    except ValueError as e:
+        return str(e)
+    return start, [tuple(st) for st in steps], end
+
+
+def test_replay_matches_the_rebuild_per_split_reference():
+    rng = random.Random(26)
+    for _ in range(240):
+        p = random_presentation(rng)
+        steps, end = shorten_reference(p)
+        h = shorten_all(p)
+        assert format_history(h) == history_text_reference(p, steps, end), format_presentation(p)
+        assert h.end == end and [tuple(st) for st in h.steps] == steps
+        assert PresentationHistory(p, h.steps).end == end
+        for _ in range(5):
+            w = random_reduced_word(end.alphabet, rng.randint(0, 16), rng)
+            assert lift_word(w, h) == lift_table_reference(w, p.alphabet, steps), w
+
+
+def mutations(text, rng):
+    """96 mutated copies of a history text: characters of its grammar
+    changed, inserted or dropped; lines swapped, repeated or dropped; three
+    still valid: the steps cut short, cut short with the last one renamed,
+    and a step's two letters respelled; and a step's name, letters or index
+    rewritten from what the file holds."""
+    chars = " \n:#^=@-0129xabt1"
+    lines = text.splitlines()
+    steps = [i for i, line in enumerate(lines) if line.startswith("step:")]
+    names = lines[0].split()[1:] + [lines[i].split()[1] for i in steps] + ["u1"]
+
+    def joined(parts):
+        return "\n".join(parts) + "\n"
+
+    def step_line(i, name=None, pair=None, idx=None):
+        old = fields(lines[i].removeprefix("step: "), "=", "@")
+        return f"step: {name or old[0].strip()} = {pair or old[1].strip()} @ {old[2].strip() if idx is None else idx}"
+
+    for _ in range(8):
+        k = rng.randrange(len(text))
+        yield text[:k] + rng.choice(chars) + text[k + 1:]
+        yield text[:k] + rng.choice(chars) + text[k:]
+        yield text[:k] + text[k + 1:]
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        moved = lines[:]
+        moved[i], moved[j] = moved[j], moved[i]
+        yield joined(moved)
+        yield joined(lines[:i] + [lines[j]] + lines[i:])
+        yield joined(lines[:i] + lines[i + 1:])
+        i = rng.choice(steps)
+        yield joined(lines[:i])
+        a, b = lines[i].split()[3:5]
+        g = rng.choice(names[:-1])
+        yield joined(lines[:i] + [step_line(i, "u1")])
+        yield joined(lines[:i] + [step_line(i, pair=f"{a} {g} {g}^-1 {b}")] + lines[i + 1:])
+        yield joined(lines[:i] + [step_line(i, name=rng.choice(names))] + lines[i + 1:])
+        pair = " ".join(rng.choices(names, k=rng.randint(1, 3)))
+        yield joined(lines[:i] + [step_line(i, pair=pair)] + lines[i + 1:])
+        yield joined(lines[:i] + [step_line(i, idx=rng.randint(-1, len(lines)))] + lines[i + 1:])
+
+
+def parse_history_parts(text):
+    h = parse_history(text)
+    return h.start, h.steps, h.end
+
+
+def test_parse_history_matches_the_reference_on_mutated_files():
+    rng = random.Random(62)
+    texts = [format_history(shorten_all(p)) for p in (P, braid_presentation(4))]
+    while len(texts) < 15:
+        text = format_history(shorten_all(random_presentation(rng)))
+        if "step:" in text:
+            texts.append(text)
+    corpus = [m for text in texts for m in mutations(text, rng)]
+    assert len(corpus) == 1440
+    errors = 0
+    for text in corpus:
+        ours = outcome(parse_history_parts, text)
+        assert ours == outcome(parse_history_reference, text), text
+        errors += isinstance(ours, str)
+    assert 200 <= errors <= len(corpus) - 200, errors  # both outcomes are well represented

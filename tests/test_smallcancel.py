@@ -43,7 +43,6 @@ from cakelab.words import (
     from_codes,
     parse_word,
     random_reduced_word,
-    word_sort_key,
 )
 
 X = Alphabet(("x1", "x2", "x3"))
@@ -160,13 +159,13 @@ def t4_oracle(p):
 
 def symmetrize_reference(p):
     """The symmetrized set as it was built before it was compiled in letter
-    codes: every rotation a Word, sorted by ``word_sort_key``, and piece
+    codes: every rotation a Word, sorted by length and then codes, and piece
     lengths from neighbours in an order of Letter tuples."""
     closure = set()
     for r in p.relators:
         for w in (r, r.inverse()):
             closure |= {w[k:] * w[:k] for k in range(len(w))}
-    ordered = tuple(sorted(closure, key=word_sort_key))
+    ordered = tuple(sorted(closure, key=lambda w: (len(w), w.codes)))
     letters = [tuple(w) for w in ordered]
     lex = sorted(range(len(ordered)), key=letters.__getitem__)
     lengths = [0] * len(lex)

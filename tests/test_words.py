@@ -17,8 +17,6 @@ from cakelab.words import (
     from_codes,
     parse_word,
     random_reduced_word,
-    seam_reduced,
-    word_sort_key,
 )
 
 ABC = Alphabet(("a", "b", "c"))
@@ -224,23 +222,9 @@ def test_parse_applies_free_reduction():
     assert parse_word(ABC, "a b b^-1 a^-1") == Word(ABC, ())
 
 
-def test_seam_reduced_two_relator_pair():
-    x = Alphabet(("x1", "x2", "x3"))
-    a = parse_word(x, "x1^2 x2 x3^2 x2^-1")
-    b = parse_word(x, "x2^2 x3 x1^2 x3^-1")
-    assert seam_reduced(a, b) is False
-    assert seam_reduced(b, a) is True
-
-
-def test_seam_reduced_requires_nonempty():
-    w = parse_word(ABC, "a")
-    with pytest.raises(ValueError):
-        seam_reduced(w, Word(ABC, ()))
-
-
 def test_sort_key_orders_by_length_then_letters():
     ws = [parse_word(ABC, t) for t in ("b", "a^-1", "a", "a b", "c", "a^2")]
-    got = sorted(ws, key=word_sort_key)
+    got = sorted(ws, key=lambda w: (len(w), w.codes))
     assert [str(w) for w in got] == ["a", "a^-1", "b", "c", "a^2", "a b"]
 
 
@@ -290,13 +274,6 @@ def test_random_reduced_word_deterministic():
     a = random_reduced_word(ABC, 12, random.Random(9))
     b = random_reduced_word(ABC, 12, random.Random(9))
     assert a == b
-
-
-def test_extended_preserves_prefix():
-    bigger = ABC.extended(("d",))
-    assert bigger.names == ("a", "b", "c", "d")
-    with pytest.raises(ValueError):
-        ABC.extended(("a",))
 
 
 @settings(max_examples=40)
