@@ -1,11 +1,11 @@
 """Labeled graphs, rooted trees, Artin presentations, and the endomorphisms
-induced by label-preserving graph self-maps.
+of the elementary moves on each side of a split tree.
 
 A labeled graph stands for the group with one relator per edge equating the
 two alternating words of the edge's length.  Trees whose labels all sit at 4
 or above ("extra large") split at a degree-2 root into two disjoint sides;
-self-maps touching only one side induce group endomorphisms that commute
-with those of the other side, which is what the key exchange runs on.
+the moves of one side induce group endomorphisms that commute with those of
+the other side, which is what the key exchange runs on.
 Each such endomorphism sends every generator to a generator, so it is held
 as its vertex map and applied by renaming letters: it needs the alphabet,
 never the relators.
@@ -34,8 +34,6 @@ __all__ = [
     "is_extra_large",
     "random_tree",
     "split_at_root",
-    "validate_morphism",
-    "induce_endomorphism",
     "identity_endo",
     "apply_endo",
     "compose",
@@ -194,9 +192,6 @@ class RootedTree:
                 labels[v] = self.graph.label(v, p)
         return labels, _shape_ids(self._children, labels, self.root)
 
-    def is_leaf(self, v: int) -> bool:
-        return not self._children[v]
-
     def subtree(self, v: int) -> tuple:
         return tuple(sorted(_breadth_first(self._children, v)))
 
@@ -336,13 +331,6 @@ def split_at_root(t: RootedTree) -> SplitPlatform:
     return SplitPlatform(t)
 
 
-def validate_morphism(g: LabeledGraph, vertex_map) -> bool:
-    """True iff every edge maps to an edge with the same label; an edge that
-    collapses to a loop maps to no edge, as the graph has no loops."""
-    vm = tuple(vertex_map)
-    return all(g.label(vm[i], vm[j]) == m for i, j, m in g.edges)
-
-
 @dataclass(frozen=True)
 class GroupEndomorphism:
     """The endomorphism induced by a vertex map: generator g goes to
@@ -396,28 +384,6 @@ def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
     """Distinct generators are distinct elements, so two vertex-map
     endomorphisms commute exactly when their composites are equal maps."""
     return compose(e1, e2) == compose(e2, e1)
-
-
-def induce_endomorphism(platform: SplitPlatform, side: str, vertex_map) -> GroupEndomorphism:
-    """Extend a side-subtree self-map to the whole group: ``vertex_map[k]``
-    is the side-local index of the image of the side's k-th vertex, and the
-    root and the other side stay fixed.
-
-    Certification: the extended map must keep every tree edge and its label.
-    The only edge beyond the side's own is the root edge; a map that moves
-    the side's top vertex sends its relator to a non-trivial element of a
-    free parabolic subgroup (van der Lek 1983), so no endomorphism is lost.
-    """
-    side_verts = platform.side(side)
-    k = len(side_verts)
-    if len(vertex_map) != k or not all(0 <= v < k for v in vertex_map):
-        raise ValueError("vertex map must be total on the side")
-    full_map = list(range(len(platform.tree.parent)))
-    for v, image in zip(side_verts, vertex_map):
-        full_map[v] = side_verts[image]
-    if not validate_morphism(platform.tree.graph, full_map):
-        raise ValueError("vertex map is not label- and edge-preserving")
-    return GroupEndomorphism(platform.alphabet, full_map)
 
 
 @dataclass(frozen=True)

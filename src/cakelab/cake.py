@@ -35,7 +35,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Records, Word, _below, _word, random_reduced_word
+from .words import Alphabet, Records, Word, _draw_letter, _word, random_reduced_word
 
 __all__ = [
     "ProtocolSetupError",
@@ -271,10 +271,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
                 word = u
             out.append(word)
         else:
-            while True:
-                c = 2 * _below(draw, n) + _below(draw, 2)  # randrange(n), then choice((1, -1))
-                if u.codes[-1] != c ^ 1:
-                    break
+            c = _draw_letter(draw, n, u.codes[-1])
             out.append(_word(alphabet, u.codes + (c,)))
     return out
 

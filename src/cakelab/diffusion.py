@@ -2,13 +2,13 @@
 
 Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
-matched relator prefix u for the inverted complement v^-1; both replay
-through ``presentations.swap``.  Swap slots come from the symmetrized set's
-relator-prefix scan (``SymmetrizedSet.matches``), the scan that Dehn
-reduction and the oracle use, counted once per move and walked again only
-for a swap draw; each has |u| < |v|, but every take up to the match length
-k swaps to the same word (free reduction cancels the rest of the match), so a
-swap lengthens the word by at most |r| - 2k, and not every swap lengthens it.
+matched relator prefix u for the inverted complement v^-1; both replay by
+``words.splice``.  Swap slots come from the symmetrized set's relator-prefix
+scan (``SymmetrizedSet.matches``), the scan that Dehn reduction and the
+oracle use, counted once per move and walked again only for a swap draw;
+each has |u| < |v|, but every take up to the match length k swaps to the
+same word (free reduction cancels the rest of the match), so a swap
+lengthens the word by at most |r| - 2k, and not every swap lengthens it.
 Every move is logged with enough context to replay it and to convert the
 whole log into a word-search witness for disguised * original^-1.
 """
@@ -19,9 +19,9 @@ import warnings
 from dataclasses import dataclass, field
 from random import Random
 
-from .presentations import Presentation, swap, symmetrize
+from .presentations import Presentation, symmetrize
 from .smallcancel import WspWitness
-from .words import Records, Word, common_prefix_len, concat, fields, random_reduced_word
+from .words import Records, Word, _word, common_prefix_len, concat, fields, random_reduced_word, splice
 
 __all__ = [
     "DisguiseBudget",
@@ -46,8 +46,8 @@ class DisguiseBudget:
 
 @dataclass(frozen=True)
 class RewriteMove:
-    """One logged move; ``post_word`` is its replay on ``pre_word``, a ``swap``
-    at take 0 that inserts ``conjugator relator^exponent conjugator^-1``.
+    """One logged move; ``post_word`` is its replay on ``pre_word``:
+    ``conjugator relator^exponent conjugator^-1`` spliced in at ``position``.
 
     A swap has exponent -1 and no conjugator, and its relator matches
     ``pre_word`` at ``position`` in at least one letter.
@@ -75,9 +75,9 @@ class RewriteMove:
                 raise ValueError("swaps have exponent -1")
             if not common_prefix_len(self.pre_word.codes, self.relator.codes, self.position):
                 raise ValueError(f"word does not match the relator prefix at {self.position}")
-        c, r = self.conjugator, self.relator  # swap at take 0 inserts (c r^-e c^-1)^-1
-        post = swap(self.pre_word, self.position, c * r ** -self.exponent * c.inverse(), 0)
-        object.__setattr__(self, "post_word", post)
+        c, pre, at = self.conjugator, self.pre_word, self.position
+        post = splice(pre.codes, at, (c * self.relator ** self.exponent * c.inverse()).codes, at)
+        object.__setattr__(self, "post_word", _word(pre.alphabet, post))
 
 
 def _takes(k: int, n: int) -> int:

@@ -26,7 +26,8 @@ from .words import (
     Records,
     Word,
     _check_name,
-    _parse_codes,
+    _reduced,
+    _spelled,
     _word,
     common_prefix_len,
     fields,
@@ -109,7 +110,8 @@ class SymmetrizedSet:
 
     :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
     oracle and disguise read it.  Dehn and the oracle rewrite code tuples
-    with :meth:`swap`, disguise rewrites Words with :func:`swap`.
+    with :meth:`swap`; a disguise move splices its conjugated relator in
+    with ``words.splice``, the seam rewrite under :meth:`swap`.
     """
 
     alphabet: Alphabet
@@ -269,7 +271,8 @@ class SymmetrizedSet:
                 yield pos, i, common_prefix_len(x, codes[i], pos)
 
     def swap(self, x: tuple, pos: int, i: int, take: int) -> tuple:
-        """:func:`swap` on codes: element i's inverted complement is a prefix of its inverse."""
+        """``x[:pos] . r[take:]^-1 . x[pos+take:]``, reduced, for r = ``ordered[i]``: that
+        is ``c r^-1 c^-1 . x``, c = ``x[:pos]``; ``r[take:]^-1`` is a prefix of r^-1."""
         inverted = self._codes[self._inverse[i]]
         return splice(x, pos, inverted[: len(inverted) - take], pos + take)
 
@@ -278,13 +281,6 @@ def _exponent_sums(w: Word) -> list[int]:
     """The image of w in the abelianization Z^n: one exponent sum per generator."""
     n = Counter(w.codes)
     return [n[2 * g] - n[2 * g + 1] for g in range(len(w.alphabet))]
-
-
-def swap(w: Word, pos: int, r: Word, take: int) -> Word:
-    """``w[:pos] . r[take:]^-1 . w[pos+take:]``, freely reduced: the matched
-    prefix ``r[:take]`` at pos replaced by the inverted complement, or at
-    take 0 ``r^-1`` inserted.  It equals ``c r^-1 c^-1 . w``, c = ``w[:pos]``."""
-    return _word(w.alphabet, splice(w.codes, pos, r[take:].inverse().codes, pos + take))
 
 
 def symmetrize(p: Presentation) -> SymmetrizedSet:
@@ -385,17 +381,21 @@ def lift_word(w: Word, h: PresentationHistory) -> Word:
     Each new generator in the word is expanded through its two-letter
     definition down to the start alphabet, with no table of every image, and
     the result freely reduced.  Lifting is a homomorphism, and on words that
-    never mention the new generators it is the identity.
+    never mention the new generators it is the identity.  An expansion past
+    ``MAX_WORD_LETTERS`` letters is an error, raised before more are built.
     """
     if w.alphabet != h.end.alphabet:
         raise ValueError("word is not over the end alphabet of this history")
     n, defined = 2 * len(h.start.alphabet), [st.defined_as for st in h.steps]
 
     def expand():
-        todo = list(w.codes[::-1])
+        todo, left = list(w.codes[::-1]), words.MAX_WORD_LETTERS
         while todo:
             c = todo.pop()
             if c < n:
+                left -= 1
+                if left < 0:
+                    raise ValueError(f"word longer than {words.MAX_WORD_LETTERS} letters")
                 yield c
             else:  # (l1 l2)^-1 = l2^-1 l1^-1; the next letter goes on top
                 l1, l2 = defined[(c - n) >> 1]
@@ -468,7 +468,8 @@ def format_history(h: PresentationHistory) -> str:
 def parse_history(text: str) -> PresentationHistory:
     """Inverse of format_history: the start presentation, then its steps.
     Each step is replayed once, on its own line, so a forged step fails as
-    ``line N: ...``, and its two letters are read against the names so far."""
+    ``line N: ...``, and its two letters are read against the names so far;
+    what it spells beyond them counts against the file's letter cap."""
     rec, relators, replay = Records(text), {}, []  # the replay, from the first step line on
 
     def step(rest: str) -> None:
@@ -476,9 +477,11 @@ def parse_history(text: str) -> PresentationHistory:
             replay.append(_Replay(_start(rec, relators)))
         name, word_text, idx_text = fields(rest, "=", "@")
         name, idx = name.strip(), int(idx_text)
-        pair = _parse_codes(replay[0].index, word_text)
+        spelled = _spelled(replay[0].index, word_text)
+        pair = _reduced(spelled)
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")
+        rec.count(len(spelled) - 2, "history")  # nothing for a plain step
         if replay[0].split(idx, name) != pair:
             raise ValueError(f"step {name!r} does not match relator {idx} of its presentation")
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .presentations import Presentation, SymmetrizedSet, symmetrize
-from .words import MAX_WORD_LETTERS, Records, Word, _word, fields
+from .words import MAX_WORD_LETTERS, Alphabet, Records, Word, _word, fields
 
 __all__ = [
     "CancellationReport",
@@ -118,18 +118,18 @@ class CancellationReport:
     source: Presentation
     piece_count: int
     min_piece_decomposition: tuple  # per original relator: int or None
-    c_verdicts: dict
+    c_verdicts: dict  # {4: C(4)}
     cprime_sup: Optional[Fraction]
     t4: bool
 
 
-def build_report(p: Presentation, c_bounds: Iterable[int] = (4,)) -> CancellationReport:
+def build_report(p: Presentation) -> CancellationReport:
     table = symmetrize(p).verdicts
     return CancellationReport(
         source=p,
         piece_count=table.piece_count,
         min_piece_decomposition=table.relator_pieces,
-        c_verdicts={b: check_C(p, b) for b in c_bounds},
+        c_verdicts={4: check_C(p, 4)},
         cprime_sup=cprime_sup(p),
         t4=check_T4(p),
     )
@@ -169,11 +169,7 @@ class WspWitness:
     factors: tuple  # of (Word, Word, int)
 
 
-def replay_witness(witness: WspWitness, alphabet=None) -> Word:
-    if not witness.factors and alphabet is None:
-        raise ValueError("cannot replay an empty witness without an alphabet")
-    if alphabet is None:
-        alphabet = witness.factors[0][0].alphabet
+def replay_witness(witness: WspWitness, alphabet: Alphabet) -> Word:
     out = Word(alphabet)
     for conj, rel, exp in witness.factors:
         out = out * conj * (rel ** exp) * conj.inverse()

@@ -295,11 +295,11 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     accepted and normalised.  A spelling of more than ``MAX_WORD_LETTERS``
     letters is an error, raised before more letters than that are built.
     """
-    return _word(alphabet, _parse_codes(alphabet._index, text))
+    return _word(alphabet, _reduced(_spelled(alphabet._index, text)))
 
 
-def _parse_codes(index: dict[str, int], text: str) -> tuple[int, ...]:
-    """:func:`parse_word`'s reduced codes, with ``index`` naming the generators."""
+def _spelled(index: dict[str, int], text: str) -> list[int]:
+    """The codes ``text`` spells, unreduced, with ``index`` naming the generators."""
     codes: list[int] = []
     for token in text.split():
         if token == "1":
@@ -318,7 +318,7 @@ def _parse_codes(index: dict[str, int], text: str) -> tuple[int, ...]:
         if len(codes) + abs(k) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         codes.extend([2 * gen + (k < 0)] * abs(k))
-    return _reduced(codes)
+    return codes
 
 
 class Records:
@@ -409,14 +409,21 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _draw_letter(getrandbits, n: int, prev: int) -> int:
+    """A code drawn as ``randrange(n)``, then ``choice((1, -1))`` draw a
+    letter, again while it cancels ``prev`` (-1 cancels none)."""
+    c = 2 * _below(getrandbits, n) + _below(getrandbits, 2)
+    while c == prev ^ 1:
+        c = 2 * _below(getrandbits, n) + _below(getrandbits, 2)
+    return c
+
+
 def random_reduced_word(alphabet: Alphabet, length: int, rng) -> Word:
     """Uniform reduced word of exactly ``length`` letters.
 
     Each letter is drawn uniformly from the signed generators, rejecting
-    only the inverse of the previous letter: the generator as
-    ``rng.randrange(n)`` draws it, then the sign as ``rng.choice((1, -1))``
-    does.  A length over ``MAX_WORD_LETTERS`` is refused before any letter
-    is drawn.
+    only the inverse of the previous letter (:func:`_draw_letter`).  A length
+    over ``MAX_WORD_LETTERS`` is refused before any letter is drawn.
     """
     if length > MAX_WORD_LETTERS:
         raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
@@ -424,10 +431,8 @@ def random_reduced_word(alphabet: Alphabet, length: int, rng) -> Word:
     if not n and length > 0:
         raise ValueError("no generators to draw from")
     bits = rng.getrandbits
-    codes: list[int] = []
-    while len(codes) < length:
-        c = 2 * _below(bits, n) + _below(bits, 2)
-        if codes and codes[-1] == c ^ 1:
-            continue
-        codes.append(c)
+    codes, prev = [], -1
+    for _ in range(length):
+        prev = _draw_letter(bits, n, prev)
+        codes.append(prev)
     return _word(alphabet, tuple(codes))

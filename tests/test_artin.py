@@ -1,6 +1,5 @@
-"""Labeled trees, induced endomorphisms, elementary moves."""
+"""Labeled trees, elementary moves and their endomorphisms."""
 
-import itertools
 import random
 import warnings
 
@@ -22,7 +21,6 @@ from cakelab.artin import (
     enumerate_side_moves,
     format_tree,
     identity_endo,
-    induce_endomorphism,
     is_extra_large,
     move_endomorphism,
     parse_tree,
@@ -30,7 +28,6 @@ from cakelab.artin import (
     random_tree,
     sample_tree,
     split_at_root,
-    validate_morphism,
 )
 from cakelab.cake import setup
 from cakelab.presentations import alternating_word, symmetrize
@@ -43,11 +40,6 @@ def small_tree():
     g = LabeledGraph(("r", "u", "v", "p", "q"),
                      frozenset({(0, 1, 4), (0, 2, 5), (1, 3, 6), (1, 4, 6)}))
     return RootedTree(g, 0)
-
-
-def small_side_a():
-    """The graph on small_tree's side A, u, p, q, indexed in that order."""
-    return LabeledGraph(("u", "p", "q"), frozenset({(0, 1, 6), (0, 2, 6)}))
 
 
 # ----------------------------------------------------------------- graphs
@@ -250,91 +242,6 @@ def test_split_platform_builds_its_presentation_on_first_read():
     assert "presentation" not in vars(fresh)
 
 
-def test_validate_morphism():
-    side = small_side_a()
-    # collapsing p and q onto p preserves the labels
-    assert validate_morphism(side, (0, 1, 1))
-    # sending p to u does not: no edge u-u
-    assert not validate_morphism(side, (0, 0, 1))
-
-
-def test_induce_endomorphism_fixes_root_and_far_side():
-    t = small_tree()
-    plat = split_at_root(t)
-    e = induce_endomorphism(plat, "A", (0, 1, 1))
-    names = plat.presentation.alphabet
-    assert apply_endo(names.letter("r"), e) == names.letter("r")
-    assert apply_endo(names.letter("v"), e) == names.letter("v")
-    assert apply_endo(names.letter("q"), e) == names.letter("p")  # q collapsed onto p
-
-
-def test_induce_rejects_label_breaking_map():
-    t = small_tree()
-    plat = split_at_root(t)
-    with pytest.raises(ValueError):
-        induce_endomorphism(plat, "A", (0, 0, 1))
-
-
-@pytest.mark.parametrize("vertex_map", [(0, 1), (0, 1, 1, 1), (0, 1, 3), (0, -1, 1)],
-                         ids=["short", "long", "image-past-side", "negative-image"])
-def test_induce_refuses_a_map_not_total_on_the_side(vertex_map):
-    plat = split_at_root(small_tree())  # side A is u, p, q
-    with pytest.raises(ValueError, match="^vertex map must be total on the side$"):
-        induce_endomorphism(plat, "A", vertex_map)
-
-
-def _relator_images(plat, full_map):
-    """Each relator's image under the vertex map: empty (its edge collapsed),
-    a symmetrized relator, or something else."""
-    p = plat.presentation
-    s = symmetrize(p)
-    e = GroupEndomorphism(plat.alphabet, full_map)
-    return {"empty" if not img else "relator" if img in s else "other"
-            for img in (apply_endo(r, e) for r in p.relators)}
-
-
-def test_induce_checks_the_tree_as_the_relators_do():
-    # every vertex map of every side of at most 5 vertices is accepted exactly
-    # when it sends every relator to a relator; a map that collapses an edge
-    # sends its relator to the empty word and is refused, as the side check
-    # always refused it
-    trees = [random_tree(levels, 3, 5, seed=seed) for levels in (3, 4) for seed in range(6)]
-    maps = accepted = collapsed = 0
-    for t in trees + [small_tree()]:
-        plat = split_at_root(t)
-        for side in "AB":
-            verts = plat.side(side)
-            if len(verts) > 5:
-                continue
-            for vm in itertools.product(range(len(verts)), repeat=len(verts)):
-                full_map = list(range(len(t.parent)))
-                for local, v in enumerate(verts):
-                    full_map[v] = verts[vm[local]]
-                images = _relator_images(plat, full_map)
-                collapsed += "empty" in images
-                try:
-                    e = induce_endomorphism(plat, side, vm)
-                except ValueError:
-                    assert images != {"relator"}, (t, side, vm)
-                else:
-                    assert images == {"relator"}, (t, side, vm)
-                    assert e.vertex_map == tuple(full_map)
-                    accepted += 1
-                maps += 1
-    assert maps > 4000 and 50 < accepted < 100 and collapsed > 1000
-
-
-def test_induce_rejects_a_map_moving_the_side_top():
-    # u -> p, p -> u, q -> u keeps side A's own edges and labels, but the
-    # relator of the root edge r-u goes into the free subgroup on r and p
-    t = small_tree()
-    plat = split_at_root(t)
-    side = small_side_a()
-    assert validate_morphism(side, (1, 0, 0))
-    with pytest.raises(ValueError, match="^vertex map is not label- and edge-preserving$"):
-        induce_endomorphism(plat, "A", (1, 0, 0))
-
-
 # ------------------------------------------------------ elementary moves
 
 def test_enumerate_side_moves_small_tree():
@@ -444,7 +351,7 @@ def side_moves_reference(platform, side):
         kids = t.children(p)
         for x in kids:
             for y in kids:
-                if x != y and t.is_leaf(x) and t.is_leaf(y) \
+                if x != y and not t.children(x) and not t.children(y) \
                         and t.edge_label(p, x) == t.edge_label(p, y):
                     moves.append(ElementaryMove("merge", x, y))
         for ix, x in enumerate(kids):
@@ -494,6 +401,28 @@ def move_rule_corpus():
                 t = random_tree(levels, max_degree, label_hi, seed=seed)
                 yield t, sample_tree(levels, max_degree, label_hi, seed)
                 yield renumbered(t, rng), None
+
+
+def _relator_images(plat, e):
+    """Each relator's image under e: empty (its edge collapsed), a
+    symmetrized relator, or something else."""
+    p = plat.presentation
+    s = symmetrize(p)
+    return {"empty" if not img else "relator" if img in s else "other"
+            for img in (apply_endo(r, e) for r in p.relators)}
+
+
+def test_listed_endomorphisms_send_relators_to_relators():
+    # each endomorphism a side lists sends every relator to the empty word or
+    # to a symmetrized relator, so it is well defined on the group
+    images = 0
+    for t, _ in move_rule_corpus():
+        plat = split_at_root(t)
+        for side in ("A", "B"):
+            for e in plat.move_endos(side):
+                assert _relator_images(plat, e) <= {"empty", "relator"}, (t, side, e.vertex_map)
+                images += len(plat.presentation.relators)
+    assert images == 62352
 
 
 def test_move_rule_matches_recursive_shapes():

@@ -270,6 +270,17 @@ def test_tietze_on_a_long_relator_is_linear(tmp_path):
     assert parse_history(hist.read_text()) == shorten_all(parse_presentation(LONG_RELATOR))
 
 
+def test_tietze_refuses_a_lift_past_the_letter_cap(capsys, tmp_path):
+    # t9997 lifts to a^9998, so its 200th power would be 1,999,600 letters;
+    # the lift is refused before the history file is written
+    pres, hist = tmp_path / "p.txt", tmp_path / "h.txt"
+    pres.write_text("gens: a b\nrel: a^10000 b\n")
+    code, out, err = run(capsys, ["tietze", "--presentation", str(pres), "--out", str(hist),
+                                  "--lift", "t9997^200"])
+    assert (code, out, err) == (2, "", "error: word longer than 1000000 letters\n")
+    assert not hist.exists()
+
+
 def test_disguise_length3_on_a_long_relator_is_refused_in_time(tmp_path):
     # the split presentation is built in seconds; its symmetrized set would
     # pass the letter cap, so disguise refuses it with one error line

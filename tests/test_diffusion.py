@@ -16,7 +16,7 @@ from cakelab.diffusion import (
     parse_move_log,
 )
 from cakelab.artin import artin_from_graph, braid_presentation, random_tree
-from cakelab.presentations import Presentation, swap, symmetrize
+from cakelab.presentations import Presentation, symmetrize
 from cakelab.smallcancel import bounded_wp_oracle, dehn_reduce, replay_witness
 from cakelab.words import Alphabet, Word, parse_word, random_reduced_word
 
@@ -35,6 +35,13 @@ L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 
 
 # ------------------------------------------------------------ primitives
+
+def swap_reference(w, pos, r, take):
+    """The Word-level swap that the package no longer has: the matched
+    prefix ``r[:take]`` of w at pos replaced by the inverted complement, or
+    at take 0 ``r^-1`` inserted, as a product of Words."""
+    return w[:pos] * r[take:].inverse() * w[pos + take:]
+
 
 def test_insert_conjugate_preserves_group_element():
     w = parse_word(X, "x3 x1 x2^-1")
@@ -60,13 +67,13 @@ def test_insert_conjugate_validates_inputs():
 def test_subword_swap_exchanges_relator_halves():
     r = EX.relators[0]  # x1^2 x2 x3^2 x2^-1
     w = parse_word(X, "x3^-1") * r * parse_word(X, "x1")
-    v = swap(w, 1, r, 4)
+    v = swap_reference(w, 1, r, 4)
     assert v != w
     assert len(dehn_reduce(v * ~w, EX)) == 0
     # every take up to the match swaps to one word, the logged move's
     assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == v
     # taking the whole relator erases it
-    v_all = swap(w, 1, r, len(r))
+    v_all = swap_reference(w, 1, r, len(r))
     assert v_all == parse_word(X, "x3^-1 x1")
 
 
@@ -80,7 +87,7 @@ def test_subword_swap_validates_match():
         RewriteMove("subword-swap", -1, r, -1, Word(X, ()), w)
     with pytest.raises(ValueError, match="does not match"):
         RewriteMove("subword-swap", len(w), r, -1, Word(X, ()), w)
-    assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == swap(w, 1, r, 1)
+    assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == swap_reference(w, 1, r, 1)
 
 
 def naive_growth_swaps(w, s):
@@ -107,7 +114,7 @@ def test_growth_swaps_grow_before_seam_cancellation():
         for pos, r, take in naive_growth_swaps(w, s):
             assert 2 * take < len(r)
             assert w.codes[pos : pos + take] == r.codes[:take]
-            v = swap(w, pos, r, take)
+            v = swap_reference(w, pos, r, take)
             # raw replacement grows; seams may cancel some of it back
             raw = len(w) + len(r) - 2 * take
             assert len(v) <= raw and (raw - len(v)) % 2 == 0
@@ -126,7 +133,7 @@ def test_rewrite_move_replay_validation():
     # a swap's relator must match at its position, by exponent -1
     u = parse_word(X, "x1 x3")
     swap_move = RewriteMove("subword-swap", 0, r, -1, Word(X, ()), u)
-    assert swap_move.post_word == swap(u, 0, r, 1)
+    assert swap_move.post_word == swap_reference(u, 0, r, 1)
     with pytest.raises(ValueError, match="exponent -1"):
         RewriteMove("subword-swap", 0, r, 1, Word(X, ()), u)
     with pytest.raises(ValueError, match="does not match"):

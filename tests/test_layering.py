@@ -67,14 +67,24 @@ def bound_imports(tree):
                 yield node.lineno, alias.asname or alias.name.split(".")[0]
 
 
+def assigned(tree, target):
+    """The value of the module-level assignment to ``target``, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == target for t in node.targets):
+            return node.value
+    return None
+
+
+def all_entries(tree):
+    """The names a module lists in ``__all__``."""
+    value = assigned(tree, "__all__")
+    return [elt.value for elt in value.elts] if value else []
+
+
 def read_names(tree):
     """Names the module reads, including those it lists in ``__all__``."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            names.update(elt.value for elt in node.value.elts)
-    return names
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(all_entries(tree))
 
 
 def test_no_module_binds_an_unread_import():
@@ -183,3 +193,33 @@ def test_no_module_imports_hashlib_on_import():
         if module.split(".")[0] in ("hashlib", "_hashlib")
     ]
     assert found == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Exported names that nothing in the package, the demos or the bench reads,
+# each kept for the reason given.
+UNREAD_EXPORTS = {
+    "parse_tree": "reads the tree file of `gen --out-tree`, for the planned `cakelab verify`",
+    "parse_history": "reads the history file of `tietze --out`, for the planned `cakelab verify`",
+    "parse_witness": "reads the witness file of `wp --witness`, for the planned `cakelab verify`",
+    "braid_presentation": "README documents it",
+}
+
+
+def test_every_export_is_read_outside_the_tests():
+    # a name's own def or class line and its __all__ entry are no reads, and
+    # neither is an import: a re-export in __init__ reads nothing
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(loaded_names(tree))
+        if path.name == "tracing.py":  # WRAPPED names the functions it wraps, per layer
+            read.update(key.value for layer in assigned(tree, "WRAPPED").values for key in layer.keys)
+    unread = [
+        f"{module}.{name}"
+        for module, tree in modules().items()
+        for name in all_entries(tree)
+        if name not in read
+    ]
+    assert sorted(name.split(".")[1] for name in unread) == sorted(UNREAD_EXPORTS), unread

@@ -341,6 +341,43 @@ def test_parse_history_rejects_mismatched_definition():
         parse_history(text)
 
 
+def test_parse_history_counts_padded_step_spellings(monkeypatch):
+    # a plain step spells its two letters and counts nothing; a padded one
+    # counts what it spells beyond them against the file's letter cap
+    h = shorten_all(P)
+    text = format_history(h)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 12)  # the relators' letters
+    assert parse_history(text) == h
+    padded = text.replace("t1 = x1 x1 @", "t1 = x1 x2 x2^-1 x1 @")
+    with pytest.raises(ValueError, match=r"^line 4: history longer than 12 letters in total$"):
+        parse_history(padded)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 14)
+    assert parse_history(padded) == h
+
+
+def test_parse_history_refuses_a_padded_chain_at_its_first_long_step():
+    # each padded step spells 999,998 letters for its two, so with the
+    # relator's 201 the first one passes the cap; parsing all 197 of them
+    # would build about 2e8 codes
+    lines = format_history(shorten_all(parse_presentation("gens: a b\nrel: a^200 b\n"))).splitlines()
+    assert lines[2:4] == ["step: t1 = a a @ 0", "step: t2 = t1 a @ 0"]
+    padded = lines[:3] + [f"step: t{k} = t{k - 1} a^499999 a^-499998 @ 0" for k in range(2, 199)]
+    with pytest.raises(ValueError, match=r"^line 4: history longer than 1000000 letters in total$"):
+        parse_history("\n".join(padded) + "\n")
+
+
+def test_lift_refuses_an_expansion_past_the_letter_cap(monkeypatch):
+    # on a^7 b, t4 stands for a^5; letters are counted as they expand,
+    # before free reduction
+    h = shorten_all(parse_presentation("gens: a b\nrel: a^7 b\n"))
+    end, start = h.end.alphabet, h.start.alphabet
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 10)
+    assert lift_word(parse_word(end, "t4^2"), h) == parse_word(start, "a^10")
+    for text in ("t4^2 a", "t4^2 a^-1", "t1 t4^2"):
+        with pytest.raises(ValueError, match="^word longer than 10 letters$"):
+            lift_word(parse_word(end, text), h)
+
+
 def test_parse_history_replays_each_step_once(monkeypatch):
     # the step handler replays and checks each step on its line, and the end
     # presentation is built once, after the file; the history it returns is

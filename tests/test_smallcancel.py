@@ -400,14 +400,15 @@ def test_verdict_table_matches_references():
         pieces = frozenset(lts[:k] for lts, m in zip([tuple(r) for r in ordered], lengths)
                            for k in range(1, m + 1))
         mins = [min_piece_count_reference(r, pieces) for r in ordered]
-        report = build_report(p, range(2, 9))
+        report = build_report(p)
         assert "pieces" not in s.__dict__
         assert report.piece_count == len(pieces)
         assert list(s.verdicts.min_pieces) == mins
         assert report.min_piece_decomposition == tuple(
             min_piece_count_reference(r, pieces) for r in p.relators)
-        assert report.c_verdicts == {
-            b: all(k is None or k >= b for k in mins) for b in range(2, 9)}
+        assert [check_C(p, b) for b in range(2, 9)] == [
+            all(k is None or k >= b for k in mins) for b in range(2, 9)]
+        assert report.c_verdicts == {4: check_C(p, 4)}
         assert report.cprime_sup == max(
             (Fraction(m, len(r)) for r, m in zip(ordered, lengths) if m), default=None)
         assert report.t4 is t4_walk_reference(p)
@@ -591,7 +592,7 @@ def test_oracle_relator_at_depth_one():
     wit = bounded_wp_oracle(EX.relators[0], EX, 1)
     assert wit is not None
     assert len(wit.factors) == 1
-    assert replay_witness(wit) == EX.relators[0]
+    assert replay_witness(wit, X) == EX.relators[0]
 
 
 def test_oracle_spends_budget_once_per_swap_match():
@@ -600,7 +601,7 @@ def test_oracle_spends_budget_once_per_swap_match():
     w = parse_word(X, "x3 x1^-2 x3^-1 x2^-2 x3 x2^2 x3 x1^2 x3^-2")
     wit = bounded_wp_oracle(w, EX, 2, node_budget=1000)
     assert wit is not None and len(wit.factors) == 2
-    assert replay_witness(wit) == w
+    assert replay_witness(wit, X) == w
 
 
 def test_oracle_x1_depth_three_unknown():
@@ -621,7 +622,6 @@ def test_oracle_finds_conjugates_and_witness_replays():
         wit = bounded_wp_oracle(w, EX, 2)
         assert wit is not None
         assert replay_witness(wit, X) == w
-        assert replay_witness(wit) == w
 
 
 def test_oracle_insert_only_case():

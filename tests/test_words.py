@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakelab.words
-from cakelab.presentations import Presentation, swap, symmetrize
+from cakelab.presentations import Presentation, symmetrize
 from cakelab.words import (
     Alphabet,
     Letter,
@@ -17,6 +17,7 @@ from cakelab.words import (
     from_codes,
     parse_word,
     random_reduced_word,
+    splice,
 )
 
 ABC = Alphabet(("a", "b", "c"))
@@ -109,8 +110,9 @@ def test_unchecked_builds_pass_the_public_check(xs, ys, i, j):
     a, b = reduce_raw(xs), reduce_raw(ys)
     core, conj = a.cyclic_reduce()
     rotations = symmetrize(Presentation(ABC, (core,) if core else ())).ordered
-    built = [a[i:j], a.inverse(), concat(a, b), core, conj, *rotations,
-             swap(a, min(i, len(a)), b, min(j, len(b)))]
+    pos = min(i, len(a))
+    spliced = cakelab.words._word(ABC, splice(a.codes, pos, b.codes, min(pos + j, len(a))))
+    built = [a[i:j], a.inverse(), concat(a, b), core, conj, *rotations, spliced]
     for w in built:
         assert Word(w.alphabet, w) == w
         assert all(type(lt) is Letter for lt in w)
