@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Records, Word, _below, from_codes
+from .words import Alphabet, Records, Word, _below, _below_each, from_codes
 
 __all__ = [
     "LabeledGraph",
@@ -64,6 +64,12 @@ class LabeledGraph:
         for i, j, m in self.edges:
             _add_edge(labels, i, j, m, n)
         object.__setattr__(self, "_labels", labels)
+
+    @cached_property
+    def _labels(self) -> dict:
+        """The label of each edge by its endpoints, for a graph that
+        ``build_tree`` made without the check above."""
+        return {(i, j): m for i, j, m in self.edges}
 
     def label(self, a: int, b: int) -> Optional[int]:
         return self._labels.get((min(a, b), max(a, b)))
@@ -129,13 +135,13 @@ def is_extra_large(g: LabeledGraph) -> bool:
     return all(m >= 4 for _, _, m in g.edges)
 
 
-def _children_lists(parent) -> list:
+def _children_lists(parent) -> tuple:
     """Each vertex's children, in index order."""
     kids = [[] for _ in parent]
     for v, p in enumerate(parent):
         if p >= 0:
             kids[p].append(v)
-    return kids
+    return tuple([tuple(k) for k in kids])
 
 
 def _breadth_first(kids, v: int) -> list:
@@ -149,8 +155,11 @@ def _breadth_first(kids, v: int) -> list:
 @dataclass(frozen=True)
 class RootedTree:
     """A tree whose root has degree exactly 2 and whose labels are all >= 4.
-    One breadth-first walk from the root derives ``parent`` (-1 at the root),
-    ``levels`` (the root is level 1) and the children, in index order."""
+    Built from a graph and a root, it is checked, and one breadth-first walk
+    from the root derives ``parent`` (-1 at the root), ``levels`` (the root
+    is level 1) and the children, in index order; ``build_tree`` sets the
+    same fields from the sampler's arrays, which need no check and no walk.
+    Each vertex's parent-edge label and shape are derived on first read."""
 
     graph: LabeledGraph
     root: int
@@ -178,28 +187,22 @@ class RootedTree:
             raise ValueError("tree labels must all be >= 4")
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "levels", level[order[-1]])
-        object.__setattr__(self, "_children", tuple([tuple(k) for k in _children_lists(parent)]))
+        object.__setattr__(self, "_children", _children_lists(parent))
 
     def children(self, v: int) -> tuple:
         return self._children[v]
 
     @cached_property
-    def _shapes(self) -> tuple:
-        """Every vertex's parent-edge label and shape, as two lists, for the move rule."""
-        labels = [0] * len(self.parent)
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                labels[v] = self.graph.label(v, p)
-        return labels, _shape_ids(self._children, labels, self.root)
+    def _edge_labels(self) -> tuple:
+        """Every vertex's parent-edge label, 0 at the root."""
+        label = self.graph.label
+        return tuple([label(v, p) if p >= 0 else 0 for v, p in enumerate(self.parent)])
 
-    def subtree(self, v: int) -> tuple:
-        return tuple(sorted(_breadth_first(self._children, v)))
-
-    def edge_label(self, a: int, b: int) -> int:
-        m = self.graph.label(a, b)
-        if m is None:
-            raise ValueError(f"no edge between {a} and {b}")
-        return m
+    @cached_property
+    def _shapes(self) -> list:
+        """Every vertex's shape, for the move rule."""
+        order = _breadth_first(self._children, self.root)
+        return _shape_ids(self.parent, self._edge_labels, order)[0]
 
 
 def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple[list, list]:
@@ -231,15 +234,16 @@ def _check_sample(levels: int, max_degree: int, label_hi: int) -> None:
 
 def draw_counts(bits, levels: int, max_degree: int) -> list:
     """``sample_tree``'s first stage: each level's child counts, drawn from
-    ``bits`` (a ``getrandbits``) until the level is not empty, as the parent
-    array.  A vertex's children stand next to each other in it."""
+    ``bits`` (a ``getrandbits``) in one call per try until the level is not
+    empty, as the parent array.  A vertex's children stand next to each
+    other in it, after their parent."""
     max_vertices = words.MAX_WORD_LETTERS // 8 + 1
     parent = [-1, 0, 0]  # root degree exactly 2
     current = range(1, 3)
     for _ in range(2, levels):
         for _ in range(1000):
             # 0 to max_degree - 1 children: one slot is taken by the parent edge
-            counts = [_below(bits, max_degree) for _ in current]
+            counts = _below_each(bits, max_degree, len(current))
             if any(counts):
                 break
         else:
@@ -256,22 +260,36 @@ def draw_counts(bits, levels: int, max_degree: int) -> list:
 def draw_labels(bits, size: int, label_hi: int) -> list:
     """``sample_tree``'s second stage: the parent-edge label of each of
     ``size`` vertices, uniform in [4, label_hi], and 0 for the root."""
-    span = label_hi - 3
-    return [0] + [4 + _below(bits, span) for _ in range(size - 1)]
+    return [0, *map((4).__add__, _below_each(bits, label_hi - 3, size - 1))]
 
 
-def build_tree(parent: list, labels: list) -> RootedTree:
-    """The validated tree of ``sample_tree``'s arrays, rooted at vertex 0 and
-    with vertices named a1, a2, ..."""
-    names = tuple([f"a{i + 1}" for i in range(len(parent))])
-    edges = frozenset([(p, v, labels[v]) for v, p in enumerate(parent) if p >= 0])
-    return RootedTree(LabeledGraph(names, edges), 0)
+def build_tree(parent: list, labels: list, shapes: Optional[list] = None) -> RootedTree:
+    """The tree of ``sample_tree``'s arrays, rooted at vertex 0 and with
+    vertices named a1, a2, ...  The arrays are a tree by construction, in
+    breadth-first order, with a root of degree 2 and labels of 4 or more, so
+    the tree is built from them with no edge check and no walk.  It keeps the
+    label array, and ``shapes``, the shapes ``both_sides_move`` computed for
+    the arrays, when they are given."""
+    n = len(parent)
+    graph = object.__new__(LabeledGraph)
+    vars(graph).update(vertices=tuple([f"a{i}" for i in range(1, n + 1)]),
+                       edges=frozenset(zip(parent[1:], range(1, n), labels[1:])))
+    levels, v = 1, n - 1
+    while v:  # the last vertex is on the deepest level
+        levels, v = levels + 1, parent[v]
+    t = object.__new__(RootedTree)
+    vars(t).update(graph=graph, root=0, parent=tuple(parent), levels=levels,
+                   _children=_children_lists(parent), _edge_labels=tuple(labels))
+    if shapes is not None:
+        vars(t)["_shapes"] = shapes
+    return t
 
 
 def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) -> RootedTree:
     """Seed-deterministic rooted tree: root degree 2, internal degrees at most
     max_degree, vertex levels exactly ``levels``, labels uniform in [4, label_hi].
-    Vertices are named a1, a2, ... in breadth-first order."""
+    Vertices are named a1, a2, ... in breadth-first order.  It is built from
+    ``sample_tree``'s arrays by ``build_tree``."""
     return build_tree(*sample_tree(levels, max_degree, label_hi, seed))
 
 
@@ -287,9 +305,9 @@ class SplitPlatform:
 
     def __post_init__(self):
         t = self.tree
-        c1, c2 = t.children(t.root)
-        object.__setattr__(self, "side_a", t.subtree(c1))
-        object.__setattr__(self, "side_b", t.subtree(c2))
+        side_a, side_b = [tuple(sorted(_breadth_first(t._children, c))) for c in t.children(t.root)]
+        object.__setattr__(self, "side_a", side_a)
+        object.__setattr__(self, "side_b", side_b)
 
     def side(self, which: str) -> tuple[int, ...]:
         if which == "A":
@@ -334,34 +352,21 @@ def split_at_root(t: RootedTree) -> SplitPlatform:
 @dataclass(frozen=True)
 class GroupEndomorphism:
     """The endomorphism induced by a vertex map: generator g goes to
-    generator ``vertex_map[g]``, indices as in the alphabet."""
+    generator ``vertex_map[g]``, a tuple of indices into the alphabet.  Every
+    map is made in this module, from a listed move or by composing such
+    maps, so the map is not checked again."""
 
     alphabet: Alphabet
     vertex_map: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_map", tuple(self.vertex_map))
-        n = len(self.alphabet.names)
-        if len(self.vertex_map) != n or not all(0 <= v < n for v in self.vertex_map):
-            raise ValueError("vertex map must send each generator to a generator")
-
     @property
     def moved(self) -> frozenset:
         """Generators whose image is not themselves."""
-        return frozenset(g for g, v in enumerate(self.vertex_map) if v != g)
-
-
-def _endo(alphabet: Alphabet, vertex_map: tuple) -> GroupEndomorphism:
-    """Unchecked: ``vertex_map`` is a tuple of generator indices of
-    ``alphabet``, as in any composite or listed move of checked maps."""
-    e = object.__new__(GroupEndomorphism)
-    object.__setattr__(e, "alphabet", alphabet)
-    object.__setattr__(e, "vertex_map", vertex_map)
-    return e
+        return frozenset([g for g, v in enumerate(self.vertex_map) if v != g])
 
 
 def identity_endo(alphabet: Alphabet) -> GroupEndomorphism:
-    return _endo(alphabet, tuple(range(len(alphabet.names))))
+    return GroupEndomorphism(alphabet, tuple(range(len(alphabet.names))))
 
 
 def apply_endo(w: Word, e: GroupEndomorphism) -> Word:
@@ -377,7 +382,7 @@ def compose(e1: GroupEndomorphism, e2: GroupEndomorphism) -> GroupEndomorphism:
     if e1.alphabet != e2.alphabet:
         raise ValueError("alphabet mismatch")
     vm1 = e1.vertex_map
-    return _endo(e1.alphabet, tuple([vm1[v] for v in e2.vertex_map]))
+    return GroupEndomorphism(e1.alphabet, tuple([vm1[v] for v in e2.vertex_map]))
 
 
 def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
@@ -400,26 +405,38 @@ class ElementaryMove:
             raise ValueError(f"unknown move kind {self.kind!r}")
         if self.a == self.b:
             raise ValueError("move endpoints must differ")
-        if self.kind == "swap":  # an unordered pair: swap 4 3 is swap 3 4
-            lo, hi = sorted((self.a, self.b))
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+        if self.kind == "swap" and self.a > self.b:  # an unordered pair: swap 4 3 is swap 3 4
+            a = self.a
+            object.__setattr__(self, "a", self.b)
+            object.__setattr__(self, "b", a)
 
 
-def _shape_ids(kids, labels: list, root: int) -> list:
-    """Every vertex's shape, computed bottom-up: two vertices share a shape
+def _shape_ids(parent, labels, order) -> tuple[list, list]:
+    """Every vertex's shape, and whether the move rule pairs two children of
+    some vertex in its subtree, computed in one pass up ``order``, which
+    lists every parent before its children.  Two vertices share a shape
     exactly when their subtrees are isomorphic by a map that keeps edge
     labels.  Leaves have shape 0; an inner vertex's shape numbers the sorted
     list of its children's (parent-edge label, shape) pairs, each pair coded
-    as label * n + shape for n vertices (there are fewer than n shapes)."""
-    n = len(labels)
-    shape = [0] * n
+    as label * n + shape for n vertices (there are fewer than n shapes), so
+    two children carry one label and one shape when their codes are equal."""
+    n = len(parent)
+    codes = [[] for _ in parent]
+    shape, paired = [0] * n, [False] * n
     ids: dict = {}
-    for v in reversed(_breadth_first(kids, root)):
-        if kids[v]:
-            key = tuple(sorted([labels[c] * n + shape[c] for c in kids[v]]))
-            shape[v] = ids.setdefault(key, len(ids) + 1)
-    return shape
+    for v in reversed(order):
+        below = codes[v]
+        if below:
+            below.sort()
+            shape[v] = ids.setdefault(tuple(below), len(ids) + 1)
+            if len(set(below)) < len(below):
+                paired[v] = True
+        p = parent[v]
+        if p >= 0:
+            codes[p].append(labels[v] * n + shape[v])
+            if paired[v]:
+                paired[p] = True
+    return shape, paired
 
 
 def _sibling_pairs(kids, labels: list, shape: list, parents):
@@ -434,17 +451,6 @@ def _sibling_pairs(kids, labels: list, shape: list, parents):
             for x in ks[:i]:
                 if labels[x] == labels[y] and shape[x] == shape[y]:
                     yield x, y
-
-
-def _has_fork(kids, labels: list, vertices) -> bool:
-    """Whether one of ``vertices`` has two children on one edge label.  The
-    move rule pairs only such siblings, so a side without this fork admits
-    no elementary move."""
-    for v in vertices:
-        ks = kids[v]
-        if len(ks) > 1 and len({labels[c] for c in ks}) < len(ks):
-            return True
-    return False
 
 
 def branching_sides(parent: list) -> set:
@@ -463,49 +469,48 @@ def branching_sides(parent: list) -> set:
     return found
 
 
-def both_sides_move(parent: list, labels: list) -> bool:
+def both_sides_move(parent: list, labels: list) -> Optional[list]:
     """Whether each side of ``sample_tree``'s arrays admits an elementary
-    move, decided by the move rule before any tree is built.  A side with no
-    fork (two children on one label) is refused by one O(n) pass, before any
-    shape is computed.  ``setup`` sends only the draws that ``branching_sides``
-    passed, so most of what it refuses never draws its labels."""
-    kids = _children_lists(parent)
-    sides = [_breadth_first(kids, top) for top in (1, 2)]
-    if not all(_has_fork(kids, labels, side) for side in sides):
-        return False
-    shape = _shape_ids(kids, labels, 0)
-    return all(next(_sibling_pairs(kids, labels, shape, side), None) for side in sides)
+    move, decided by the move rule before any tree is built, in one pass up
+    the arrays: None when a side does not, and otherwise every vertex's
+    shape, for ``build_tree`` to keep.  The arrays list every parent before
+    its children, and the sides are the subtrees of vertices 1 and 2.
+    ``setup`` sends only the draws that ``branching_sides`` passed, so most
+    of what it refuses never draws its labels."""
+    shape, paired = _shape_ids(parent, labels, range(len(parent)))
+    return shape if paired[1] and paired[2] else None
 
 
 def enumerate_side_moves(platform: SplitPlatform, side: str) -> tuple[ElementaryMove, ...]:
-    """Every legal elementary move whose support lies in the chosen side."""
+    """Every legal elementary move whose support lies in the chosen side,
+    ordered by kind, then endpoints: each sibling pair x < y is a swap, and
+    two merges when x and y are leaves."""
     t = platform.tree
-    labels, shape = t._shapes
-    moves = []
-    for x, y in _sibling_pairs(t._children, labels, shape, platform.side(side)):
-        moves.append(ElementaryMove("swap", x, y))
-        if not shape[x]:
-            moves += [ElementaryMove("merge", x, y), ElementaryMove("merge", y, x)]
-    return tuple(sorted(moves, key=lambda m: (m.kind, m.a, m.b)))
+    shape = t._shapes
+    pairs = sorted(_sibling_pairs(t._children, t._edge_labels, shape, platform.side(side)))
+    merges = sorted([m for x, y in pairs if not shape[x] for m in ((x, y), (y, x))])
+    return tuple([ElementaryMove("merge", a, b) for a, b in merges]
+                 + [ElementaryMove("swap", x, y) for x, y in pairs])
 
 
-def _pair_subtrees(tree: RootedTree, a: int, b: int, out: list) -> None:
+def _pair_subtrees(kids, key, a: int, b: int, out: list) -> None:
     out[a], out[b] = b, a
-    labels, shape = tree._shapes
-    key = lambda c: (labels[c], shape[c], tree.graph.vertices[c])
-    for ca, cb in zip(sorted(tree.children(a), key=key), sorted(tree.children(b), key=key)):
-        _pair_subtrees(tree, ca, cb, out)
+    for ca, cb in zip(sorted(kids[a], key=key), sorted(kids[b], key=key)):
+        _pair_subtrees(kids, key, ca, cb, out)
 
 
 def _move_endo(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
     """The vertex map of a listed move: a merge sends a to b, and a swap
-    exchanges the two subtrees vertex for vertex."""
-    vmap = list(range(len(platform.tree.parent)))
+    exchanges the two subtrees vertex for vertex, pairing children by label,
+    shape and name."""
+    t = platform.tree
+    vmap = list(range(len(t.parent)))
     if move.kind == "merge":
         vmap[move.a] = move.b
     else:
-        _pair_subtrees(platform.tree, move.a, move.b, vmap)
-    return _endo(platform.alphabet, tuple(vmap))
+        labels, shape, names = t._edge_labels, t._shapes, t.graph.vertices
+        _pair_subtrees(t._children, lambda c: (labels[c], shape[c], names[c]), move.a, move.b, vmap)
+    return GroupEndomorphism(platform.alphabet, tuple(vmap))
 
 
 def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
@@ -522,16 +527,15 @@ def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorph
     guaranteed to move some side generator whenever the side has any legal
     move.  With no legal moves it warns and returns the identity."""
     endos = platform.move_endos(side)
-    alphabet = platform.alphabet
     if not endos:
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")
-        return identity_endo(alphabet)
+        return identity_endo(platform.alphabet)
     bits = Random(seed).getrandbits
     side_set = frozenset(platform.side(side))
     for _ in range(64):
         k = 1 + _below(bits, 3)
-        endo = identity_endo(alphabet)
-        for _ in range(k):
+        endo = endos[_below(bits, len(endos))]
+        for _ in range(k - 1):
             endo = compose(endos[_below(bits, len(endos))], endo)
         if endo.moved & side_set:
             return endo
@@ -541,10 +545,10 @@ def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorph
 # -- tree text format ------------------------------------------------------
 
 def format_tree(t: RootedTree) -> str:
-    names = t.graph.vertices
+    names, labels, kids = t.graph.vertices, t._edge_labels, t._children
     lines = [f"root: {names[t.root]}"]
-    for v in _breadth_first(t._children, t.root):
-        lines.extend([f"edge: {names[v]} {names[c]} {t.edge_label(v, c)}" for c in t.children(v)])
+    for v in _breadth_first(kids, t.root):
+        lines += [f"edge: {names[v]} {names[c]} {labels[c]}" for c in kids[v]]
     return "\n".join(lines) + "\n"
 
 

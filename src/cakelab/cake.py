@@ -156,14 +156,14 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
     Most draws are refused after the first, on their child counts alone,
     when a side has no vertex with two children: such a draw costs its
     seeding and its counts, and draws no label.  A draw that passes draws
-    its labels and meets the move rule, which refuses a side where no vertex
-    has two children on one edge label before it computes any shape.  Only
-    a tree that passes both is built, split and has its moves listed.  With
-    fewer than 3 levels or a max_degree below 3 no vertex can have two
-    children, so no side can ever move; such parameters, and a label_hi
-    below 4, are refused before any draw.  An exchange compiles no
-    relators: words and endomorphisms need only the platform's alphabet, and
-    the presentation is built only when read.
+    its labels and meets the move rule, one pass up the arrays that numbers
+    every vertex's shape.  Only a tree that passes both is built, from the
+    arrays and those shapes, with no check or walk, then split and has its
+    moves listed.  With fewer than 3 levels or a max_degree below 3 no
+    vertex can have two children, so no side can ever move; such
+    parameters, and a label_hi below 4, are refused before any draw.  An
+    exchange compiles no relators: words and endomorphisms need only the
+    platform's alphabet, and the presentation is built only when read.
     """
     if word_len < 2:
         raise ValueError("word_len must allow touching both sides")
@@ -179,9 +179,10 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
         if len(branching_sides(parent)) < 2:
             continue
         labels = draw_labels(bits, len(parent), label_hi)
-        if not both_sides_move(parent, labels):
+        shapes = both_sides_move(parent, labels)
+        if shapes is None:
             continue
-        platform = split_at_root(build_tree(parent, labels))
+        platform = split_at_root(build_tree(parent, labels, shapes))
         moved_a, moved_b = [frozenset().union(*[e.moved for e in platform.move_endos(side)])
                             for side in ("A", "B")]
         for _ in range(20):

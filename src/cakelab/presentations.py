@@ -442,9 +442,13 @@ def _rel_line(rec: Records, relators: dict, stepped=()):
 
 
 def _start(rec: Records, relators: dict) -> Presentation:
+    """The presentation of a file's ``gens`` and ``rel`` lines, whose relators
+    ``_rel_line`` checked, each on its line: they are not checked again."""
     if rec.alphabet is None:
         raise ValueError("missing gens line")
-    return Presentation(rec.alphabet, tuple(relators))
+    p = object.__new__(Presentation)
+    p.__dict__.update(alphabet=rec.alphabet, relators=tuple(relators))
+    return p
 
 
 def parse_presentation(text: str) -> Presentation:

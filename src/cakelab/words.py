@@ -409,6 +409,19 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _below_each(getrandbits, n: int, count: int) -> list:
+    """``count`` draws of ``_below(getrandbits, n)`` in one call, on the same
+    stream."""
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def _draw_letter(getrandbits, n: int, prev: int) -> int:
     """A code drawn as ``randrange(n)``, then ``choice((1, -1))`` draw a
     letter, again while it cancels ``prev`` (-1 cancels none)."""

@@ -3,7 +3,10 @@
 import functools
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,25 @@ def test_exchange_workload_matches_its_reference():
     assert len(exchange.specs) == exchange.MIX == len(exchange.reference) == 1000
     failed = [spec.index for spec in exchange.specs if not exchange.verify(spec, exchange.op(spec))]
     assert failed == []
+
+
+def test_traced_exchange_records_the_artin_rows():
+    # the tracer patches module globals, so it runs in a child process; the
+    # exchange must still reach these functions through module globals, or
+    # the bench's artin.* rows read no calls
+    code = "\n".join([
+        "from collections import Counter",
+        "import cakelab",
+        "from tracing import Tracer",
+        "tracer = Tracer()",
+        "tracer.install()",
+        "cakelab.run_exchange(9000, 100, 200)",
+        "for (layer, func, _), n in Counter(tracer._names[i] for i in tracer.name).items():",
+        "    print(layer, func, n)",
+    ])
+    src = Path(cakelab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(BENCH)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    spans = {(layer, func): int(n) for layer, func, n in map(str.split, out.stdout.splitlines())}
+    for func in ("split_at_root", "enumerate_side_moves", "random_endo", "apply_endo"):
+        assert spans.get(("artin", func), 0) >= 1, (func, out.stdout)

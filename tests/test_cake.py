@@ -172,7 +172,8 @@ def test_setup_builds_only_the_kept_presentation(monkeypatch):
 
 def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
     # rejected draws are decided on the sampler's arrays: labels are drawn
-    # only for child counts that branch on both sides, one tree is built and
+    # only for child counts that branch on both sides, one tree is built,
+    # from the arrays and the shapes the move rule computed for them, and
     # split, and each side's moves are enumerated once for the whole
     # exchange, however many trees were drawn and however often the parties
     # draw their endomorphisms
@@ -182,6 +183,19 @@ def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(cakelab.cake, name, spy)
+    ruled = []
+
+    def spy_rule(parent, labels):
+        ruled.append(cakelab.artin.both_sides_move(parent, labels))
+        return ruled[-1]
+
+    def spy_build(parent, labels, shapes, _counted=cakelab.cake.build_tree):
+        # the kept tree is built from the arrays and the rule's shapes
+        assert shapes is ruled[-1] is not None
+        return _counted(parent, labels, shapes)
+
+    monkeypatch.setattr(cakelab.cake, "both_sides_move", spy_rule)
+    monkeypatch.setattr(cakelab.cake, "build_tree", spy_build)
     counted, labelled = [], []
 
     def spy_counts(*args):
@@ -205,6 +219,7 @@ def test_setup_builds_nothing_for_a_rejected_draw(monkeypatch):
     monkeypatch.setattr(cakelab.artin, "enumerate_side_moves", spy_moves)
     run_exchange(9000, 100, 200)
     assert len(counted) > len(labelled) >= 1
+    assert len(ruled) == len(labelled) and ruled.count(None) == len(ruled) - 1
     assert calls["build_tree"] == calls["split_at_root"] == 1
     assert sorted(sides) == ["A", "B"]
 

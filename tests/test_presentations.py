@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+import cakelab.presentations
 import cakelab.words
 
 from cakelab.artin import braid_presentation
@@ -301,6 +302,27 @@ def test_parse_presentation_errors_name_their_line():
         parse_presentation("gens: x1 x2\nrel: x1 x2 x1^-1\n")
 
 
+def test_parse_presentation_and_history_check_each_relator_once(monkeypatch):
+    # a relator is checked on its line, and the presentation of the file's
+    # relators is not checked again; a history's end relators are checked
+    # once, when the end is built
+    checked = []
+
+    def spy(alphabet, r, relators, _real=cakelab.presentations._add_relator):
+        checked.append(r)
+        return _real(alphabet, r, relators)
+
+    monkeypatch.setattr(cakelab.presentations, "_add_relator", spy)
+    for p in (P, braid_presentation(5)):
+        checked.clear()
+        assert parse_presentation(format_presentation(p)) == p
+        assert checked == list(p.relators)
+        h = shorten_all(p)
+        checked.clear()
+        assert parse_history(format_history(h)) == h
+        assert checked == list(p.relators + h.end.relators)
+
+
 def test_parse_presentation_caps_letters_in_total(monkeypatch):
     # each relator is under the cap; together they pass it on line 3
     monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 5)
@@ -380,8 +402,9 @@ def test_lift_refuses_an_expansion_past_the_letter_cap(monkeypatch):
 
 def test_parse_history_replays_each_step_once(monkeypatch):
     # the step handler replays and checks each step on its line, and the end
-    # presentation is built once, after the file; the history it returns is
-    # not replayed again, but one built directly is
+    # presentation is built once, after the file; the start's relators were
+    # checked on their lines, so the start is not checked again; the history
+    # it returns is not replayed again, but one built directly is
     h = shorten_all(P)
     text = format_history(h)
     splits, built = [], []
@@ -400,7 +423,7 @@ def test_parse_history_replays_each_step_once(monkeypatch):
     assert parse_history(text) == h
     names = [st.new_gen for st in h.steps]
     assert splits == names and len(names) > 1
-    assert built == [X.names, X.names + tuple(names)]  # the start, then the end
+    assert built == [X.names + tuple(names)]  # the end alone
     splits.clear()
     built.clear()
     assert PresentationHistory(h.start, h.steps).end == h.end
