@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Optional
 
@@ -88,7 +88,8 @@ class LabeledGraph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def alphabet(self) -> Alphabet:
+    @cached_property
+    def alphabet(self) -> Alphabet:  # its names are checked on first read
         return Alphabet(self.vertices)
 
 
@@ -113,7 +114,7 @@ def artin_from_graph(g: LabeledGraph) -> Presentation:
     are refused before any word is built."""
     if sum(2 * m for _, _, m in g.edges) > words.MAX_WORD_LETTERS:
         raise ValueError(f"relators longer than {words.MAX_WORD_LETTERS} letters in total")
-    alphabet = g.alphabet()
+    alphabet = g.alphabet
     # a graph has one edge per vertex pair, so the relators are distinct
     return Presentation(alphabet, tuple([
         alternating_word(alphabet, i, j, m) * alternating_word(alphabet, j, i, m).inverse()
@@ -263,16 +264,25 @@ def draw_labels(bits, size: int, label_hi: int) -> list:
     return [0, *map((4).__add__, _below_each(bits, label_hi - 3, size - 1))]
 
 
+@lru_cache(maxsize=256)
+def _tree_alphabet(n: int) -> Alphabet:
+    """The alphabet a1, a2, ..., an, one shared per vertex count: its names
+    are valid and distinct by construction, so none is checked."""
+    alphabet, names = object.__new__(Alphabet), tuple([f"a{i}" for i in range(1, n + 1)])
+    vars(alphabet).update(names=names, _hash=hash(names))
+    return alphabet
+
+
 def build_tree(parent: list, labels: list, shapes: Optional[list] = None) -> RootedTree:
     """The tree of ``sample_tree``'s arrays, rooted at vertex 0 and with
     vertices named a1, a2, ...  The arrays are a tree by construction, in
     breadth-first order, with a root of degree 2 and labels of 4 or more, so
-    the tree is built from them with no edge check and no walk.  It keeps the
-    label array, and ``shapes``, the shapes ``both_sides_move`` computed for
-    the arrays, when they are given."""
-    n = len(parent)
+    the tree is built from them with no edge check, walk or name check.  It
+    keeps the label array, and ``shapes``, the shapes ``both_sides_move``
+    computed for the arrays, when they are given."""
+    n, alphabet = len(parent), _tree_alphabet(len(parent))
     graph = object.__new__(LabeledGraph)
-    vars(graph).update(vertices=tuple([f"a{i}" for i in range(1, n + 1)]),
+    vars(graph).update(vertices=alphabet.names, alphabet=alphabet,
                        edges=frozenset(zip(parent[1:], range(1, n), labels[1:])))
     levels, v = 1, n - 1
     while v:  # the last vertex is on the deepest level
@@ -318,7 +328,7 @@ class SplitPlatform:
 
     @cached_property
     def alphabet(self) -> Alphabet:
-        return self.tree.graph.alphabet()
+        return self.tree.graph.alphabet
 
     @cached_property
     def presentation(self) -> Presentation:

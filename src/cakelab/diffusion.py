@@ -5,10 +5,11 @@ invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1; both replay by
 ``words.splice``.  Swap slots come from the symmetrized set's relator-prefix
 scan (``SymmetrizedSet.matches``), the scan that Dehn reduction and the
-oracle use, counted once per move and walked again only for a swap draw;
-each has |u| < |v|, but every take up to the match length k swaps to the
-same word (free reduction cancels the rest of the match), so a swap
-lengthens the word by at most |r| - 2k, and not every swap lengthens it.
+oracle use: a k-letter match on an element r offers the takes 1..k with
+|u| < |v|, min(k, (|r| - 1) // 2) slots, summed inline once per move and
+walked again only for a swap draw.  Every take up to k swaps to the same
+word (free reduction cancels the rest of the match), so a swap lengthens
+the word by at most |r| - 2k, and not every swap lengthens it.
 Every move is logged with enough context to replay it and to convert the
 whole log into a word-search witness for disguised * original^-1.
 """
@@ -21,7 +22,7 @@ from random import Random
 
 from .presentations import Presentation, symmetrize
 from .smallcancel import WspWitness
-from .words import Records, Word, _word, common_prefix_len, concat, fields, random_reduced_word, splice
+from .words import Records, Word, _word, concat, fields, random_reduced_word, splice
 
 __all__ = [
     "DisguiseBudget",
@@ -62,43 +63,37 @@ class RewriteMove:
     post_word: Word = field(init=False)
 
     def __post_init__(self):
+        c, pre, at, r = self.conjugator, self.pre_word, self.position, self.relator
         if self.kind not in ("insert-conjugate", "subword-swap"):
             raise ValueError(f"unknown move kind {self.kind!r}")
         if self.exponent not in (1, -1):
             raise ValueError("exponent must be 1 or -1")
-        if not 0 <= self.position <= len(self.pre_word):
+        if not 0 <= at <= len(pre):
             raise ValueError("move position out of range")
         if self.kind == "subword-swap":
-            if self.conjugator:
+            if c:
                 raise ValueError("swaps carry no conjugator")
             if self.exponent != -1:
                 raise ValueError("swaps have exponent -1")
-            if not common_prefix_len(self.pre_word.codes, self.relator.codes, self.position):
-                raise ValueError(f"word does not match the relator prefix at {self.position}")
-        c, pre, at = self.conjugator, self.pre_word, self.position
-        post = splice(pre.codes, at, (c * self.relator ** self.exponent * c.inverse()).codes, at)
+            if not r or pre.codes[at : at + 1] != r.codes[:1]:  # the first letters match
+                raise ValueError(f"word does not match the relator prefix at {at}")
+        post = splice(pre.codes, at, (c * r ** self.exponent * c.inverse()).codes, at)
         object.__setattr__(self, "post_word", _word(pre.alphabet, post))
-
-
-def _takes(k: int, n: int) -> int:
-    """The growth-swap takes a k-letter match on an n-letter element offers: 1..k with 2*take < n."""
-    return min(k, (n - 1) // 2)
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
     s = symmetrize(p)
     elems, lengths = s.ordered, s.lengths
-    cur = w
-    log: list[RewriteMove] = []
+    cur, log = w, []
     for _ in range(budget.moves):
         # slots: the growth swaps, counted from the scan, then every (position, element) insert
-        n_swaps = sum([_takes(k, lengths[i]) for _, i, k in s.matches(cur.codes)])
+        n_swaps = sum([min(k, (lengths[i] - 1) // 2) for _, i, k in s.matches(cur.codes)])
         n_slots = n_swaps + (len(cur) + 1) * len(elems)
         for _ in range(16):  # resample when the length cap rejects a slot
             k = rng.randrange(n_slots)
             if k < n_swaps:  # walk the scan again, to the match holding slot k
                 for pos, i, m in s.matches(cur.codes):
-                    k -= _takes(m, lengths[i])
+                    k -= min(m, (lengths[i] - 1) // 2)
                     if k < 0:
                         break
                 move = RewriteMove("subword-swap", pos, elems[i], -1, Word(cur.alphabet), cur)

@@ -29,7 +29,6 @@ from .words import (
     _reduced,
     _spelled,
     _word,
-    common_prefix_len,
     fields,
     from_codes,
     splice,
@@ -108,10 +107,10 @@ class SymmetrizedSet:
     element set, the pieces, the first-letter index, the inverses and the
     relator lattice.
 
-    :meth:`matches` is the one relator-prefix scan: Dehn's algorithm, the
-    oracle and disguise read it.  Dehn and the oracle rewrite code tuples
-    with :meth:`swap`; a disguise move splices its conjugated relator in
-    with ``words.splice``, the seam rewrite under :meth:`swap`.
+    :meth:`matches` is the one relator-prefix scan, counted in place: Dehn's
+    algorithm, the oracle and disguise read it.  Dehn and the oracle rewrite
+    code tuples with :meth:`swap`; a disguise move splices its conjugated
+    relator in with ``words.splice``, the seam rewrite under :meth:`swap`.
     """
 
     alphabet: Alphabet
@@ -264,11 +263,16 @@ class SymmetrizedSet:
     def matches(self, x: tuple) -> Iterator[tuple[int, int, int]]:
         """``(pos, i, k)`` for each element ``ordered[i]`` starting with the
         code at pos of the code tuple ``x``, by position, then in canonical
-        order; k is the length of the common prefix of ``x[pos:]`` and it."""
-        codes, starting = self._codes, self.first_letters
+        order; k is the length of the common prefix of ``x[pos:]`` and it,
+        counted in place from the second letter, as the first is equal."""
+        codes, starting, n = self._codes, self.first_letters, len(x)
         for pos, c in enumerate(x):
             for i in starting[c]:
-                yield pos, i, common_prefix_len(x, codes[i], pos)
+                r = codes[i]
+                stop, k = min(n - pos, len(r)), 1
+                while k < stop and x[pos + k] == r[k]:
+                    k += 1
+                yield pos, i, k
 
     def swap(self, x: tuple, pos: int, i: int, take: int) -> tuple:
         """``x[:pos] . r[take:]^-1 . x[pos+take:]``, reduced, for r = ``ordered[i]``: that

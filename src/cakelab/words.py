@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Alphabet",
@@ -30,7 +30,6 @@ __all__ = [
     "from_codes",
     "splice",
     "concat",
-    "common_prefix_len",
     "parse_word",
     "Records",
     "fields",
@@ -275,15 +274,6 @@ def concat(a: Word, b: Word) -> Word:
         raise ValueError("alphabet mismatch")
     n = len(a.codes)
     return _word(a.alphabet, splice(a.codes, n, b.codes, n))
-
-
-def common_prefix_len(a: Sequence, b: Sequence, start: int = 0) -> int:
-    """Length of the longest common prefix of ``a[start:]`` and ``b``, without slicing."""
-    n = min(len(a) - start, len(b))
-    k = 0
-    while k < n and a[start + k] == b[k]:
-        k += 1
-    return k
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:

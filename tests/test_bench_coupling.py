@@ -76,6 +76,18 @@ def test_disguise_workload_matches_its_reference():
     assert failed == []
 
 
+@pytest.mark.filterwarnings("ignore:0-bit words")
+def test_decode_workload_matches_its_reference():
+    # the seed-0 12-bit `decode` stream, each oracle answer equal to reference.json's
+    workloads = load(BENCH / "workloads.py")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    decode = workloads.Decode(cakelab, 0, False, reference)
+    assert len(decode.specs) == len(decode.reference) == decode.ONES + decode.ZEROS == 12
+    results = [decode.op(spec) for spec in decode.specs]
+    assert "".join(r["answer"] for r in results) == decode.reference
+    assert all(decode.verify(spec, r) for spec, r in zip(decode.specs, results))
+
+
 def test_exchange_workload_matches_its_reference():
     # the full seed-0 `exchange` mix, each shared key checked against reference.json
     workloads = load(BENCH / "workloads.py")

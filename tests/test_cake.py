@@ -48,6 +48,26 @@ def test_setup_is_deterministic_and_viable():
     assert a.platform.moves("A") and a.platform.moves("B")
 
 
+def test_setup_checks_no_generated_name(monkeypatch):
+    # build_tree names its vertices a1..an, so the sampler's alphabets skip the name check
+    checked = []
+    check = cakelab.words._check_name
+    monkeypatch.setattr(cakelab.words, "_check_name", lambda name: checked.append(name) or check(name))
+    cakelab.artin._tree_alphabet.cache_clear()
+    configs = [setup(seed, levels=3 + seed % 3) for seed in range(12)]
+    for cfg in configs:
+        party_step(cfg, "A", 1001)
+        assert cfg.platform.alphabet.names
+    assert checked == []
+    # parsed trees keep the check, and both alphabets are the same
+    for cfg in configs:
+        names = cfg.platform.tree.graph.vertices
+        parsed = cakelab.artin.parse_tree(cakelab.artin.format_tree(cfg.platform.tree))
+        assert parsed.graph.alphabet == Alphabet(names) == cfg.platform.alphabet
+        assert names == tuple(f"a{i}" for i in range(1, len(names) + 1))
+    assert len(checked) == 2 * sum(len(cfg.platform.alphabet) for cfg in configs)
+
+
 def test_setup_different_seeds_differ():
     assert config_digest(setup(5)) != config_digest(setup(6))
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cakelab import smallcancel
-from cakelab.artin import artin_from_graph, random_tree
+from cakelab.artin import artin_from_graph, braid_presentation, random_tree
 from cakelab.cake import bitstream_encode, run_exchange
 from cakelab.diffusion import DisguiseBudget, disguise, format_move_log, parse_move_log
 from cakelab.presentations import Presentation, symmetrize
@@ -21,6 +21,7 @@ EX = Presentation(X, (parse_word(X, "x1^2 x2 x3^2 x2^-1"), parse_word(X, "x2^2 x
 SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
 L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 U = parse_word(X, "x1 x2^-1")
 
 
@@ -198,6 +199,28 @@ def test_sort_key_orders_as_generator_then_sign(raws):
         return len(w), tuple((lt.gen, 0 if lt.sign > 0 else 1) for lt in w)
 
     assert sorted(ws, key=lambda w: (len(w), w.codes)) == sorted(ws, key=letter_key)
+
+
+# -- the relator-prefix scan ----------------------------------------------------
+
+@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L5], ids=["EX", "braid4", "L3", "L5"])
+def test_scan_matches_letter_scan(p):
+    # random words of 0-30 letters, random quotients, and words that end inside a match
+    s = symmetrize(p)
+    index = letter_index(s)
+    rng = random.Random(18)
+    words = [random_reduced_word(p.alphabet, rng.randint(0, 30), rng) for _ in range(60)]
+    words += list(random_quotients(p, rng, 30))
+    for _ in range(30):
+        r = rng.choice(s.ordered)
+        words.append(random_reduced_word(p.alphabet, rng.randint(0, 8), rng) * r[: rng.randint(1, len(r))])
+    short = cut = 0
+    for w in words:
+        got = list(s.matches(w.codes))
+        assert got == list(letters_matches(tuple(w), index)), w
+        short += len(w) < min(s.lengths)
+        cut += any(pos + k == len(w) < pos + s.lengths[i] for pos, i, k in got)
+    assert short and cut
 
 
 # -- the oracle's letter bound ------------------------------------------------

@@ -88,6 +88,10 @@ def test_subword_swap_validates_match():
     with pytest.raises(ValueError, match="does not match"):
         RewriteMove("subword-swap", len(w), r, -1, Word(X, ()), w)
     assert RewriteMove("subword-swap", 1, r, -1, Word(X, ()), w).post_word == swap_reference(w, 1, r, 1)
+    # an empty relator matches nothing, at the end of the word as anywhere
+    for pos in (0, len(w)):
+        with pytest.raises(ValueError, match="does not match"):
+            RewriteMove("subword-swap", pos, Word(X, ()), -1, Word(X, ()), w)
 
 
 def naive_growth_swaps(w, s):
@@ -223,6 +227,39 @@ def test_counted_slots_draw_as_the_listed_slots(p):
             rejected += n_rejected
             cut += len(log) < budget.moves
     assert swaps and rejected and cut
+
+
+class DrawLog(random.Random):
+    """A Random that records the bound of each one-argument ``randrange``."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, start, *rest):
+        if not rest:
+            self.bounds.append(start)
+        return super().randrange(start, *rest)
+
+
+def brute_growth_slots(x, s):
+    """Every (position, element, take) with 2 * take < |r| whose prefix
+    r[:take] is x's subword at the position."""
+    return sum(x[pos : pos + take] == r.codes[:take]
+               for pos in range(len(x)) for r in s.ordered
+               for take in range(1, len(r) + 1) if 2 * take < len(r) and pos + take <= len(x))
+
+
+@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L5], ids=["EX", "braid4", "L3", "L5"])
+def test_disguise_counts_the_brute_force_growth_slots(p):
+    # a one-move pass draws its first slot from all of them: growth swaps, then inserts
+    s = symmetrize(p)
+    rng = random.Random(19)
+    for _ in range(40):
+        w = random_reduced_word(p.alphabet, rng.randint(0, 30), rng)
+        draws = DrawLog(rng.getrandbits(32))
+        diffusion._one_pass(w, p, DisguiseBudget(1), draws)
+        assert draws.bounds[0] == brute_growth_slots(w.codes, s) + (len(w) + 1) * len(s)
 
 
 def test_disguise_changes_word_and_preserves_element():

@@ -39,7 +39,6 @@ from cakelab.smallcancel import (
 from cakelab.words import (
     Alphabet,
     Word,
-    common_prefix_len,
     from_codes,
     parse_word,
     random_reduced_word,
@@ -155,6 +154,14 @@ def t4_oracle(p):
         ):
             return False, (r1, r2, r3)
     return True, None
+
+
+def common_prefix_len(a, b):
+    """Length of the longest common prefix of the sequences a and b."""
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
 
 
 def symmetrize_reference(p):
