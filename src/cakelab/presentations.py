@@ -101,14 +101,16 @@ class SymmetrizedSet:
     :func:`symmetrize` builds it once per presentation.
 
     The rotations are sorted once as letter-code tuples; one pass over that
-    order drops repeats and gives the piece lengths.  ``verdicts``, the table
-    every verdict reads, is built from the codes on first use, as are the
-    element Words in ``ordered`` (no verdict or Dehn step reads them), the
-    element set, the pieces, the first-letter index, the inverses and the
-    relator lattice.
+    order drops repeats and gives the piece lengths, and a stable sort by
+    length gives the canonical order, inverted in one loop.  ``verdicts``,
+    the table every verdict reads, is built from the codes on first use, as
+    are the element Words in ``ordered`` (no verdict or Dehn step reads
+    them), the element set, the pieces, the first-letter index, the inverses
+    and the relator lattice.
 
-    :meth:`matches` is the one relator-prefix scan, counted in place: Dehn's
-    algorithm, the oracle and disguise read it.  Dehn and the oracle rewrite
+    :meth:`matches` is the one relator-prefix scan, counted in place and
+    capped by the letters left, once per position: Dehn's algorithm, the
+    oracle and disguise read it.  Dehn and the oracle rewrite
     code tuples with :meth:`swap`; a disguise move splices its conjugated
     relator in with ``words.splice``, the seam rewrite under :meth:`swap`.
     """
@@ -129,30 +131,33 @@ class SymmetrizedSet:
                 cycles.append(slice(len(flat), len(flat) + n))
                 flat += [twice[k : k + n] for k in range(n)]
         # one sort: equal rotations fall together, and a longest common prefix is with a lex neighbour
-        lex, shared, at, prev = [], [], [0] * len(flat), ()
+        lex, lens, shared, at = [], [], [], [0] * len(flat)
+        prev, n, top = (), 0, -1  # the last lex element, its length and its lex position
         for j in sorted(range(len(flat)), key=flat.__getitem__):
             x = flat[j]
             if x != prev:
                 m = 0  # prev sorts before x, so x is no prefix of prev
-                while m < len(prev) and x[m] == prev[m]:
+                while m < n and x[m] == prev[m]:
                     m += 1
                 shared.append(m)
                 lex.append(x)
-                prev = x
-            at[j] = len(lex) - 1
+                prev, n, top = x, len(x), top + 1
+                lens.append(n)
+            at[j] = top
         shared.append(0)
         # a stable sort by length keeps lex order within a length: (length, codes)
-        order = sorted(range(len(lex)), key=[len(c) for c in lex].__getitem__)
-        rank = sorted(range(len(lex)), key=order.__getitem__)  # the inverse permutation
+        order, rank = sorted(range(len(lex)), key=lens.__getitem__), [0] * len(lex)
+        for k, i in enumerate(order):
+            rank[i] = k  # the inverse permutation
+        longest = [a if a > b else b for a, b in zip(shared, shared[1:])]  # per lex position
         object.__setattr__(self, "alphabet", p.alphabet)
         object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "piece_lengths", tuple([max(shared[i], shared[i + 1]) for i in order]))
+        object.__setattr__(self, "piece_lengths", tuple([longest[i] for i in order]))
         object.__setattr__(self, "_codes", tuple([lex[i] for i in order]))
-        object.__setattr__(self, "lengths", tuple(map(len, self._codes)))
+        object.__setattr__(self, "lengths", tuple(sorted(lens)))
         object.__setattr__(self, "_at", [[rank[i] for i in at[c]] for c in cycles])  # elements per cycle
         # pieces are prefixes up to the piece length, less those the lex predecessor shares
-        object.__setattr__(self, "_piece_count", sum(
-            [max(0, b - a) for a, b in zip(shared, shared[1:])]))
+        object.__setattr__(self, "_piece_count", sum([b - a for a, b in zip(shared, shared[1:]) if b > a]))
 
     def __len__(self):
         return len(self._codes)
@@ -196,8 +201,9 @@ class SymmetrizedSet:
                     pos += ahead[k + pos]  # past the end only on the last step
                     count += 1
                 fewest[at[k]] = count if pos >= n else None
-            if max(ahead) * of > top * n:
-                top, of = max(ahead), n
+            m = max(ahead)
+            if m * of > top * n:
+                top, of = m, n
         ends: dict[int, set] = {}  # first letter -> the last letters of elements starting with it
         for c in codes:
             ends.setdefault(c[0], set()).add(c[-1])
@@ -264,15 +270,17 @@ class SymmetrizedSet:
         """``(pos, i, k)`` for each element ``ordered[i]`` starting with the
         code at pos of the code tuple ``x``, by position, then in canonical
         order; k is the length of the common prefix of ``x[pos:]`` and it,
-        counted in place from the second letter, as the first is equal."""
-        codes, starting, n = self._codes, self.first_letters, len(x)
+        counted in place from the second letter, as the first is equal, up to
+        the letters left in ``x``, counted once per position."""
+        codes, starting, left = self._codes, self.first_letters, len(x)
         for pos, c in enumerate(x):
             for i in starting[c]:
-                r = codes[i]
-                stop, k = min(n - pos, len(r)), 1
+                r, k = codes[i], 1
+                stop = left if len(r) > left else len(r)
                 while k < stop and x[pos + k] == r[k]:
                     k += 1
                 yield pos, i, k
+            left -= 1
 
     def swap(self, x: tuple, pos: int, i: int, take: int) -> tuple:
         """``x[:pos] . r[take:]^-1 . x[pos+take:]``, reduced, for r = ``ordered[i]``: that

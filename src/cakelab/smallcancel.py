@@ -213,11 +213,10 @@ def bounded_wp_oracle(
     if not w:
         return WspWitness(())
     s = symmetrize(p)
-    elems = s.ordered
-    if not elems or not s.abelian_trivial(w):
+    if not len(s) or not s.abelian_trivial(w):
         return None
     if max_len is None:
-        max_len = 2 * len(w) + max(len(r) for r in elems)
+        max_len = 2 * len(w) + s.lengths[-1]  # canonical order sorts by length
     seen, held = {w.codes}, len(w)  # held: the letters in seen
     # a node is (codes, move): its move (x, pos, element, x's move) took x to
     # C r^-1 C^-1 x, C = x[:pos], so w is its path's C r C^-1 in move order
@@ -232,7 +231,7 @@ def bounded_wp_oracle(
                     move, factors = (x, pos, i, path), []
                     while move is not None:
                         at, start, j, move = move
-                        factors.append((_word(w.alphabet, at[:start]), elems[j], 1))
+                        factors.append((_word(w.alphabet, at[:start]), s.ordered[j], 1))
                     return WspWitness(tuple(factors[::-1]))
                 if len(post) <= max_len and post not in seen:
                     seen.add(post)

@@ -701,6 +701,19 @@ def test_oracle_skips_search_outside_relator_lattice(monkeypatch):
     assert bounded_wp_oracle(EX.relators[0], EX, 1) is not None and count[0] > 0
 
 
+@pytest.mark.parametrize("level", [3, 5])
+def test_oracle_builds_no_element_words_without_a_witness(monkeypatch, level):
+    # an unknown from the abelianization and one that spends its whole budget
+    # read the codes alone; the element Words are built only for a witness
+    count = spy_moves(monkeypatch)
+    p = artin_from_graph(random_tree(level, 4, 7, seed=11).graph)
+    p = Presentation(p.alphabet, p.relators)  # a fresh compiled set
+    assert bounded_wp_oracle(parse_word(p.alphabet, "a1"), p, 3) is None and count[0] == 0
+    w = parse_word(p.alphabet, "a1 a2 a1^-1 a2^-1")
+    assert bounded_wp_oracle(w, p, 3, node_budget=300) is None and count[0] == 300
+    assert "ordered" not in symmetrize(p).__dict__
+
+
 def insert_and_swap_reference(w, p, depth, node_budget):
     """The oracle's search as it was with relator insertions: each node's
     swaps, then every element of S inserted at every position, both spending
