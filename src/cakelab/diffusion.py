@@ -4,10 +4,10 @@ Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1; both replay by
 ``words.splice``.  Swap slots come from the symmetrized set's relator-prefix
-scan (``SymmetrizedSet.matches``), the scan that Dehn reduction and the
-oracle use: a k-letter match on an element r offers the takes 1..k with
-|u| < |v|, min(k, (|r| - 1) // 2) slots, summed inline once per move and
-walked again only for a swap draw.  Every take up to k swaps to the same
+scan (``SymmetrizedSet.matches``), the scan that Dehn reduction reads and
+the oracle copies: a k-letter match on an element r offers the takes 1..k
+with |u| < |v|, min(k, (|r| - 1) // 2) slots, summed inline once per move
+and walked again only for a swap draw.  Every take up to k swaps to the same
 word (free reduction cancels the rest of the match), so a swap lengthens
 the word by at most |r| - 2k, and not every swap lengthens it.
 Every move is logged with enough context to replay it and to convert the
@@ -116,8 +116,11 @@ def disguise(w: Word, p: Presentation, budget: DisguiseBudget, seed: int):
     Deterministic in seed.  The result is the same group element as w; it
     differs from w textually whenever moves were requested and some legal
     move exists (retried across fresh move sequences, with a warning on
-    pathological platforms where every attempt lands back on w).
+    pathological platforms where every attempt lands back on w).  A word
+    over another alphabet than p's is a ``ValueError``.
     """
+    if w.alphabet != p.alphabet:
+        raise ValueError("word and presentation alphabets differ")
     if budget.moves == 0:
         return w, []
     if not p.relators:

@@ -10,6 +10,8 @@ and words over it translate back to the original generators (``lift_word``).
 
 A presentation's symmetrized set is compiled once, on first use, and held by
 the presentation: every verdict and rewrite on it reads that one object.
+Dehn reduction and disguise read its relator-prefix scan; the word-problem
+oracle, which swaps at every match, runs its own copy with the swap inline.
 """
 
 from __future__ import annotations
@@ -108,11 +110,13 @@ class SymmetrizedSet:
     them), the element set, the pieces, the first-letter index, the inverses
     and the relator lattice.
 
-    :meth:`matches` is the one relator-prefix scan, counted in place and
-    capped by the letters left, once per position: Dehn's algorithm, the
-    oracle and disguise read it.  Dehn and the oracle rewrite
-    code tuples with :meth:`swap`; a disguise move splices its conjugated
-    relator in with ``words.splice``, the seam rewrite under :meth:`swap`.
+    :meth:`matches` is the relator-prefix scan, counted in place and
+    capped by the letters left, once per position: Dehn's algorithm and
+    disguise read it.  Dehn rewrites code tuples with :meth:`swap`; a
+    disguise move splices its conjugated relator in with ``words.splice``,
+    the seam rewrite under :meth:`swap`.  The oracle swaps at every match,
+    one candidate each, so ``smallcancel._swap_moves`` copies this scan and
+    runs :meth:`swap`'s seam walks inline: no Python call per candidate.
     """
 
     alphabet: Alphabet

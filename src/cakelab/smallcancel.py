@@ -9,11 +9,13 @@ that ``enumerate_pieces`` and ``min_piece_count`` keep for arbitrary words.
 Everything is exact: C'(lambda) compares with Fraction arithmetic because
 interesting presentations sit exactly on the boundary.
 
-Dehn reduction and the oracle rewrite letter-code tuples: they read one
-relator-prefix scan, ``SymmetrizedSet.matches``, which disguise shares, and
-swap with ``SymmetrizedSet.swap``.  The oracle searches breadth-first over
-subword swaps alone and builds Words only for the witness it returns.  It
-answers Trivial (with a replayable witness) or Unknown, never a false
+Dehn reduction and the oracle rewrite letter-code tuples.  Dehn reads the
+relator-prefix scan ``SymmetrizedSet.matches``, which disguise shares, and
+swaps with ``SymmetrizedSet.swap``.  The oracle swaps at every match, so it
+runs its own copy of that scan with the swap's seam walks inline
+(``_swap_moves``): no Python call per candidate.  It searches breadth-first
+over subword swaps alone and builds Words only for the witness it returns.
+It answers Trivial (with a replayable witness) or Unknown, never a false
 Trivial: Unknown without a search when the word's abelianization lies outside
 the relator lattice, and once its seen words pass ``MAX_SEARCH_LETTERS``.
 """
@@ -142,12 +144,16 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
     until none remain.  Leftmost match first, then the longest u, then the
     earliest element in canonical order.
 
-    Never increases length; for C'(1/6) presentations the fixed point is
-    empty exactly when w represents the identity.
+    Each swap shortens the word, so at most |w| swaps happen; past that a
+    ``RuntimeError`` is raised rather than looping.  For C'(1/6)
+    presentations the fixed point is empty exactly when w represents the
+    identity.  A word over another alphabet is a ``ValueError``.
     """
+    if w.alphabet != p.alphabet:
+        raise ValueError("word and presentation alphabets differ")
     s = symmetrize(p)
     cur = w.codes
-    while True:
+    for _ in range(len(cur) + 1):
         best = None
         for pos, i, k in s.matches(cur):
             if best is not None and best[0] < pos:
@@ -157,6 +163,7 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
         if best is None:
             return _word(w.alphabet, cur)
         cur = s.swap(cur, *best)
+    raise RuntimeError("Dehn reduction made more swaps than the word has letters")
 
 
 # -- bounded word-problem oracle ------------------------------------------
@@ -178,9 +185,31 @@ def replay_witness(witness: WspWitness, alphabet: Alphabet) -> Word:
 
 def _swap_moves(x: tuple, s: SymmetrizedSet):
     """(post, pos, element index) per match in x, in scan order: one each, as
-    every take up to the match length k swaps to the word of take k."""
-    for pos, i, k in s.matches(x):
-        yield s.swap(x, pos, i, k), pos, i
+    every take up to the match length k swaps to the word of take k.
+
+    The oracle swaps at every match, so this is ``s.matches`` and ``s.swap``
+    in one loop, with ``words.splice``'s seam walks inline: no Python call
+    per candidate.  The right seam never cancels, as the match stopped at an
+    end or at a letter other than r[k], whose inverse ends the inserted part.
+    """
+    codes, starting, inverse = s._codes, s.first_letters, s._inverse
+    n = left = len(x)
+    for pos, c in enumerate(x):
+        for i in starting[c]:
+            r, k = codes[i], 1
+            stop = left if len(r) > left else len(r)
+            while k < stop and x[pos + k] == r[k]:
+                k += 1
+            # splice in mid[:m], the inverse element less its last k letters
+            mid, a, b, j = codes[inverse[i]], pos, pos + k, 0
+            m = len(r) - k
+            while a and j < m and x[a - 1] == mid[j] ^ 1:
+                a, j = a - 1, j + 1
+            if j == m:
+                while a and b < n and x[a - 1] == x[b] ^ 1:
+                    a, b = a - 1, b + 1
+            yield x[:a] + mid[j:m] + x[b:], pos, i
+        left -= 1
 
 
 def bounded_wp_oracle(
@@ -210,6 +239,8 @@ def bounded_wp_oracle(
     """
     if depth < 0 or node_budget < 1 or (max_len is not None and max_len < 0):
         raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
+    if w.alphabet != p.alphabet:
+        raise ValueError("word and presentation alphabets differ")
     if not w:
         return WspWitness(())
     s = symmetrize(p)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cakelab.words
 from cakelab import smallcancel
 from cakelab.artin import artin_from_graph, braid_presentation, random_tree
+from cakelab.diffusion import DisguiseBudget, disguise
 from cakelab.presentations import (
     Presentation,
     parse_presentation,
@@ -58,6 +59,7 @@ GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
 
 # the level-3 tree platform: |S| = 184, 138 pieces
 L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)  # |S| = 640
 
 ORACLE_CASES = [
     pytest.param(EX, id="EX"),
@@ -542,6 +544,28 @@ def test_dehn_matches_table_reference(p):
         assert dehn_reduce(w, p) == dehn_table_reference(w, p), w
 
 
+def test_dehn_raises_past_its_swap_bound():
+    # with every element's length read as 1 each match is a majority, so the
+    # swaps no longer shorten: a b and b a swap into each other without end
+    p = Presentation(AB, ZSQ.relators)
+    s = symmetrize(p)
+    object.__setattr__(s, "lengths", (1,) * len(s))
+    with pytest.raises(RuntimeError, match="more swaps"):
+        dehn_reduce(parse_word(AB, "a b"), p)
+
+
+@pytest.mark.parametrize("names, text", [
+    (("a", "b", "c"), "a c a^-1 c^-1"),  # codes past the set's letters
+    (("b", "a"), "b a b^-1 a^-1"),  # the same codes, read as other letters
+])
+def test_rewrites_refuse_a_word_over_another_alphabet(names, text):
+    w = parse_word(Alphabet(names), text)
+    for rewrite in (lambda: dehn_reduce(w, ZSQ), lambda: bounded_wp_oracle(w, ZSQ, 2),
+                    lambda: disguise(w, ZSQ, DisguiseBudget(2), 0)):
+        with pytest.raises(ValueError, match="alphabets differ"):
+            rewrite()
+
+
 def test_dehn_builds_no_element_words():
     # Dehn reads element lengths from the codes; the table reference reads the Words
     rng = random.Random(17)
@@ -574,19 +598,34 @@ def naive_swap_moves(x, s):
     pytest.param(EX, id="EX"),
     pytest.param(braid_presentation(4), id="braid4"),
     pytest.param(L3, id="L3"),
+    pytest.param(L5, id="L5"),
 ])
 def test_swap_moves_match_naive_scan_in_order(p):
-    # the oracle's node order, and so its budget use, rests on this order
+    # the oracle's node order, and so its budget use, rests on this order;
+    # its inline scan and seam walks must give what matches and swap give
     rng = random.Random(19)
     s = symmetrize(p)
-    for _ in range(12):
+    capped = run_on = 0
+    for t in range(36):
         r = s.ordered[rng.randrange(len(s))]
-        x = (random_reduced_word(p.alphabet, rng.randint(0, 4), rng) * r[: rng.randint(0, len(r))]
-             * random_reduced_word(p.alphabet, rng.randint(0, 4), rng))
+        if t < 12:
+            x = (random_reduced_word(p.alphabet, rng.randint(0, 4), rng) * r[: rng.randint(0, len(r))]
+                 * random_reduced_word(p.alphabet, rng.randint(0, 4), rng))
+        else:  # swaps that cancel into the conjugator, or all but one letter
+            c = random_reduced_word(p.alphabet, rng.randint(1, 3), rng)
+            x = c * (r if t < 24 else r[:-1]) * ~c
+        got = list(_swap_moves(x.codes, s))
+        assert got == [(s.swap(x.codes, pos, i, k), pos, i) for pos, i, k in s.matches(x.codes)]
         # unchecked, so an unreduced code tuple would not compare equal
         moves = [(cakelab.words._word(p.alphabet, post), x[:pos], s.ordered[i])
-                 for post, pos, i in _swap_moves(x.codes, s)]
+                 for post, pos, i in got]
         assert moves == list(naive_swap_moves(x, s))
+        for (post, pos, i), (_, _, k) in zip(got, s.matches(x.codes)):
+            n = s.lengths[i]
+            capped += pos + k == len(x) < pos + n  # the match ran to the word's end
+            # all n - k inserted letters cancelled, and the seam ran on into x
+            run_on += k < n and len(post) < len(x) - n
+    assert capped and run_on
 
 
 def test_oracle_empty_word_is_trivial_with_empty_witness():
