@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Records, Word, _below, _below_each, from_codes
+from .words import Alphabet, Records, Word, _alphabet, _below, _below_each, from_codes
 
 __all__ = [
     "LabeledGraph",
@@ -268,9 +268,7 @@ def draw_labels(bits, size: int, label_hi: int) -> list:
 def _tree_alphabet(n: int) -> Alphabet:
     """The alphabet a1, a2, ..., an, one shared per vertex count: its names
     are valid and distinct by construction, so none is checked."""
-    alphabet, names = object.__new__(Alphabet), tuple([f"a{i}" for i in range(1, n + 1)])
-    vars(alphabet).update(names=names, _hash=hash(names))
-    return alphabet
+    return _alphabet(tuple([f"a{i}" for i in range(1, n + 1)]))
 
 
 def build_tree(parent: list, labels: list, shapes: Optional[list] = None) -> RootedTree:

@@ -4,8 +4,8 @@ Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1; both replay by
 ``words.splice``.  Swap slots come from the symmetrized set's relator-prefix
-scan (``SymmetrizedSet.matches``), the scan that Dehn reduction reads and
-the oracle copies: a k-letter match on an element r offers the takes 1..k
+scan (``SymmetrizedSet.matches``), the scan that Dehn reduction and the
+oracle read: a k-letter match on an element r offers the takes 1..k
 with |u| < |v|, min(k, (|r| - 1) // 2) slots, summed inline once per move
 and walked again only for a swap draw.  Every take up to k swaps to the same
 word (free reduction cancels the rest of the match), so a swap lengthens

@@ -9,9 +9,9 @@ linear in the letters, checks the steps and derives the end presentation,
 and words over it translate back to the original generators (``lift_word``).
 
 A presentation's symmetrized set is compiled once, on first use, and held by
-the presentation: every verdict and rewrite on it reads that one object.
-Dehn reduction and disguise read its relator-prefix scan; the word-problem
-oracle, which swaps at every match, runs its own copy with the swap inline.
+the presentation: every verdict and rewrite on it reads that one object, and
+Dehn reduction, disguise and the word-problem oracle read its one
+relator-prefix scan.
 """
 
 from __future__ import annotations
@@ -107,16 +107,15 @@ class SymmetrizedSet:
     length gives the canonical order, inverted in one loop.  ``verdicts``,
     the table every verdict reads, is built from the codes on first use, as
     are the element Words in ``ordered`` (no verdict or Dehn step reads
-    them), the element set, the pieces, the first-letter index, the inverses
-    and the relator lattice.
+    them), the element set, the pieces, the first-letter index, the inverse
+    elements in ``inverted`` and the relator lattice.
 
     :meth:`matches` is the relator-prefix scan, counted in place and
-    capped by the letters left, once per position: Dehn's algorithm and
-    disguise read it.  Dehn rewrites code tuples with :meth:`swap`; a
-    disguise move splices its conjugated relator in with ``words.splice``,
-    the seam rewrite under :meth:`swap`.  The oracle swaps at every match,
-    one candidate each, so ``smallcancel._swap_moves`` copies this scan and
-    runs :meth:`swap`'s seam walks inline: no Python call per candidate.
+    capped by the letters left, once per position: Dehn's algorithm,
+    disguise and the oracle read it.  Dehn rewrites code tuples with
+    :meth:`swap`; a disguise move splices its conjugated relator in with
+    ``words.splice``, the seam rewrite under :meth:`swap`, and the oracle,
+    which swaps at every match, walks that swap's seams inline.
     """
 
     alphabet: Alphabet
@@ -217,12 +216,12 @@ class SymmetrizedSet:
                          Fraction(top, of) if top else None, t4)
 
     @cached_property
-    def _inverse(self) -> tuple:
-        """Each element's inverse: that of rotation k of r is rotation -k mod |r| of r^-1."""
-        inverse = [0] * len(self._codes)
+    def inverted(self) -> tuple:
+        """Each element's inverse, as codes: that of rotation k of r is rotation -k mod |r| of r^-1."""
+        codes, inverse = self._codes, [()] * len(self._codes)
         for a, b in zip(self._at[::2], self._at[1::2]):
             for i, j in zip(a, b[:1] + b[:0:-1]):
-                inverse[i], inverse[j] = j, i
+                inverse[i], inverse[j] = codes[j], codes[i]
         return tuple(inverse)
 
     @cached_property
@@ -275,7 +274,7 @@ class SymmetrizedSet:
         code at pos of the code tuple ``x``, by position, then in canonical
         order; k is the length of the common prefix of ``x[pos:]`` and it,
         counted in place from the second letter, as the first is equal, up to
-        the letters left in ``x``, counted once per position."""
+        the letters left in ``x``, counted once per position: the one scan."""
         codes, starting, left = self._codes, self.first_letters, len(x)
         for pos, c in enumerate(x):
             for i in starting[c]:
@@ -288,8 +287,8 @@ class SymmetrizedSet:
 
     def swap(self, x: tuple, pos: int, i: int, take: int) -> tuple:
         """``x[:pos] . r[take:]^-1 . x[pos+take:]``, reduced, for r = ``ordered[i]``: that
-        is ``c r^-1 c^-1 . x``, c = ``x[:pos]``; ``r[take:]^-1`` is a prefix of r^-1."""
-        inverted = self._codes[self._inverse[i]]
+        is ``c r^-1 c^-1 . x``, c = ``x[:pos]``; ``r[take:]^-1`` is a prefix of ``inverted[i]``."""
+        inverted = self.inverted[i]
         return splice(x, pos, inverted[: len(inverted) - take], pos + take)
 
 

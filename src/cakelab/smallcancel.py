@@ -9,12 +9,12 @@ that ``enumerate_pieces`` and ``min_piece_count`` keep for arbitrary words.
 Everything is exact: C'(lambda) compares with Fraction arithmetic because
 interesting presentations sit exactly on the boundary.
 
-Dehn reduction and the oracle rewrite letter-code tuples.  Dehn reads the
-relator-prefix scan ``SymmetrizedSet.matches``, which disguise shares, and
-swaps with ``SymmetrizedSet.swap``.  The oracle swaps at every match, so it
-runs its own copy of that scan with the swap's seam walks inline
-(``_swap_moves``): no Python call per candidate.  It searches breadth-first
-over subword swaps alone and builds Words only for the witness it returns.
+Dehn reduction and the oracle rewrite letter-code tuples and read the
+relator-prefix scan ``SymmetrizedSet.matches``, which disguise shares.  Dehn
+swaps with ``SymmetrizedSet.swap``; the oracle swaps at every match, so it
+walks that swap's seams inline, with no call per candidate.  It searches
+breadth-first over subword swaps alone and builds Words only for the witness
+it returns.
 It answers Trivial (with a replayable witness) or Unknown, never a false
 Trivial: Unknown without a search when the word's abelianization lies outside
 the relator lattice, and once its seen words pass ``MAX_SEARCH_LETTERS``.
@@ -117,7 +117,6 @@ def check_T4(p: Presentation) -> bool:
 
 @dataclass(frozen=True)
 class CancellationReport:
-    source: Presentation
     piece_count: int
     min_piece_decomposition: tuple  # per original relator: int or None
     c_verdicts: dict  # {4: C(4)}
@@ -128,7 +127,6 @@ class CancellationReport:
 def build_report(p: Presentation) -> CancellationReport:
     table = symmetrize(p).verdicts
     return CancellationReport(
-        source=p,
         piece_count=table.piece_count,
         min_piece_decomposition=table.relator_pieces,
         c_verdicts={4: check_C(p, 4)},
@@ -183,35 +181,6 @@ def replay_witness(witness: WspWitness, alphabet: Alphabet) -> Word:
     return out
 
 
-def _swap_moves(x: tuple, s: SymmetrizedSet):
-    """(post, pos, element index) per match in x, in scan order: one each, as
-    every take up to the match length k swaps to the word of take k.
-
-    The oracle swaps at every match, so this is ``s.matches`` and ``s.swap``
-    in one loop, with ``words.splice``'s seam walks inline: no Python call
-    per candidate.  The right seam never cancels, as the match stopped at an
-    end or at a letter other than r[k], whose inverse ends the inserted part.
-    """
-    codes, starting, inverse = s._codes, s.first_letters, s._inverse
-    n = left = len(x)
-    for pos, c in enumerate(x):
-        for i in starting[c]:
-            r, k = codes[i], 1
-            stop = left if len(r) > left else len(r)
-            while k < stop and x[pos + k] == r[k]:
-                k += 1
-            # splice in mid[:m], the inverse element less its last k letters
-            mid, a, b, j = codes[inverse[i]], pos, pos + k, 0
-            m = len(r) - k
-            while a and j < m and x[a - 1] == mid[j] ^ 1:
-                a, j = a - 1, j + 1
-            if j == m:
-                while a and b < n and x[a - 1] == x[b] ^ 1:
-                    a, b = a - 1, b + 1
-            yield x[:a] + mid[j:m] + x[b:], pos, i
-        left -= 1
-
-
 def bounded_wp_oracle(
     w: Word,
     p: Presentation,
@@ -221,13 +190,15 @@ def bounded_wp_oracle(
 ) -> Optional[WspWitness]:
     """Search for a proof that w is trivial modulo the relators.
 
-    Breadth-first over at most ``depth`` moves, each swapping a matched
-    prefix of a symmetrized relator for its inverted complement, the rewrite
-    Dehn reduction and disguise use.  No relator is inserted: a swap of a
-    whole element removes it, and inserts would cost |S| candidates at each
-    of a node's |x| + 1 positions.  Intermediate words are capped at
-    ``max_len`` (default 2|w| + longest relator) and the whole search at
-    ``node_budget`` (at least 1) generated candidates.
+    Breadth-first over at most ``depth`` moves, one per match that
+    ``SymmetrizedSet.matches`` yields (a shorter take swaps to the same word),
+    each swapping the matched prefix of a symmetrized relator for its
+    inverted complement, the rewrite of Dehn reduction and disguise.  No
+    relator is inserted: a swap of a whole element removes it, and inserts
+    would cost |S| candidates at each of a node's |x| + 1 positions.
+    Intermediate words are capped at ``max_len`` (default 2|w| + longest
+    relator) and the whole search at ``node_budget`` (at least 1) generated
+    candidates.
 
     Returns a witness whose replay equals w, or None (unknown).  Sound by
     construction: every move multiplies by a conjugated relator, so a word
@@ -252,12 +223,25 @@ def bounded_wp_oracle(
     # a node is (codes, move): its move (x, pos, element, x's move) took x to
     # C r^-1 C^-1 x, C = x[:pos], so w is its path's C r C^-1 in move order
     frontier: list[tuple[tuple, Optional[tuple]]] = [(w.codes, None)]
-    budget = node_budget
+    budget, inverted = node_budget, s.inverted
     for _ in range(depth):
         nxt: list[tuple[tuple, Optional[tuple]]] = []
         for x, path in frontier:
-            for post, pos, i in _swap_moves(x, s):
+            n = len(x)
+            for pos, i, k in s.matches(x):
                 budget -= 1
+                # s.swap(x, pos, i, k), its seams walked inline: splice in
+                # mid[:m], the inverse element less its last k letters; the
+                # right seam never cancels, as the match stopped at an end or
+                # at a letter other than r[k], whose inverse ends mid[:m]
+                mid, a, b, j = inverted[i], pos, pos + k, 0
+                m = len(mid) - k
+                while a and j < m and x[a - 1] == mid[j] ^ 1:
+                    a, j = a - 1, j + 1
+                if j == m:
+                    while a and b < n and x[a - 1] == x[b] ^ 1:
+                        a, b = a - 1, b + 1
+                post = x[:a] + mid[j:m] + x[b:]
                 if not post:
                     move, factors = (x, pos, i, path), []
                     while move is not None:

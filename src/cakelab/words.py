@@ -254,6 +254,13 @@ def _word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
     return w
 
 
+def _alphabet(names: tuple[str, ...]) -> Alphabet:
+    """Unchecked: ``names`` are valid and distinct generator names."""
+    a = object.__new__(Alphabet)
+    vars(a).update(names=names, _hash=hash(names))
+    return a
+
+
 def splice(x: tuple, pos: int, mid: tuple, end: int) -> tuple:
     """The codes of ``x[:pos] . mid . x[end:]``, freely reduced: each part is
     reduced, so only the seams cancel, the outer parts once mid is gone."""

@@ -12,7 +12,7 @@ from cakelab import smallcancel
 from cakelab.artin import artin_from_graph, braid_presentation, random_tree
 from cakelab.cake import bitstream_encode, run_exchange
 from cakelab.diffusion import DisguiseBudget, disguise, format_move_log, parse_move_log
-from cakelab.presentations import Presentation, symmetrize
+from cakelab.presentations import Presentation, SymmetrizedSet, symmetrize
 from cakelab.smallcancel import WspWitness, bounded_wp_oracle, dehn_reduce, format_witness
 from cakelab.words import Alphabet, Letter, Word, parse_word, random_reduced_word
 
@@ -227,14 +227,14 @@ def test_scan_matches_letter_scan(p):
 
 def count_moves(monkeypatch):
     count = [0]
-    moves = smallcancel._swap_moves
+    matches = SymmetrizedSet.matches
 
-    def spy(x, s):
-        for move in moves(x, s):
+    def spy(s, x):
+        for match in matches(s, x):
             count[0] += 1
-            yield move
+            yield match
 
-    monkeypatch.setattr(smallcancel, "_swap_moves", spy)
+    monkeypatch.setattr(SymmetrizedSet, "matches", spy)
     return count
 
 

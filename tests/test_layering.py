@@ -129,6 +129,73 @@ def test_every_private_definition_is_read_in_the_package():
     assert unread == []
 
 
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def attribute_uses(node):
+    """(name, object) for each attribute ``node`` reads or writes by name:
+    ``o.name``, ``getattr``, ``setattr`` and ``object.__setattr__`` with a
+    literal name, ``vars(o)["name"]``, and the keywords of
+    ``vars(o).update(...)`` and ``o.__dict__.update(...)``."""
+    def namespace(n):  # o, for vars(o) or o.__dict__
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "vars" and n.args:
+            return n.args[0]
+        if isinstance(n, ast.Attribute) and n.attr == "__dict__":
+            return n.value
+        return None
+
+    if isinstance(node, ast.Attribute):
+        yield node.attr, node.value
+    elif isinstance(node, ast.Subscript) and namespace(node.value) is not None \
+            and isinstance(node.slice, ast.Constant):
+        yield node.slice.value, namespace(node.value)
+    elif isinstance(node, ast.Call):
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr == "update" and namespace(f.value) is not None:
+            yield from ((kw.arg, namespace(f.value)) for kw in node.keywords if kw.arg)
+        named = (isinstance(f, ast.Name) and f.id in ("getattr", "setattr")) or (
+            isinstance(f, ast.Attribute) and f.attr == "__setattr__")
+        if named and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
+            yield node.args[1].value, node.args[0]
+
+
+def is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def class_private_attributes(tree):
+    """The private attribute names the module's classes define: their
+    methods and class-level names, and the names their methods set on self."""
+    names = set()
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        names.update(name for node in ast.walk(cls) for name, obj in attribute_uses(node) if is_self(obj))
+    return {name for name in names if private(name)}
+
+
+def test_no_module_reaches_into_another_modules_private_attributes():
+    # a private attribute is read and written only by its class's own module;
+    # other modules go through the public API
+    trees = modules()
+    defined = {name: class_private_attributes(tree) for name, tree in trees.items()}
+    reached = [
+        f"{name}.py:{node.lineno} .{attr}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        for attr, obj in attribute_uses(node)
+        if private(attr) and not is_self(obj)
+        and any(attr in attrs for other, attrs in defined.items() if other != name)
+    ]
+    assert reached == []
+
+
 def test_only_words_cuts_fields():
     # record fields are cut by ``words.fields``; no other module partitions text
     cuts = [

@@ -13,17 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cakelab.words
-from cakelab import smallcancel
 from cakelab.artin import artin_from_graph, braid_presentation, random_tree
 from cakelab.diffusion import DisguiseBudget, disguise
 from cakelab.presentations import (
     Presentation,
+    SymmetrizedSet,
     parse_presentation,
     symmetrize,
 )
 from cakelab.smallcancel import (
     WspWitness,
-    _swap_moves,
     bounded_wp_oracle,
     build_report,
     check_C,
@@ -424,11 +423,10 @@ def test_verdict_table_matches_references():
 
 
 def test_inverse_elements_match_a_lookup_by_codes():
-    # rotation -k of r^-1 against the inverse of each element looked up by its codes
+    # rotation -k of r^-1 against the inverse of each element
     for p in verdict_corpus():
         s = symmetrize(p)
-        where = {w.codes: i for i, w in enumerate(s.ordered)}
-        assert s._inverse == tuple(where[(~w).codes] for w in s.ordered), p
+        assert s.inverted == tuple((~w).codes for w in s.ordered), p
 
 
 def test_element_lengths_match_the_elements():
@@ -594,18 +592,56 @@ def naive_swap_moves(x, s):
                 yield (x[:pos] * ~r[take:]) * x[pos + take :], x[:pos], r
 
 
+def swap_search_reference(w, p, depth, node_budget):
+    """The oracle's search with each candidate built by ``s.swap`` over
+    ``s.matches``: the same breadth-first order, budget, ``seen`` and
+    ``max_len``, and no abelian exit.  Returns the witness or None."""
+    if not w:
+        return WspWitness(())
+    s = symmetrize(p)
+    max_len = 2 * len(w) + s.lengths[-1]
+    seen, frontier, count = {w.codes}, [(w.codes, ())], 0
+    for _ in range(depth):
+        nxt = []
+        for x, path in frontier:
+            for pos, i, k in s.matches(x):
+                count += 1
+                post = s.swap(x, pos, i, k)
+                step = path + ((cakelab.words._word(p.alphabet, x[:pos]), s.ordered[i], 1),)
+                if not post:
+                    return WspWitness(step)
+                if len(post) <= max_len and post not in seen:
+                    seen.add(post)
+                    nxt.append((post, step))
+                if count >= node_budget:
+                    return None
+        frontier = nxt
+    return None
+
+
 @pytest.mark.parametrize("p", [
     pytest.param(EX, id="EX"),
     pytest.param(braid_presentation(4), id="braid4"),
     pytest.param(L3, id="L3"),
     pytest.param(L5, id="L5"),
 ])
-def test_swap_moves_match_naive_scan_in_order(p):
-    # the oracle's node order, and so its budget use, rests on this order;
-    # its inline scan and seam walks must give what matches and swap give
+def test_oracle_search_matches_a_swap_reference(monkeypatch, p):
+    # the oracle walks swap's seams inline; with the abelian exit lifted, so
+    # that every word is searched, it must give the witness or None, expand
+    # the nodes and spend the candidates a search over matches and swap gives
     rng = random.Random(19)
     s = symmetrize(p)
-    capped = run_on = 0
+    nodes, count, matches = [], [0], SymmetrizedSet.matches
+
+    def spy(self, x):  # each node a search expands, and one count per candidate
+        nodes.append(x)
+        for match in matches(self, x):
+            count[0] += 1
+            yield match
+
+    monkeypatch.setattr(SymmetrizedSet, "matches", spy)
+    monkeypatch.setattr(SymmetrizedSet, "abelian_trivial", lambda self, w: True)
+    capped = run_on = found = spent_all = 0
     for t in range(36):
         r = s.ordered[rng.randrange(len(s))]
         if t < 12:
@@ -614,18 +650,26 @@ def test_swap_moves_match_naive_scan_in_order(p):
         else:  # swaps that cancel into the conjugator, or all but one letter
             c = random_reduced_word(p.alphabet, rng.randint(1, 3), rng)
             x = c * (r if t < 24 else r[:-1]) * ~c
-        got = list(_swap_moves(x.codes, s))
-        assert got == [(s.swap(x.codes, pos, i, k), pos, i) for pos, i, k in s.matches(x.codes)]
+        searches = []
+        for search in (swap_search_reference, bounded_wp_oracle):
+            nodes.clear()
+            count[0] = 0
+            searches.append((search(x, p, 3, node_budget=2000), nodes[:], count[0]))
+        assert searches[0] == searches[1], x
+        found += searches[0][0] is not None
+        spent_all += count[0] == 2000
+        # matches and swap against every element tried at every position;
         # unchecked, so an unreduced code tuple would not compare equal
+        got = [(s.swap(x.codes, pos, i, k), pos, i, k) for pos, i, k in s.matches(x.codes)]
         moves = [(cakelab.words._word(p.alphabet, post), x[:pos], s.ordered[i])
-                 for post, pos, i in got]
+                 for post, pos, i, _ in got]
         assert moves == list(naive_swap_moves(x, s))
-        for (post, pos, i), (_, _, k) in zip(got, s.matches(x.codes)):
+        for post, pos, i, k in got:
             n = s.lengths[i]
             capped += pos + k == len(x) < pos + n  # the match ran to the word's end
             # all n - k inserted letters cancelled, and the seam ran on into x
             run_on += k < n and len(post) < len(x) - n
-    assert capped and run_on
+    assert capped and run_on and found and spent_all
 
 
 def test_oracle_empty_word_is_trivial_with_empty_witness():
@@ -709,16 +753,16 @@ def test_oracle_respects_node_budget_determinism(monkeypatch):
 
 
 def spy_moves(monkeypatch):
-    """Count the candidates the oracle's search generates."""
+    """Count the candidates the oracle's search generates: one per match."""
     count = [0]
-    moves = smallcancel._swap_moves
+    matches = SymmetrizedSet.matches
 
-    def spy(x, s):
-        for move in moves(x, s):
+    def spy(s, x):
+        for match in matches(s, x):
             count[0] += 1
-            yield move
+            yield match
 
-    monkeypatch.setattr(smallcancel, "_swap_moves", spy)
+    monkeypatch.setattr(SymmetrizedSet, "matches", spy)
     return count
 
 
