@@ -49,7 +49,9 @@ __all__ = [
 @dataclass(frozen=True)
 class LabeledGraph:
     """Vertices are generator names; an edge (i, j, m) relates them with
-    alternating words of length m >= 2.  No loops, no multiple edges."""
+    alternating words of length m >= 2.  No loops, no multiple edges: the
+    edges are checked when the graph is built, and ``RootedTree``'s walk is
+    the one reader of their adjacency."""
 
     vertices: tuple[str, ...]
     edges: frozenset
@@ -63,30 +65,6 @@ class LabeledGraph:
         labels: dict[tuple, int] = {}
         for i, j, m in self.edges:
             _add_edge(labels, i, j, m, n)
-        object.__setattr__(self, "_labels", labels)
-
-    @cached_property
-    def _labels(self) -> dict:
-        """The label of each edge by its endpoints, for a graph that
-        ``build_tree`` made without the check above."""
-        return {(i, j): m for i, j, m in self.edges}
-
-    def label(self, a: int, b: int) -> Optional[int]:
-        return self._labels.get((min(a, b), max(a, b)))
-
-    @cached_property
-    def _adjacency(self) -> tuple:
-        adj = [[] for _ in self.vertices]
-        for i, j, _ in sorted(self.edges):
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple([tuple(sorted(x)) for x in adj])
-
-    def neighbors(self, v: int) -> tuple:
-        return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
 
     @cached_property
     def alphabet(self) -> Alphabet:  # its names are checked on first read
@@ -158,9 +136,10 @@ class RootedTree:
     """A tree whose root has degree exactly 2 and whose labels are all >= 4.
     Built from a graph and a root, it is checked, and one breadth-first walk
     from the root derives ``parent`` (-1 at the root), ``levels`` (the root
-    is level 1) and the children, in index order; ``build_tree`` sets the
-    same fields from the sampler's arrays, which need no check and no walk.
-    Each vertex's parent-edge label and shape are derived on first read."""
+    is level 1), the children in index order, every vertex's parent-edge
+    label (0 at the root) and its shape, for the move rule; ``build_tree``
+    sets the same fields from the sampler's arrays, which need no check and
+    no walk."""
 
     graph: LabeledGraph
     root: int
@@ -172,38 +151,31 @@ class RootedTree:
             raise ValueError(f"root {self.root} out of range")
         if len(g.edges) != n - 1:
             raise ValueError("edge count does not match a tree")
-        parent, level = [-1] * n, [0] * n
+        adjacent = [[] for _ in range(n)]  # (neighbour, label), neighbours ascending
+        for i, j, m in sorted(g.edges):
+            adjacent[i].append((j, m))
+            adjacent[j].append((i, m))
+        parent, level, label = [-1] * n, [0] * n, [0] * n
         level[self.root] = 1
         order = [self.root]
         for v in order:  # the loop reaches what it appends
-            for u in g.neighbors(v):
+            for u, m in adjacent[v]:
                 if not level[u]:  # each vertex is met once, so a cycle cannot loop the walk
-                    parent[u], level[u] = v, level[v] + 1
+                    parent[u], level[u], label[u] = v, level[v] + 1, m
                     order.append(u)
         if len(order) != n:  # n - 1 edges that reach every vertex make a tree
             raise ValueError("tree is not connected")
-        if g.degree(self.root) != 2:
+        if len(adjacent[self.root]) != 2:
             raise ValueError("root degree must be exactly 2")
         if not is_extra_large(g):
             raise ValueError("tree labels must all be >= 4")
-        object.__setattr__(self, "parent", tuple(parent))
-        object.__setattr__(self, "levels", level[order[-1]])
-        object.__setattr__(self, "_children", _children_lists(parent))
+        # order is the walk over the children in index order, parents first
+        vars(self).update(parent=tuple(parent), levels=level[order[-1]],
+                          _children=_children_lists(parent), _edge_labels=tuple(label),
+                          _shapes=_shape_ids(parent, label, order)[0])
 
     def children(self, v: int) -> tuple:
         return self._children[v]
-
-    @cached_property
-    def _edge_labels(self) -> tuple:
-        """Every vertex's parent-edge label, 0 at the root."""
-        label = self.graph.label
-        return tuple([label(v, p) if p >= 0 else 0 for v, p in enumerate(self.parent)])
-
-    @cached_property
-    def _shapes(self) -> list:
-        """Every vertex's shape, for the move rule."""
-        order = _breadth_first(self._children, self.root)
-        return _shape_ids(self.parent, self._edge_labels, order)[0]
 
 
 def sample_tree(levels: int, max_degree: int, label_hi: int, seed: int) -> tuple[list, list]:
@@ -271,13 +243,14 @@ def _tree_alphabet(n: int) -> Alphabet:
     return _alphabet(tuple([f"a{i}" for i in range(1, n + 1)]))
 
 
-def build_tree(parent: list, labels: list, shapes: Optional[list] = None) -> RootedTree:
+def build_tree(parent: list, labels: list, shapes: list) -> RootedTree:
     """The tree of ``sample_tree``'s arrays, rooted at vertex 0 and with
     vertices named a1, a2, ...  The arrays are a tree by construction, in
     breadth-first order, with a root of degree 2 and labels of 4 or more, so
     the tree is built from them with no edge check, walk or name check.  It
-    keeps the label array, and ``shapes``, the shapes ``both_sides_move``
-    computed for the arrays, when they are given."""
+    keeps the label array and ``shapes``, every vertex's shape as
+    ``_shape_ids`` numbers it up the arrays (``both_sides_move`` returns
+    them), and sets every field the checked constructor sets."""
     n, alphabet = len(parent), _tree_alphabet(len(parent))
     graph = object.__new__(LabeledGraph)
     vars(graph).update(vertices=alphabet.names, alphabet=alphabet,
@@ -287,9 +260,7 @@ def build_tree(parent: list, labels: list, shapes: Optional[list] = None) -> Roo
         levels, v = levels + 1, parent[v]
     t = object.__new__(RootedTree)
     vars(t).update(graph=graph, root=0, parent=tuple(parent), levels=levels,
-                   _children=_children_lists(parent), _edge_labels=tuple(labels))
-    if shapes is not None:
-        vars(t)["_shapes"] = shapes
+                   _children=_children_lists(parent), _edge_labels=tuple(labels), _shapes=shapes)
     return t
 
 
@@ -297,8 +268,9 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
     """Seed-deterministic rooted tree: root degree 2, internal degrees at most
     max_degree, vertex levels exactly ``levels``, labels uniform in [4, label_hi].
     Vertices are named a1, a2, ... in breadth-first order.  It is built from
-    ``sample_tree``'s arrays by ``build_tree``."""
-    return build_tree(*sample_tree(levels, max_degree, label_hi, seed))
+    ``sample_tree``'s arrays and their shapes by ``build_tree``."""
+    parent, labels = sample_tree(levels, max_degree, label_hi, seed)
+    return build_tree(parent, labels, _shape_ids(parent, labels, range(len(parent)))[0])
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,9 @@ def bitstream_decode(v: Word, received, oracle: Callable) -> list:
 
 
 def equality_free() -> Callable:
-    """Literal equality of freely reduced words."""
+    """Literal equality of freely reduced words.  It is complete only in a
+    free group, with no relators, where distinct reduced words are distinct
+    elements; with relators its False proves nothing."""
     return lambda a, b: a == b
 
 
@@ -305,9 +307,9 @@ def equality_dehn(p: Presentation) -> Callable:
 
 def equality_oracle(p: Presentation, depth: int) -> Callable:
     """Bounded search; answers True or None (never a definite False beyond
-    free equality).  A negative depth is refused before any word is sent."""
-    if depth < 0:
-        raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
+    free equality).  A negative depth is refused before any word is sent, by
+    the search's own argument check, run once on the empty word."""
+    bounded_wp_oracle(_word(p.alphabet, ()), p, depth)
 
     def eq(a: Word, b: Word):
         x = a * b.inverse()

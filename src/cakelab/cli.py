@@ -173,6 +173,9 @@ def _cmd_bits(args) -> int:
         raise ValueError("bits must be a non-empty string of 0s and 1s")
     bits = [int(c) for c in args.bits]
     if args.strategy == "free":
+        if p.relators:  # literal inequality proves "different" only in a free group
+            raise ValueError("--strategy free cannot prove bits different once relators exist; "
+                             "use dehn or oracle")
         oracle = equality_free()
     elif args.strategy == "dehn":
         oracle = equality_dehn(p)

@@ -74,6 +74,16 @@ def test_is_extra_large():
 
 # ------------------------------------------------------------------ trees
 
+def labels_at(graph):
+    """Each vertex's neighbours, mapped to the labels of their edges, read
+    from ``graph.edges`` alone, so the references here stay independent of
+    the tree's own walk."""
+    at = [{} for _ in graph.vertices]
+    for i, j, m in graph.edges:
+        at[i][j] = at[j][i] = m
+    return at
+
+
 def test_tree_validation_rejects_bad_root_degree():
     g = LabeledGraph(("r", "u", "v", "w"),
                      frozenset({(0, 1, 4), (0, 2, 4), (0, 3, 4)}))
@@ -117,7 +127,7 @@ def test_build_tree_derives_the_sampled_parent_and_levels():
     cases = [(2 + seed % 6, 2 + seed % 3, seed) for seed in range(200)] + [(5_000, 2, 1)]
     for levels, max_degree, seed in cases:
         parent, labels = sample_tree(levels, max_degree, 7, seed)
-        t = build_tree(parent, labels)
+        t = random_tree(levels, max_degree, 7, seed)
         assert t.parent == tuple(parent) and t.levels == levels, seed
         # children in ascending index order
         kids = [[] for _ in parent]
@@ -148,7 +158,8 @@ def test_array_built_trees_equal_checked_trees(levels):
         moves_both = all(side_moves_reference(ref_plat, side) for side in ("A", "B"))
         assert (shapes is not None) == moves_both, seed
         kept += moves_both
-        built = [build_tree(parent, labels)] + ([build_tree(parent, labels, shapes)] if shapes else [])
+        built = [random_tree(levels, max_degree, label_hi, seed)] + \
+            ([build_tree(parent, labels, shapes)] if shapes else [])
         for t in built:
             assert t == reference, seed
             assert (t.parent, t.levels) == (reference.parent, reference.levels), seed
@@ -163,6 +174,49 @@ def test_array_built_trees_equal_checked_trees(levels):
                 assert plat.moves(side) == ref_plat.moves(side) == side_moves_reference(ref_plat, side)
                 assert plat.move_endos(side) == ref_plat.move_endos(side), seed
     assert 10 < kept < 190
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5, 6])
+def test_checked_trees_under_any_numbering_equal_array_built_trees(levels):
+    # the sampler's tree with its vertices renumbered at random, the root
+    # away from 0, must be the array-built tree under that renumbering;
+    # shape ids follow the walk order, so shapes compare as partitions
+    rng, listed = random.Random(levels), 0
+    for seed in range(200):
+        max_degree, label_hi = 3 + seed % 3, 4 + seed % 5
+        parent, labels = sample_tree(levels, max_degree, label_hi, seed)
+        n = len(parent)
+        to = list(range(n))
+        while to[0] == 0:
+            rng.shuffle(to)
+        names = [""] * n
+        for v in range(n):
+            names[to[v]] = f"a{v + 1}"  # each vertex keeps its name, which breaks swap ties
+        edges = frozenset((min(to[p], to[v]), max(to[p], to[v]), labels[v])
+                          for v, p in enumerate(parent) if p >= 0)
+        t = RootedTree(LabeledGraph(tuple(names), edges), to[0])
+        built = random_tree(levels, max_degree, label_hi, seed)
+        assert [t.parent[to[v]] for v in range(n)] == [-1] + [to[p] for p in parent[1:]], seed
+        assert t.levels == built.levels == levels, seed
+        assert [t._edge_labels[to[v]] for v in range(n)] == labels, seed
+        same = {(built._shapes[v], t._shapes[to[v]]) for v in range(n)}
+        assert len(same) == len(set(built._shapes)) == len(set(t._shapes)), seed
+
+        def mapped(e):
+            out = [0] * n
+            for v, w in enumerate(e.vertex_map):
+                out[to[v]] = to[w]
+            return tuple(out)
+
+        plat, ref_plat = split_at_root(t), split_at_root(built)
+        for side, ref_side in zip(("A", "B"), ("A", "B") if to[1] < to[2] else ("B", "A")):
+            assert plat.side(side) == tuple(sorted(to[v] for v in ref_plat.side(ref_side))), seed
+            moves = dict(zip(plat.moves(side), plat.move_endos(side)))
+            ref_moves = {ElementaryMove(m.kind, to[m.a], to[m.b]): mapped(e)
+                         for m, e in zip(ref_plat.moves(ref_side), ref_plat.move_endos(ref_side))}
+            assert {m: e.vertex_map for m, e in moves.items()} == ref_moves, seed
+            listed += len(moves)
+    assert listed > 600
 
 
 def test_deep_thin_tree_builds_and_formats_in_linear_time():
@@ -181,7 +235,7 @@ def test_random_tree_invariants():
         t = random_tree(levels, 4, 7, seed=seed)
         g = t.graph
         assert t.levels == levels
-        assert g.degree(t.root) == 2
+        assert len(labels_at(g)[t.root]) == 2
         assert is_extra_large(g)
         assert all(4 <= m <= 7 for _, _, m in g.edges)
         assert len(g.edges) == len(g.vertices) - 1
@@ -377,26 +431,27 @@ def test_deeper_swap_pairs_whole_subtrees():
     assert all(m.kind == "swap" or {m.a, m.b} != {3, 4} for m in moves)
 
 
-def _shape_reference(t, v):
-    return tuple(sorted((t.graph.label(v, c), _shape_reference(t, c)) for c in t.children(v)))
+def _shape_reference(t, at, v):
+    return tuple(sorted((at[v][c], _shape_reference(t, at, c)) for c in t.children(v)))
 
 
 def side_moves_reference(platform, side):
     """The enumeration the array move rule replaced: a recursive nested-tuple
     shape, recomputed for every sibling pair."""
     t = platform.tree
+    at = labels_at(t.graph)
     moves = []
     for p in platform.side(side):
         kids = t.children(p)
         for x in kids:
             for y in kids:
                 if x != y and not t.children(x) and not t.children(y) \
-                        and t.graph.label(p, x) == t.graph.label(p, y):
+                        and at[p][x] == at[p][y]:
                     moves.append(ElementaryMove("merge", x, y))
         for ix, x in enumerate(kids):
             for y in kids[ix + 1:]:
-                if t.graph.label(p, x) == t.graph.label(p, y) \
-                        and _shape_reference(t, x) == _shape_reference(t, y):
+                if at[p][x] == at[p][y] \
+                        and _shape_reference(t, at, x) == _shape_reference(t, at, y):
                     moves.append(ElementaryMove("swap", x, y))
     return tuple(sorted(moves, key=lambda m: (m.kind, m.a, m.b)))
 
@@ -405,10 +460,11 @@ def swap_map_reference(t, a, b):
     """The vertex map of swapping a and b, children paired by label, nested
     shape and name."""
     out = list(range(len(t.graph.vertices)))
+    at = labels_at(t.graph)
 
     def pair(a, b):
         out[a], out[b] = b, a
-        key = lambda c: (t.graph.label(c, t.parent[c]), _shape_reference(t, c), t.graph.vertices[c])
+        key = lambda c: (at[c][t.parent[c]], _shape_reference(t, at, c), t.graph.vertices[c])
         for ca, cb in zip(sorted(t.children(a), key=key), sorted(t.children(b), key=key)):
             pair(ca, cb)
 

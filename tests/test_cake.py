@@ -1,8 +1,10 @@
 """Key exchange: tree platform, bitstream transport."""
 
 import hashlib
+import os
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -318,7 +320,9 @@ def test_an_exchange_never_loads_openssl():
         builtin = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
         print(builtin, "_hashlib" in sys.modules)
     """)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     builtin, loaded = proc.stdout.split()
     if builtin == "True":

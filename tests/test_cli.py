@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import itertools
+import os
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -16,11 +17,16 @@ from cakelab.presentations import parse_presentation, symmetrize
 from cakelab.smallcancel import build_report, check_Cprime, parse_witness, replay_witness
 from cakelab.words import parse_word
 
+# a child ``python -m cakelab`` imports this checkout's package, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
 EX_TEXT = """\
 gens: x1 x2 x3
 rel: x1^2 x2 x3^2 x2^-1
 rel: x2^2 x3 x1^2 x3^-1
 """
+
+SURFACE_TEXT = "gens: a b c d\nrel: a b a^-1 b^-1 c d c^-1 d^-1\n"
 
 
 @pytest.fixture
@@ -247,7 +253,7 @@ def run_module(argv, timeout=60):
 
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
-                          capture_output=True, text=True, timeout=timeout)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=timeout)
     return proc, time.perf_counter() - start
 
 
@@ -451,7 +457,7 @@ def test_bits_round_trip_free_gens(capsys):
 @pytest.mark.filterwarnings("ignore:0-bit words")
 def test_bits_with_presentation_and_dehn(capsys, tmp_path):
     f = tmp_path / "surf.txt"
-    f.write_text("gens: a b c d\nrel: a b a^-1 b^-1 c d c^-1 d^-1\n")
+    f.write_text(SURFACE_TEXT)
     args = ["bits", "--presentation", str(f), "--word", "a c", "--bits", "101",
             "--seed", "3", "--strategy", "dehn"]
     code, out, _ = run(capsys, args)
@@ -483,6 +489,24 @@ def test_bits_refuses_a_negative_depth_before_sending(capsys, ex_file):
     assert err == "error: depth and max_len must be non-negative, node_budget at least 1\n"
 
 
+def test_bits_refuses_the_free_strategy_once_relators_exist(capsys, ex_file, tmp_path):
+    # literal inequality proves "different" only in a free group: on the
+    # README pair it decoded the disguised 1-bits of 101 as 000
+    args = ["bits", "--presentation", ex_file, "--word", "x1 x2^-1", "--bits", "101",
+            "--seed", "1", "--strategy", "free"]
+    refused = (2, "", "error: --strategy free cannot prove bits different once relators "
+                      "exist; use dehn or oracle\n")
+    assert run(capsys, args) == refused
+    assert run(capsys, args[:-2]) == refused  # free is the default
+    # a file with no relators keeps it, as --gens does
+    gens_only = tmp_path / "gens.txt"
+    gens_only.write_text("gens: g1 g2\n")
+    args = ["--word", "g1 g2", "--bits", "1011001", "--seed", "7", "--strategy", "free"]
+    code, out, err = run(capsys, ["bits", "--presentation", str(gens_only), *args])
+    assert (code, err) == (0, "") and out.endswith("decoded: 1011001\nbits: ok\n")
+    assert run(capsys, ["bits", "--gens", "g1 g2", *args]) == (code, out, err)
+
+
 def test_bits_requires_exactly_one_alphabet_source(capsys, ex_file):
     code, _, err = run(capsys, ["bits", "--word", "x1", "--bits", "1", "--seed", "1"])
     assert code == 2 and err.startswith("error: ")
@@ -510,14 +534,13 @@ def test_module_entry_point():
 
     proc = subprocess.run(
         [sys.executable, "-m", "cakelab", "check", "--presentation", "/no/file"],
-        capture_output=True, text=True,
+        env=CHILD_ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
 
 
 def test_closed_stdout_exits_one_without_traceback(ex_file):
-    import os
     import subprocess
     import sys
 
@@ -526,7 +549,7 @@ def test_closed_stdout_exits_one_without_traceback(ex_file):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "cakelab", "check", "--presentation", ex_file],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            stdout=write_end, stderr=subprocess.PIPE, env=CHILD_ENV, text=True,
         )
     finally:
         os.close(write_end)
@@ -546,7 +569,7 @@ def test_oversized_trees_are_input_errors(argv):
     import sys
 
     proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
-                          capture_output=True, text=True, timeout=10)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -563,7 +586,7 @@ def test_setup_refuses_shapes_without_moves_before_drawing():
             "--seed", "1", "--seed-a", "2", "--seed-b", "3"]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
-                          capture_output=True, text=True, timeout=60)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=60)
     assert time.perf_counter() - start < 5
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -580,7 +603,7 @@ def test_cake_run_refuses_label_hi_below_4_before_drawing():
     argv = ["cake", "run", "--label-hi", "3", "--seed", "1", "--seed-a", "2", "--seed-b", "3"]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
-                          capture_output=True, text=True, timeout=30)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=30)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: label_hi must be at least 4\n")
 
@@ -598,7 +621,7 @@ def test_oversized_words_are_input_errors(tmp_path, argv, message):
     argv = argv + ["--seed", "0", "--seed-a", "1", "--seed-b", "2", "--transcript", str(path)]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "cakelab", *argv],
-                          capture_output=True, text=True, timeout=10)
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - start < 5
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not path.exists()
@@ -626,8 +649,9 @@ def test_input_errors_leave_stdout_empty(capsys, ex_file, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, stdout, warning", [
-    (["bits", "--presentation", "{ex}", "--word", "x2 x3", "--bits", "00", "--seed", "16"],
-     "sent 1: x2 x3 x2^-1\nsent 2: x2 x3 x2^-1\ndecoded: 00\nbits: ok\n",
+    (["bits", "--presentation", "{surface}", "--word", "a c", "--bits", "00", "--seed", "1",
+      "--strategy", "dehn"],
+     "sent 1: a c b\nsent 2: a c^2\ndecoded: 00\nbits: ok\n",
      "0-bit words are only best-effort distinct once relators exist"),
     (["disguise", "--presentation", "{gens_only}", "--word", "a b", "--moves", "3", "--seed", "1"],
      "disguised: a b\n", "presentation has no relators; nothing to disguise with"),
@@ -638,9 +662,10 @@ def test_input_errors_leave_stdout_empty(capsys, ex_file, tmp_path, argv):
 def test_library_warnings_print_as_one_line(capsys, ex_file, tmp_path, argv, stdout, warning):
     # stderr names no source file or line, so every checkout prints the same
     # bytes; a second run in the same process prints its warning again
-    gens_only = tmp_path / "gens.txt"
+    gens_only, surface = tmp_path / "gens.txt", tmp_path / "surface.txt"
     gens_only.write_text("gens: a b\n")
-    argv = [a.format(ex=ex_file, gens_only=gens_only) for a in argv]
+    surface.write_text(SURFACE_TEXT)  # C'(1/6), so Dehn proves each 0-bit different
+    argv = [a.format(ex=ex_file, gens_only=gens_only, surface=surface) for a in argv]
     for _ in range(2):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, stdout, f"warning: {warning}\n")
