@@ -51,7 +51,6 @@ __all__ = [
     "exchange_on",
     "bitstream_encode",
     "bitstream_decode",
-    "equality_free",
     "equality_dehn",
     "equality_oracle",
     "config_digest",
@@ -121,7 +120,6 @@ class ProtocolConfig:
 
     platform: SplitPlatform
     public_word: Word
-    seed: int
 
     def __post_init__(self):
         sup = _support(self.public_word)
@@ -189,7 +187,7 @@ def setup(seed: int, levels: int = 3, max_degree: int = 4, label_hi: int = 7,
             w = random_reduced_word(platform.alphabet, word_len, rng)
             sup = _support(w)
             if sup & moved_a and sup & moved_b:
-                return ProtocolConfig(platform, w, seed)
+                return ProtocolConfig(platform, w)
     raise ProtocolSetupError("could not sample a viable platform; relax the parameters")
 
 
@@ -284,17 +282,12 @@ def bitstream_decode(v: Word, received, oracle: Callable) -> list:
             for verdict in (oracle(w, v) for w in received)]
 
 
-def equality_free() -> Callable:
-    """Literal equality of freely reduced words.  It is complete only in a
-    free group, with no relators, where distinct reduced words are distinct
-    elements; with relators its False proves nothing."""
-    return lambda a, b: a == b
-
-
 def equality_dehn(p: Presentation) -> Callable:
     """Dehn-reduce the quotient: True when it vanishes.  Otherwise False on
     C'(1/6) presentations, where Dehn's algorithm is complete, and None
-    (unknown) elsewhere."""
+    (unknown) elsewhere.  With no relators this is literal equality of
+    reduced words: C'(1/6) holds vacuously and Dehn reduction is free
+    reduction."""
     complete = check_Cprime(p, Fraction(1, 6))
 
     def eq(a: Word, b: Word):

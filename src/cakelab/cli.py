@@ -21,7 +21,6 @@ from .cake import (
     bitstream_decode,
     bitstream_encode,
     equality_dehn,
-    equality_free,
     equality_oracle,
     exchange_on,
     format_transcript,
@@ -172,15 +171,7 @@ def _cmd_bits(args) -> int:
     if any(c not in "01" for c in args.bits) or not args.bits:
         raise ValueError("bits must be a non-empty string of 0s and 1s")
     bits = [int(c) for c in args.bits]
-    if args.strategy == "free":
-        if p.relators:  # literal inequality proves "different" only in a free group
-            raise ValueError("--strategy free cannot prove bits different once relators exist; "
-                             "use dehn or oracle")
-        oracle = equality_free()
-    elif args.strategy == "dehn":
-        oracle = equality_dehn(p)
-    else:
-        oracle = equality_oracle(p, args.depth)
+    oracle = equality_dehn(p) if args.strategy == "dehn" else equality_oracle(p, args.depth)
     sent = bitstream_encode(u, bits, p, args.seed)
     for i, w in enumerate(sent, 1):
         print(f"sent {i}: {w}")
@@ -259,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--word", required=True)
     b.add_argument("--bits", required=True)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--strategy", choices=("free", "dehn", "oracle"), default="free")
+    b.add_argument("--strategy", choices=("dehn", "oracle"), default="dehn")
     b.add_argument("--depth", type=int, default=3)
     b.set_defaults(func=_cmd_bits)
 

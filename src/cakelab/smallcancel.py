@@ -206,7 +206,9 @@ def bounded_wp_oracle(
     relator's exponent-sum vector in Z^n, so when w's vector is outside the
     relator lattice no search can succeed: that returns None before any node
     is generated, the answer the search would give.  A search whose seen
-    words pass ``MAX_SEARCH_LETTERS`` letters in all returns None as well.
+    words pass ``MAX_SEARCH_LETTERS`` letters in all returns None as well,
+    and so does one that reaches a level with no new word, however large
+    ``depth`` is.
     """
     if depth < 0 or node_budget < 1 or (max_len is not None and max_len < 0):
         raise ValueError("depth and max_len must be non-negative, node_budget at least 1")
@@ -254,6 +256,8 @@ def bounded_wp_oracle(
                     held += len(post)
                 if budget <= 0 or held > MAX_SEARCH_LETTERS:
                     return None
+        if not nxt:  # every later level would be empty too
+            return None
         frontier = nxt
     return None
 

@@ -13,7 +13,7 @@ from cakelab.artin import braid_presentation, random_endo, split_at_root
 from cakelab.cake import (
     bitstream_decode,
     bitstream_encode,
-    equality_free,
+    equality_dehn,
     run_exchange,
     setup,
 )
@@ -173,7 +173,7 @@ def test_criterion_8_bitstream_round_trip():
     u = parse_word(free.alphabet, "g1 g2 g3^-1 g1")
     bits = [random.Random(99).getrandbits(1) for _ in range(64)]
     sent = bitstream_encode(u, bits, free, seed=31337)
-    decoded = bitstream_decode(u, sent, equality_free())
+    decoded = bitstream_decode(u, sent, equality_dehn(free))
     unknowns = decoded.count(None)
     ok = decoded == bits and unknowns == 0
     verdict(8, ok, f"64-bit round-trip exact, unknowns={unknowns}")

@@ -23,7 +23,6 @@ from cakelab.cake import (
     config_digest,
     derive_key,
     equality_dehn,
-    equality_free,
     equality_oracle,
     finalize,
     format_transcript,
@@ -265,7 +264,7 @@ def setup_reference(seed, levels, max_degree=4, label_hi=7, word_len=16):
                 continue
             if any(apply_endo(w, e) != w for e in endos_a) and \
                     any(apply_endo(w, e) != w for e in endos_b):
-                return ProtocolConfig(platform, w, seed)
+                return ProtocolConfig(platform, w)
     raise ProtocolSetupError("could not sample a viable platform")
 
 
@@ -374,9 +373,43 @@ def test_bitstream_round_trip_free():
     bits = [rng.getrandbits(1) for _ in range(64)]
     sent = bitstream_encode(u, bits, FREE, seed=99)
     assert len(sent) == 64
-    decoded = bitstream_decode(u, sent, equality_free())
+    decoded = bitstream_decode(u, sent, equality_dehn(FREE))
     assert decoded == bits
     assert None not in decoded
+
+
+def test_dehn_equality_is_literal_equality_without_relators():
+    # no relators: C'(1/6) holds vacuously and Dehn reduction is free
+    # reduction, so Dehn decides exactly what literal equality decides
+    rng = random.Random(34)
+    checked = {True: 0, False: 0}
+    for n in (1, 2, 3, 4):
+        p = Presentation(Alphabet(tuple(f"g{i}" for i in range(1, n + 1))), ())
+        eq = equality_dehn(p)
+        for _ in range(100):
+            a = random_reduced_word(p.alphabet, rng.randint(0, 8), rng)
+            if rng.getrandbits(1):  # an equal pair, built as another product
+                c = random_reduced_word(p.alphabet, rng.randint(0, 4), rng)
+                b = a * c * c.inverse()
+            else:
+                b = random_reduced_word(p.alphabet, rng.randint(0, 8), rng)
+            assert eq(a, b) is (a == b), (a, b)
+            checked[a == b] += 1
+    assert min(checked.values()) > 100
+
+
+def test_dehn_and_the_oracle_each_decide_what_the_other_cannot():
+    # why bits keeps two strategies: the search never proves "different",
+    # and off C'(1/6) Dehn can stop short of 1 on a trivial word
+    ab = Alphabet(("a", "b"))
+    one = Word(ab, ())
+    zsq = Presentation(ab, (parse_word(ab, "a b a^-1 b^-1"),))  # C(4)-T(4), not C'(1/6)
+    w = parse_word(ab, "a^2 b^2 a^-2 b^-2")
+    assert (equality_dehn(zsq)(w, one), equality_oracle(zsq, 4)(w, one)) == (None, True)
+    surface = Alphabet(("a", "b", "c", "d"))
+    genus2 = Presentation(surface, (parse_word(surface, "a b a^-1 b^-1 c d c^-1 d^-1"),))
+    w, v = parse_word(surface, "a c"), parse_word(surface, "c^-1 a^-1")
+    assert (equality_dehn(genus2)(w, v), equality_oracle(genus2, 4)(w, v)) == (False, None)
 
 
 def test_bitstream_zero_bits_extend_the_word():

@@ -12,8 +12,9 @@ import pytest
 
 import cakelab.words
 from cakelab import cli
+from cakelab.artin import artin_from_graph, random_tree
 from cakelab.cli import main
-from cakelab.presentations import parse_presentation, symmetrize
+from cakelab.presentations import format_presentation, parse_presentation, symmetrize
 from cakelab.smallcancel import build_report, check_Cprime, parse_witness, replay_witness
 from cakelab.words import parse_word
 
@@ -490,18 +491,23 @@ def test_bits_refuses_a_negative_depth_before_sending(capsys, ex_file):
 
 
 def test_bits_refuses_the_free_strategy_once_relators_exist(capsys, ex_file, tmp_path):
-    # literal inequality proves "different" only in a free group: on the
-    # README pair it decoded the disguised 1-bits of 101 as 000
+    # literal inequality proves "different" only in a free group, where Dehn
+    # decides the same, so free is no longer a strategy: it is a usage error
     args = ["bits", "--presentation", ex_file, "--word", "x1 x2^-1", "--bits", "101",
-            "--seed", "1", "--strategy", "free"]
-    refused = (2, "", "error: --strategy free cannot prove bits different once relators "
-                      "exist; use dehn or oracle\n")
-    assert run(capsys, args) == refused
-    assert run(capsys, args[:-2]) == refused  # free is the default
-    # a file with no relators keeps it, as --gens does
+            "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--strategy", "free"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "invalid choice: 'free'" in err and "Traceback" not in err
+    # with no --strategy, Dehn decodes the disguised 1-bits that free read as 0
+    dehn = run(capsys, [*args, "--strategy", "dehn"])
+    assert dehn[0] == 1 and "decoded: 1?1\n" in dehn[1]
+    assert run(capsys, args) == dehn
+    # a file with no relators decodes as --gens does
     gens_only = tmp_path / "gens.txt"
     gens_only.write_text("gens: g1 g2\n")
-    args = ["--word", "g1 g2", "--bits", "1011001", "--seed", "7", "--strategy", "free"]
+    args = ["--word", "g1 g2", "--bits", "1011001", "--seed", "7"]
     code, out, err = run(capsys, ["bits", "--presentation", str(gens_only), *args])
     assert (code, err) == (0, "") and out.endswith("decoded: 1011001\nbits: ok\n")
     assert run(capsys, ["bits", "--gens", "g1 g2", *args]) == (code, out, err)
@@ -695,3 +701,67 @@ def test_readme_command_block_parses_and_covers_every_command():
         parser.parse_args(argv)
         used.add(tuple(itertools.takewhile(lambda a: not a.startswith("-"), argv)))
     assert used == _command_paths(parser)
+
+
+# ---------------------------------------------------------------- golden
+
+# SHA-256 of (exit code, stdout, stderr, written files) for a fixed command
+# table, so a refactor that must keep every output byte is checked here.
+# Inputs: {ex} the README pair, {surface} the genus-2 surface, {l3} the
+# level-3 presentation of `gen --levels 3 --max-degree 4 --seed 11`; {out} is
+# an empty directory whose files are hashed by name.
+GOLDEN = {
+    "gen-L3": ("gen --levels 3 --max-degree 4 --seed 11"
+               " --out-tree {out}/tree.txt --out-pres {out}/pres.txt",
+               "467515d4e6b0bf29cc145def008bb3c91e8042ae89a84942b0f0bf13525610f9"),
+    "gen-L4": ("gen --levels 4 --max-degree 4 --seed 11"
+               " --out-tree {out}/tree.txt --out-pres {out}/pres.txt",
+               "7c35fbf8cef11887dc697063d23a79722e4ecf2cb347148a2d57fd4e31fd34d4"),
+    "check-readme": ("check --presentation {ex}",
+                    "ff06449ee42e332e2e9ef5ccf63251c708fba54de46587e0d8a5537772ec85ee"),
+    "check-L3": ("check --presentation {l3}",
+                "43dcf002289e5bc65e1d49c6bf95526278346864e955a7385165b4f098c0432c"),
+    "check-surface": ("check --presentation {surface}",
+                     "6b1b9dc8ec51a6dbac767efd3ef7bdea9ab928ec657047e121a8c0a9526a8671"),
+    "tietze-lift": ("tietze --presentation {ex} --out {out}/history.txt --lift 't3 t6^-1 x2'",
+                    "6e715e181c153f9ab76df8490bfee19b3eac9bfcc65d1e671b85c03688656b1c"),
+    "cake-run-L3": ("cake run --levels 3 --max-degree 4 --seed 11 --seed-a 1001 --seed-b 2002"
+                    " --transcript {out}/transcript.txt",
+                    "d32a5bd3318c48280f3661794262e4f29cd46b6a4e849fb04ad97806f9b5b670"),
+    "disguise-witness": ("disguise --presentation {ex} --word 'x1 x2^-1' --moves 6 --seed 3"
+                         " --witness",
+                         "ab4e7513753da29f9d4b074d9369cfe16c9b18f01aeb6ed1658f59e543fc43d1"),
+    "wp-trivial": ("wp --presentation {ex} --word 'x3 x1^2 x2 x3^2 x2^-1 x3^-1' --depth 3"
+                   " --witness {out}/witness.txt",
+                   "5d4c4ab111c7b125ee18595949d16158a35289ddf343973d3f3c332e4e8deabd"),
+    "wp-unknown": ("wp --presentation {ex} --word 'x1 x2' --depth 3 --witness {out}/witness.txt",
+                   "9c752c1b75e0a31ee995f1a32698044e65823441f7f202e82f4adeef26eb0ce3"),
+    "bits-gens": ("bits --gens 'g1 g2 g3' --word 'g1 g2^-1 g3' --bits 1011001 --seed 7",
+                 "4c40f37cfd0392e0c0bbee9def5f228f299078bbe97715dfb7792d9d872aab20"),
+    "bits-dehn": ("bits --presentation {surface} --word 'a c' --bits 1011 --seed 3"
+                  " --strategy dehn",
+                  "f6a265e9d05a1336fe6eae3ceccded0ee0b091e6368b751971e89bbe0914badc"),
+    "bits-oracle": ("bits --presentation {ex} --word 'x2 x3' --bits 1001 --seed 16"
+                    " --strategy oracle --depth 3",
+                    "4ee07f01d57377fc5000831bd89fb35f59d5f4ddc63eba7e12cc4a07c428b530"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    (d / "ex.txt").write_text(EX_TEXT)
+    (d / "surface.txt").write_text(SURFACE_TEXT)
+    (d / "l3.txt").write_text(format_presentation(artin_from_graph(random_tree(3, 4, 7, 11).graph)))
+    return {name: str(d / f"{name}.txt") for name in ("ex", "surface", "l3")}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_cli_output_is_pinned(capsys, tmp_path, golden_inputs, name):
+    command, digest = GOLDEN[name]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(capsys, [a.format(out=out_dir, **golden_inputs)
+                                  for a in shlex.split(command)])
+    files = sorted((f.name, f.read_text()) for f in out_dir.iterdir())
+    assert hashlib.sha256(repr((code, out, err, files)).encode()).hexdigest() == digest

@@ -6,6 +6,7 @@ before the frozen constants are asserted.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -701,6 +702,20 @@ def test_oracle_x1_depth_three_unknown():
 def test_oracle_depth_zero_only_accepts_empty():
     assert bounded_wp_oracle(EX.relators[0], EX, 0) is None
     assert bounded_wp_oracle(Word(X, ()), EX, 0).factors == ()
+
+
+def test_oracle_stops_when_its_frontier_empties(monkeypatch):
+    # the commutator's exponent sums are 0, so the search runs: 20
+    # candidates over three levels, none new at the third, after which a
+    # huge depth must cost what a small one does and give the same answer
+    p = parse_presentation("gens: a b c\nrel: a^5\n")
+    w = parse_word(p.alphabet, "a b a^-1 b^-1")
+    count = spy_moves(monkeypatch)
+    assert bounded_wp_oracle(w, p, 3) is None and count[0] == 20
+    start = time.perf_counter()
+    assert bounded_wp_oracle(w, p, 10**8) is None
+    assert time.perf_counter() - start < 1.0  # 7-9 s when every level is walked
+    assert count[0] == 40
 
 
 def test_oracle_finds_conjugates_and_witness_replays():
