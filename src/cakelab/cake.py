@@ -247,6 +247,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
 
     Over a relator-free presentation the 0-words are provably different from
     u; with relators present that difference is best-effort and flagged.
+    With nothing to disguise with, 1-words are u itself, also flagged.
     """
     if not u:
         raise ValueError("reference word must be non-trivial")
@@ -257,6 +258,9 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
         budget = DisguiseBudget(moves=3, max_conjugator_len=2, max_word_len=max(64, 4 * len(u)))
     if p.relators and 0 in bits:
         warnings.warn("0-bit words are only best-effort distinct once relators exist")
+    disguised = p.relators and budget.moves > 0
+    if 1 in bits and not disguised:
+        warnings.warn("nothing to disguise with; 1-bit words are the reference word itself")
     rng = Random(seed)
     draw = rng.getrandbits
     alphabet = u.alphabet
@@ -264,11 +268,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
     out = []
     for b in bits:
         if b == 1:
-            if p.relators and budget.moves > 0:
-                word, _ = disguise(u, p, budget, rng.getrandbits(64))
-            else:
-                word = u
-            out.append(word)
+            out.append(disguise(u, p, budget, rng.getrandbits(64))[0] if disguised else u)
         else:
             c = _draw_letter(draw, n, u.codes[-1])
             out.append(_word(alphabet, u.codes + (c,)))

@@ -29,6 +29,7 @@ from .words import (
     Word,
     _check_name,
     _reduced,
+    _spell,
     _spelled,
     _word,
     fields,
@@ -184,6 +185,11 @@ class SymmetrizedSet:
         Pieces are closed under prefixes and, as the set is closed under
         rotation, under non-empty suffixes, so the longest piece at position
         pos of r, the piece prefix of r's rotation at pos, is an optimal step.
+        Only the relators' cycles are walked, each count mirrored to the
+        inverse element: a common suffix of two elements is a piece (rotate
+        both to start with it), so pieces are closed under inversion, e^-1
+        takes as many as e, and a cyclic word and its inverse have equally
+        long longest pieces, which give the C' supremum.
         T(4) fails when, for a (first, last) letter pair (a, b), some c among
         the last letters of elements starting with b^-1 has an element
         starting with c^-1 and ending with a^-1, that is, inverted, an
@@ -195,7 +201,7 @@ class SymmetrizedSet:
         codes, piece = self._codes, self.piece_lengths
         fewest: list = [None] * len(codes)
         top, of = 0, 1  # the largest piece length over element length, by cross-multiplying
-        for at in self._at:
+        for at, back in zip(self._at[::2], self._at[1::2]):  # a relator's cycle and its inverse's
             n = len(at)
             ahead = [piece[i] for i in at] * 2  # the piece length at each position, twice round
             for k in range(n):
@@ -203,7 +209,7 @@ class SymmetrizedSet:
                 while pos < n and ahead[k + pos]:
                     pos += ahead[k + pos]  # past the end only on the last step
                     count += 1
-                fewest[at[k]] = count if pos >= n else None
+                fewest[at[k]] = fewest[back[-k]] = count if pos >= n else None  # inverse: rotation -k of r^-1
             m = max(ahead)
             if m * of > top * n:
                 top, of = m, n
@@ -316,12 +322,12 @@ class TietzeStep(NamedTuple):
 class _Replay:
     """Splits applied in place from ``start``, the one path every history
     takes.  Each relator is a reversed code list, so a split pops two codes
-    and pushes one, and ``index`` maps each name so far to its generator:
-    a replay is linear in the letters, and the end is built once."""
+    and pushes one, and ``tokens`` is the spelling table of the generators so
+    far: a replay is linear in the letters, and the end is built once."""
 
     def __init__(self, start: Presentation):
         self.start, self.steps = start, []
-        self.index = {name: g for g, name in enumerate(start.alphabet.names)}
+        self.tokens = dict(start.alphabet.tokens)
         self.relators = [list(r.codes[::-1]) for r in start.relators]
 
     def split(self, idx: int, name: str) -> tuple[int, int]:
@@ -331,13 +337,14 @@ class _Replay:
             raise ValueError(f"relator index {idx} out of range")
         r = self.relators[idx]
         if len(r) < 4:
-            shown = _word(Alphabet(tuple(self.index)), tuple(r[::-1]))
+            shown = _word(Alphabet(tuple(self.tokens)[::2]), tuple(r[::-1]))
             raise ValueError(f"relator {str(shown)!r} too short to split")
-        if name in self.index:
+        _check_name(name)  # first, as a token such as a^-1 is no name
+        if name in self.tokens:
             raise ValueError(f"generator {name!r} already exists")
-        _check_name(name)
-        t = 2 * len(self.index)  # the new generator's code
-        self.index[name] = len(self.index)
+        letter, inverse = _spell(name)
+        t = self.tokens[letter] = len(self.tokens)  # the new generator's code
+        self.tokens[inverse] = t + 1
         pair = r.pop(), r.pop()
         r.append(t)
         # no relator held t, the split one starts with it and the new one with t^-1: all stay distinct
@@ -346,7 +353,7 @@ class _Replay:
         return pair
 
     def end(self) -> Presentation:
-        alphabet = Alphabet(tuple(self.index))
+        alphabet = Alphabet(tuple(self.tokens)[::2])  # the tokens hold each name, then its inverse
         return Presentation(alphabet, tuple([_word(alphabet, tuple(r[::-1])) for r in self.relators]))
 
     def history(self) -> "PresentationHistory":
@@ -384,7 +391,7 @@ def shorten_all(p: Presentation) -> PresentationHistory:
     replay, k = _Replay(p), 1
     for idx in range(len(p.relators)):
         while len(replay.relators[idx]) > 3:
-            while f"t{k}" in replay.index:
+            while f"t{k}" in replay.tokens:
                 k += 1
             replay.split(idx, f"t{k}")
     return replay.history()
@@ -475,12 +482,11 @@ def parse_presentation(text: str) -> Presentation:
 
 def format_history(h: PresentationHistory) -> str:
     """Start presentation followed by one line per split."""
-    names = h.end.alphabet.names
+    spell = h.end.alphabet.spellings
     lines = [format_presentation(h.start).rstrip("\n")]
-    for name, pair, idx in h.steps:
-        # two letters printed separately, never run-length merged
-        spelled = " ".join(names[c >> 1] + ("^-1" if c & 1 else "") for c in pair)
-        lines.append(f"step: {name} = {spelled} @ {idx}")
+    for name, (a, b), idx in h.steps:
+        # two letters spelled separately, never run-length merged
+        lines.append(f"step: {name} = {spell[a]} {spell[b]} @ {idx}")
     return "\n".join(lines) + "\n"
 
 
@@ -496,7 +502,7 @@ def parse_history(text: str) -> PresentationHistory:
             replay.append(_Replay(_start(rec, relators)))
         name, word_text, idx_text = fields(rest, "=", "@")
         name, idx = name.strip(), int(idx_text)
-        spelled = _spelled(replay[0].index, word_text)
+        spelled = _spelled(replay[0].tokens, word_text)
         pair = _reduced(spelled)
         if len(pair) != 2:
             raise ValueError(f"step definition must have exactly two letters: {rest!r}")

@@ -86,24 +86,29 @@ class Alphabet:
         return self._hash
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+    def spellings(self) -> tuple[str, ...]:
+        """The spelling table: each letter code's token, ``name`` or ``name^-1``."""
+        return tuple([s for name in self.names for s in _spell(name)])
+
+    @cached_property
+    def tokens(self) -> dict[str, int]:
+        """The spelling table inverted, each token to its letter code; read only."""
+        return {s: c for c, s in enumerate(self.spellings)}
 
     def __len__(self) -> int:
         return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return self.tokens.get(name, 1) & 1 == 0  # a name spells a generator, of even code
 
     def __repr__(self) -> str:
         return f"Alphabet({' '.join(self.names)!r})"
 
-    def index(self, name: str) -> int:
-        return _generator(self._index, name)
-
     def letter(self, name: str, sign: int = 1) -> "Word":
         """One-letter word. ``sign`` must be +1 or -1."""
-        return Word(self, ((self.index(name), sign),))
+        if name not in self:
+            raise ValueError(f"unknown generator {name!r}")
+        return Word(self, ((self.tokens[name] >> 1, sign),))
 
     def word(self, text: str) -> "Word":
         """Parse ``text`` in the word grammar; see :func:`parse_word`."""
@@ -121,11 +126,9 @@ def _check_name(name: str) -> None:
         raise ValueError(f"illegal character in generator name {name!r}")
 
 
-def _generator(index: dict[str, int], name: str) -> int:
-    try:
-        return index[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}") from None
+def _spell(name: str) -> tuple[str, str]:
+    """The tokens of a generator's two letters, ``name`` and ``name^-1``."""
+    return name, name + "^-1"
 
 
 @dataclass(frozen=True, init=False)
@@ -175,11 +178,11 @@ class Word:
         return _letter(self.codes[item])
 
     def __str__(self) -> str:
-        names = self.alphabet.names
+        names, spell = self.alphabet.names, self.alphabet.spellings
         parts = []
         for c, run in groupby(self.codes):
-            k = len(list(run)) * (-1 if c & 1 else 1)
-            parts.append(names[c >> 1] if k == 1 else f"{names[c >> 1]}^{k}")
+            k = len(list(run))
+            parts.append(spell[c] if k == 1 else f"{names[c >> 1]}^{-k if c & 1 else k}")
         return " ".join(parts) or "1"
 
     def __repr__(self) -> str:
@@ -191,8 +194,8 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
-        return from_codes(self.alphabet, base.codes * abs(k))
+        core, conj = (self if k >= 0 else self.inverse()).cyclic_reduce()  # only the seams cancel
+        return _word(self.alphabet, conj.codes + core.codes * abs(k) + conj.inverse().codes if k else ())
 
     def inverse(self) -> "Word":
         return _word(self.alphabet, tuple([c ^ 1 for c in reversed(self.codes)]))
@@ -286,35 +289,45 @@ def concat(a: Word, b: Word) -> Word:
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the word grammar: whitespace-separated ``name`` or ``name^k`` tokens.
 
-    ``k`` is a non-zero integer; ``name^-2`` means two inverse letters.  The
-    token ``1`` denotes the empty word.  Unknown names and ``^0`` are errors.
-    The parsed sequence is freely reduced, so any spelling of a word is
-    accepted and normalised.  A spelling of more than ``MAX_WORD_LETTERS``
-    letters is an error, raised before more letters than that are built.
+    ``k`` is an optional sign and ASCII digits, not zero; ``name^-2`` means
+    two inverse letters.  The token ``1`` denotes the empty word.  A token
+    the spelling table (``Alphabet.tokens``) misses is parsed; unknown names
+    and other exponents are errors.  The sequence is freely reduced, so any
+    spelling of a word is accepted and normalised.  A spelling of more than
+    ``MAX_WORD_LETTERS`` letters is an error, raised before more are built.
     """
-    return _word(alphabet, _reduced(_spelled(alphabet._index, text)))
+    return _word(alphabet, _reduced(_spelled(alphabet.tokens, text)))
 
 
-def _spelled(index: dict[str, int], text: str) -> list[int]:
-    """The codes ``text`` spells, unreduced, with ``index`` naming the generators."""
+def _spelled(tokens: dict[str, int], text: str) -> list[int]:
+    """The codes ``text`` spells, unreduced, with ``tokens`` the spelling table."""
+    parts = text.split()
+    try:
+        if len(parts) <= MAX_WORD_LETTERS:
+            return [tokens[token] for token in parts]
+    except KeyError:  # a run, the empty word or an error: spelled token by token
+        pass
     codes: list[int] = []
-    for token in text.split():
-        if token == "1":
-            continue
-        name, caret, power = token.partition("^")
-        if caret:
-            try:
-                k = int(power)
-            except ValueError:
-                raise ValueError(f"bad exponent in token {token!r}") from None
-            if k == 0:
-                raise ValueError(f"zero exponent in token {token!r}")
-        else:
-            k = 1
-        gen = _generator(index, name)
+    for token in parts:
+        code, k = tokens.get(token), 1
+        if code is None:
+            if token == "1":
+                continue
+            name, caret, power = token.partition("^")
+            if caret:
+                digits = power[1:] if power[:1] in ("+", "-") else power
+                try:  # int() alone also reads "_" and other scripts' digits
+                    k = int(power if digits.isascii() and digits.isdigit() else "?")
+                except ValueError:
+                    raise ValueError(f"bad exponent in token {token!r}") from None
+                if k == 0:
+                    raise ValueError(f"zero exponent in token {token!r}")
+            if name not in tokens:
+                raise ValueError(f"unknown generator {name!r}")
+            code = tokens[name] + (k < 0)
         if len(codes) + abs(k) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
-        codes.extend([2 * gen + (k < 0)] * abs(k))
+        codes.extend([code] * abs(k))
     return codes
 
 

@@ -367,6 +367,7 @@ def test_parse_transcript_names_the_config_line():
 FREE = Presentation(Alphabet(("g1", "g2", "g3")), ())
 
 
+@pytest.mark.filterwarnings("ignore:nothing to disguise")
 def test_bitstream_round_trip_free():
     u = parse_word(FREE.alphabet, "g1 g2 g3^-1")
     rng = random.Random(7)
@@ -412,6 +413,7 @@ def test_dehn_and_the_oracle_each_decide_what_the_other_cannot():
     assert (equality_dehn(genus2)(w, v), equality_oracle(genus2, 4)(w, v)) == (False, None)
 
 
+@pytest.mark.filterwarnings("ignore:nothing to disguise")
 def test_bitstream_zero_bits_extend_the_word():
     u = parse_word(FREE.alphabet, "g1 g2")
     sent = bitstream_encode(u, [0, 1, 0], FREE, seed=4)
@@ -443,6 +445,24 @@ def test_bitstream_warns_on_zero_bits_with_relators():
     u = parse_word(x, "x2")
     with pytest.warns(UserWarning):
         bitstream_encode(u, [0, 0], p, seed=2)
+
+
+def test_bitstream_warns_once_when_one_bits_go_undisguised():
+    # with nothing to disguise with, a 1-bit is u verbatim: said once per call
+    x = Alphabet(("x1", "x2", "x3"))
+    p = Presentation(x, (parse_word(x, "x1^2 x2 x3^2 x2^-1"),))
+    u = parse_word(x, "x2")
+    for q, budget in ((Presentation(x, ()), None), (p, DisguiseBudget(0, 2, 64))):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            sent = bitstream_encode(u, [1, 1, 1], q, seed=5, budget=budget)
+        assert sent == [u, u, u]
+        assert [str(w.message) for w in seen] == [
+            "nothing to disguise with; 1-bit words are the reference word itself"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bitstream_encode(u, [0, 0], Presentation(x, ()), seed=5)  # no 1-bit, no warning
+        bitstream_encode(u, [1], p, seed=5)  # disguised
 
 
 def test_bitstream_oracle_strategy_reports_unknowns():

@@ -443,11 +443,14 @@ def test_wp_refuses_budgets_below_their_floor(capsys, tmp_path, word, flags):
 
 # ------------------------------------------------------------------ bits
 
+UNDISGUISED = "warning: nothing to disguise with; 1-bit words are the reference word itself\n"
+
+
 def test_bits_round_trip_free_gens(capsys):
     args = ["bits", "--gens", "g1 g2", "--word", "g1 g2", "--bits", "1011001",
             "--seed", "7"]
-    code, out, _ = run(capsys, args)
-    assert code == 0
+    code, out, err = run(capsys, args)
+    assert (code, err) == (0, UNDISGUISED)
     lines = out.splitlines()
     sent = [l for l in lines if l.startswith("sent ")]
     assert len(sent) == 7
@@ -504,12 +507,13 @@ def test_bits_refuses_the_free_strategy_once_relators_exist(capsys, ex_file, tmp
     dehn = run(capsys, [*args, "--strategy", "dehn"])
     assert dehn[0] == 1 and "decoded: 1?1\n" in dehn[1]
     assert run(capsys, args) == dehn
-    # a file with no relators decodes as --gens does
+    # a file with no relators decodes as --gens does, and warns that the
+    # 1-bits go undisguised
     gens_only = tmp_path / "gens.txt"
     gens_only.write_text("gens: g1 g2\n")
     args = ["--word", "g1 g2", "--bits", "1011001", "--seed", "7"]
     code, out, err = run(capsys, ["bits", "--presentation", str(gens_only), *args])
-    assert (code, err) == (0, "") and out.endswith("decoded: 1011001\nbits: ok\n")
+    assert (code, err) == (0, UNDISGUISED) and out.endswith("decoded: 1011001\nbits: ok\n")
     assert run(capsys, ["bits", "--gens", "g1 g2", *args]) == (code, out, err)
 
 
@@ -737,7 +741,7 @@ GOLDEN = {
     "wp-unknown": ("wp --presentation {ex} --word 'x1 x2' --depth 3 --witness {out}/witness.txt",
                    "9c752c1b75e0a31ee995f1a32698044e65823441f7f202e82f4adeef26eb0ce3"),
     "bits-gens": ("bits --gens 'g1 g2 g3' --word 'g1 g2^-1 g3' --bits 1011001 --seed 7",
-                 "4c40f37cfd0392e0c0bbee9def5f228f299078bbe97715dfb7792d9d872aab20"),
+                 "be5d241f009d32467b56459215f0cb499e172fef803741e42321f8986ae80c4a"),
     "bits-dehn": ("bits --presentation {surface} --word 'a c' --bits 1011 --seed 3"
                   " --strategy dehn",
                   "f6a265e9d05a1336fe6eae3ceccded0ee0b091e6368b751971e89bbe0914badc"),

@@ -208,6 +208,25 @@ def test_only_words_cuts_fields():
     assert cuts == []
 
 
+def test_only_words_spells_letters():
+    # a letter's token comes from the alphabet's spelling table: no other
+    # module writes "^-1" outside a docstring or cuts a token at "^"
+    def docstrings(tree):
+        return {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+
+    spelled = [
+        f"{name}.py:{node.lineno} {ast.unparse(node)}"
+        for name, tree in modules().items() if name != "words"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "^-1" in node.value and id(node) not in docstrings(tree))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "partition" and node.args
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == "^")
+    ]
+    assert spelled == []
+
+
 def test_only_words_names_letters():
     # every other module reads ``Word.codes``; the package entry point only
     # re-exports ``Letter``, the boundary type of ``Word(alphabet, letters)``

@@ -19,6 +19,7 @@ from cakelab.diffusion import DisguiseBudget, disguise
 from cakelab.presentations import (
     Presentation,
     SymmetrizedSet,
+    format_presentation,
     parse_presentation,
     symmetrize,
 )
@@ -421,6 +422,48 @@ def test_verdict_table_matches_references():
         assert report.cprime_sup == max(
             (Fraction(m, len(r)) for r, m in zip(ordered, lengths) if m), default=None)
         assert report.t4 is t4_walk_reference(p)
+
+
+def full_walk_reference(s):
+    """Fewest pieces per element and the C' supremum, walked over every
+    cycle, the inverses' as well as the relators'."""
+    fewest, sup = [None] * len(s), None
+    for at in s._at:
+        n = len(at)
+        ahead = [s.piece_lengths[i] for i in at] * 2
+        for k in range(n):
+            count = pos = 0
+            while pos < n and ahead[k + pos]:
+                pos += ahead[k + pos]
+                count += 1
+            fewest[at[k]] = count if pos >= n else None
+        if max(ahead) and (sup is None or Fraction(max(ahead), n) > sup):
+            sup = Fraction(max(ahead), n)
+    return tuple(fewest), sup
+
+
+# no non-trivial free-group word is conjugate to its inverse, so the nearest
+# cases pair a relator with a rotation of another's inverse, or of itself
+MIRRORED = COLLIDING + [
+    "gens: a b\nrel: a b a^-1 b^2\nrel: b^-1 a^-1 b^-2 a\n",
+    "gens: a b c\nrel: a b c\nrel: c^-1 b^-1 a^-1\nrel: b c a\n",
+    "gens: a b c\nrel: a b c a b c\nrel: b c a b c a\n",
+    "gens: a b\nrel: a^2 b^-1 a^2 b^-1 a^2 b^-1\nrel: b a^-2\n",
+]
+
+
+def test_mirrored_verdict_walk_matches_the_full_walk():
+    # the walk over the relators' cycles, mirrored to their inverses, against
+    # the walk over every cycle
+    rng = random.Random(35)
+    corpus = verdict_corpus() + [parse_presentation(text) for text in MIRRORED] + [EX]
+    corpus += [random_presentation(rng, gens=2, rels=3, length=8) for _ in range(300)]
+    for p in corpus:
+        s = SymmetrizedSet(p)
+        fewest, sup = full_walk_reference(s)
+        v = s.verdicts
+        assert (v.min_pieces, v.cprime_sup) == (fewest, sup), format_presentation(p)
+        assert v.relator_pieces == tuple(fewest[at[0]] for at in s._at[::2])
 
 
 def test_inverse_elements_match_a_lookup_by_codes():

@@ -138,6 +138,9 @@ def test_word_validation_rejects_foreign_letters():
         ABC.letter("a", 0)
     with pytest.raises(ValueError, match="unknown generator"):
         ABC.letter("z")
+    with pytest.raises(ValueError, match="unknown generator"):
+        ABC.letter("a^-1")  # a token of the spelling table, not a name
+    assert ("a" in ABC, "a^-1" in ABC, "z" in ABC) == (True, False, False)
     assert ABC.letter("b", -1).codes == (3,)
     # every letter is checked before the reduction is
     with pytest.raises(ValueError, match="out of range"):
@@ -283,3 +286,133 @@ def test_random_reduced_word_deterministic():
 def test_concat_associative(xs, ys, zs):
     a, b, c = (reduce_raw(t) for t in (xs, ys, zs))
     assert (a * b) * c == a * (b * c)
+
+
+# -- the grammar through the spelling table -----------------------------------
+
+def spelled_reference(alphabet, text):
+    """The parser before the spelling table: every token cut at ``^`` and
+    its exponent read by ``int``, which also takes ``_`` and non-ASCII digits."""
+    index, codes = {name: g for g, name in enumerate(alphabet.names)}, []
+    for token in text.split():
+        if token == "1":
+            continue
+        name, caret, power = token.partition("^")
+        if caret:
+            try:
+                k = int(power)
+            except ValueError:
+                raise ValueError(f"bad exponent in token {token!r}") from None
+            if k == 0:
+                raise ValueError(f"zero exponent in token {token!r}")
+        else:
+            k = 1
+        try:
+            gen = index[name]
+        except KeyError:
+            raise ValueError(f"unknown generator {name!r}") from None
+        if len(codes) + abs(k) > cakelab.words.MAX_WORD_LETTERS:
+            raise ValueError(f"word longer than {cakelab.words.MAX_WORD_LETTERS} letters")
+        codes.extend([2 * gen + (k < 0)] * abs(k))
+    return codes
+
+
+def outcome(spell, *args):
+    try:
+        return "ok", spell(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+# names that share prefixes, so a token cut at the wrong place names another
+PREFIXED = Alphabet(("a", "a1", "a10", "b"))
+
+# every token form: plain, ^-1, ^k, ^+k, ^0, leading zeros, unknown names,
+# the empty word, and exponents the grammar refuses
+TOKEN_FORMS = [
+    "{n}", "{n}^-1", "{n}^{k}", "{n}^-{k}", "{n}^+{k}", "{n}^0", "{n}^-0", "{n}^+0",
+    "{n}^00{k}", "{n}^-0{k}", "{n}^{big}", "a100", "a1^-1x", "z", "z^2", "^2", "1",
+    "{n}^", "{n}^x", "{n}^--1", "{n}^+-1", "{n}^2^3", "{n}^ 2", "{n}^1.0",
+]
+
+
+def test_parser_matches_the_reference_on_every_token_form(monkeypatch):
+    rng = random.Random(35)
+    checked = {"ok": 0, "error": 0}
+    for cap in (1_000_000, 12, 3):
+        monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", cap)
+        for _ in range(3000):
+            forms = TOKEN_FORMS[:2] if rng.getrandbits(1) else TOKEN_FORMS  # every token found, or not
+            text = " ".join(
+                rng.choice(forms).format(n=rng.choice(PREFIXED.names), k=rng.randint(1, 5),
+                                               big=rng.choice(("1000000", "1" + "0" * 20, "9" * 5000)))
+                for _ in range(rng.randint(0, 6)))
+            got = outcome(cakelab.words._spelled, PREFIXED.tokens, text)
+            assert got == outcome(spelled_reference, PREFIXED, text), text
+            checked[got[0]] += 1
+    assert min(checked.values()) > 1000
+
+
+@pytest.mark.parametrize("token", ["a^1_0", "a^٣", "a^-٣", "a^+1_0", "a^３"])
+def test_an_exponent_is_a_sign_and_ascii_digits(capsys, token):
+    # int() reads a^1_0 as a^10 and a^<Arabic-Indic three> as a^3; the grammar refuses both
+    assert outcome(spelled_reference, ABC, token)[0] == "ok"
+    with pytest.raises(ValueError) as e:
+        parse_word(ABC, f"b {token} c")
+    assert str(e.value) == f"bad exponent in token {token!r}"
+    from cakelab.cli import main
+    assert main(["bits", "--gens", "a b c", "--word", token, "--bits", "1", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: bad exponent in token {token!r}\n")
+
+
+def runs_word(alphabet, rng):
+    """A reduced word of 0-6 runs, each a letter 1-4 times."""
+    codes = []
+    for _ in range(rng.randint(0, 6)):
+        c = rng.randrange(2 * len(alphabet))
+        codes += [c] * rng.randint(1, 4)
+    return from_codes(alphabet, codes)
+
+
+@pytest.mark.parametrize("names", [("a", "a1", "a10"), ("x", "xx", "x_1", "X")])
+def test_text_round_trip_over_prefixed_names(names):
+    alphabet, rng = Alphabet(names), random.Random(len(names))
+    for _ in range(500):
+        w = runs_word(alphabet, rng)
+        assert parse_word(alphabet, str(w)) == w, str(w)
+    assert [str(from_codes(alphabet, (c,))) for c in range(2 * len(names))] == list(alphabet.spellings)
+    assert {t: c for c, t in enumerate(alphabet.spellings)} == alphabet.tokens
+
+
+def test_history_steps_spell_letters_as_one_letter_words():
+    from cakelab.presentations import format_history, parse_history, shorten_all
+    alphabet, rng = Alphabet(("a", "a1", "a10")), random.Random(36)
+    for _ in range(40):
+        relators = {}
+        while len(relators) < 2:
+            r = runs_word(alphabet, rng)
+            if len(r) > 3 and r.is_cyclically_reduced:
+                relators[r] = None
+        h = shorten_all(Presentation(alphabet, tuple(relators)))
+        text = format_history(h)
+        end = h.end.alphabet
+        steps = [line for line in text.splitlines() if line.startswith("step:")]
+        assert steps == [f"step: {st.new_gen} = {from_codes(end, st.defined_as[:1])}"
+                         f" {from_codes(end, st.defined_as[1:])} @ {st.replaced_relator_index}"
+                         for st in h.steps]
+        assert parse_history(text) == h
+
+
+def test_power_repeats_codes_and_reduces_only_at_the_seams():
+    rng = random.Random(37)
+    plain = 0
+    for _ in range(2000):
+        core = random_reduced_word(ABC, rng.randint(0, 6), rng)
+        conj = random_reduced_word(ABC, rng.randint(0, 3), rng)
+        w = conj * core * conj.inverse()  # cyclically reduced or not
+        plain += w.is_cyclically_reduced
+        for k in range(-3, 4):
+            base = w if k >= 0 else w.inverse()
+            assert w ** k == from_codes(ABC, base.codes * abs(k)), (str(w), k)
+    assert 200 < plain < 1800
