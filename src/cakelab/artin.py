@@ -305,24 +305,23 @@ class SplitPlatform:
         return artin_from_graph(self.tree.graph)
 
     @cached_property
-    def _listed(self) -> tuple[dict, dict]:
-        """Both sides' moves and endomorphisms, built in one step: (moves,
-        endomorphisms) by the side's vertices, and each move's endomorphism."""
-        by_side, by_move = {}, {}
+    def _listed(self) -> dict[str, tuple]:
+        """Both sides' (moves, endomorphisms), built in one step, by side letter."""
+        listed = {}
         for which in ("A", "B"):
             moves = enumerate_side_moves(self, which)
-            endos = tuple([_move_endo(self, m) for m in moves])
-            by_side[self.side(which)] = moves, endos
-            by_move.update(zip(moves, endos))
-        return by_side, by_move
+            listed[which] = moves, tuple([_move_endo(self, m) for m in moves])
+        return listed
 
     def moves(self, which: str) -> tuple[ElementaryMove, ...]:
         """The side's elementary moves."""
-        return self._listed[0][self.side(which)][0]
+        self.side(which)  # refuses a letter other than A or B
+        return self._listed[which][0]
 
     def move_endos(self, which: str) -> tuple[GroupEndomorphism, ...]:
         """The endomorphisms of ``moves(which)``, in the same order."""
-        return self._listed[0][self.side(which)][1]
+        self.side(which)
+        return self._listed[which][1]
 
 
 def split_at_root(t: RootedTree) -> SplitPlatform:
@@ -496,10 +495,10 @@ def _move_endo(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphi
 def move_endomorphism(platform: SplitPlatform, move: ElementaryMove) -> GroupEndomorphism:
     """The endomorphism a side of the platform lists for the move; a move no
     side lists (out of range, across the root, against the rule) is refused."""
-    endo = platform._listed[1].get(move)
-    if endo is None:
-        raise ValueError(f"{move.kind} {move.a} {move.b} is not an elementary move of either side")
-    return endo
+    for moves, endos in platform._listed.values():
+        if move in moves:
+            return endos[moves.index(move)]
+    raise ValueError(f"{move.kind} {move.a} {move.b} is not an elementary move of either side")
 
 
 def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorphism:
@@ -511,13 +510,12 @@ def random_endo(platform: SplitPlatform, side: str, seed: int) -> GroupEndomorph
         warnings.warn(f"side {side} has no legal elementary moves; returning identity")
         return identity_endo(platform.alphabet)
     bits = Random(seed).getrandbits
-    side_set = frozenset(platform.side(side))
     for _ in range(64):
         k = 1 + _below(bits, 3)
         endo = endos[_below(bits, len(endos))]
         for _ in range(k - 1):
             endo = compose(endos[_below(bits, len(endos))], endo)
-        if endo.moved & side_set:
+        if endo.moved:  # listed moves and their composites move only the side's generators
             return endo
     return endos[0]  # single moves never fix the whole side
 

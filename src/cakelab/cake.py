@@ -18,6 +18,7 @@ from functools import cache
 from random import Random
 from typing import Callable, Optional
 
+from . import words
 from .artin import (
     GroupEndomorphism,
     SplitPlatform,
@@ -255,7 +256,7 @@ def bitstream_encode(u: Word, bits, p: Presentation, seed: int,
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     if budget is None:
-        budget = DisguiseBudget(moves=3, max_conjugator_len=2, max_word_len=max(64, 4 * len(u)))
+        budget = DisguiseBudget(3, 2, min(max(64, 4 * len(u)), words.MAX_WORD_LETTERS))
     if p.relators and 0 in bits:
         warnings.warn("0-bit words are only best-effort distinct once relators exist")
     disguised = p.relators and budget.moves > 0
@@ -330,12 +331,14 @@ def format_transcript(alphabet: Alphabet, transcript: Transcript,
 
 
 def parse_transcript(text: str):
-    """Returns (alphabet, Transcript, key_a_hex, key_b_hex).  The messages are
-    capped at ``MAX_WORD_LETTERS`` letters in total.  A key line is optional;
-    one that is present must hold 32 bytes of hex, returned in lower case."""
+    """Returns (alphabet, Transcript, key_a_hex, key_b_hex).  The k-th message line reads
+    ``msg k``, and the messages are capped at ``MAX_WORD_LETTERS`` letters in total.  A key
+    line is optional; one that is present must hold 32 bytes of hex, returned in lower case."""
     rec, messages = Records(text), []
 
-    def msg(rest: str, _n: str, sender: str) -> None:
+    def msg(rest: str, n: str, sender: str) -> None:
+        if n != str(len(messages) + 1):
+            raise ValueError(f"message {n!r} where {len(messages) + 1} was expected")
         messages.append((sender, rec.word(rest, "messages")))
 
     rec.read({"gens": None, "config": None, "msg n sender": msg, "key-a": None, "key-b": None})

@@ -171,11 +171,12 @@ def _cmd_bits(args) -> int:
     if any(c not in "01" for c in args.bits) or not args.bits:
         raise ValueError("bits must be a non-empty string of 0s and 1s")
     bits = [int(c) for c in args.bits]
-    oracle = equality_dehn(p) if args.strategy == "dehn" else equality_oracle(p, args.depth)
+    dehn, search = equality_dehn(p), equality_oracle(p, args.depth)  # a negative depth is refused here
     sent = bitstream_encode(u, bits, p, args.seed)
     for i, w in enumerate(sent, 1):
         print(f"sent {i}: {w}")
-    decoded = bitstream_decode(u, sent, oracle)
+    # Dehn decides every word on C'(1/6); the search takes only the words Dehn cannot tell
+    decoded = bitstream_decode(u, sent, lambda a, b: search(a, b) if (v := dehn(a, b)) is None else v)
     print("decoded: " + "".join("?" if b is None else str(b) for b in decoded))
     if decoded != bits:
         print("bits: mismatch", file=sys.stderr)
@@ -250,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--word", required=True)
     b.add_argument("--bits", required=True)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--strategy", choices=("dehn", "oracle"), default="dehn")
     b.add_argument("--depth", type=int, default=3)
     b.set_defaults(func=_cmd_bits)
 

@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from random import Random
 
+from . import words
 from .presentations import Presentation, symmetrize
 from .smallcancel import WspWitness
 from .words import Records, Word, _word, concat, fields, random_reduced_word, splice
@@ -43,6 +44,8 @@ class DisguiseBudget:
     def __post_init__(self):
         if self.moves < 0 or self.max_conjugator_len < 0 or self.max_word_len < 0:
             raise ValueError("budget fields must be non-negative")
+        if max(self.max_conjugator_len, self.max_word_len) > words.MAX_WORD_LETTERS:
+            raise ValueError(f"budget lengths must be at most {words.MAX_WORD_LETTERS} letters")
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,6 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({' '.join(self.names)!r})"
 
-    def letter(self, name: str, sign: int = 1) -> "Word":
-        """One-letter word. ``sign`` must be +1 or -1."""
-        if name not in self:
-            raise ValueError(f"unknown generator {name!r}")
-        return Word(self, ((self.tokens[name] >> 1, sign),))
-
     def word(self, text: str) -> "Word":
         """Parse ``text`` in the word grammar; see :func:`parse_word`."""
         return parse_word(self, text)
@@ -289,8 +283,8 @@ def concat(a: Word, b: Word) -> Word:
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the word grammar: whitespace-separated ``name`` or ``name^k`` tokens.
 
-    ``k`` is an optional sign and ASCII digits, not zero; ``name^-2`` means
-    two inverse letters.  The token ``1`` denotes the empty word.  A token
+    ``k`` is an optional sign and ASCII digits, not zero, read by its
+    significant digits; ``name^-2`` means two inverse letters.  The token ``1`` denotes the empty word.  A token
     the spelling table (``Alphabet.tokens``) misses is parsed; unknown names
     and other exponents are errors.  The sequence is freely reduced, so any
     spelling of a word is accepted and normalised.  A spelling of more than
@@ -316,18 +310,19 @@ def _spelled(tokens: dict[str, int], text: str) -> list[int]:
             name, caret, power = token.partition("^")
             if caret:
                 digits = power[1:] if power[:1] in ("+", "-") else power
-                try:  # int() alone also reads "_" and other scripts' digits
-                    k = int(power if digits.isascii() and digits.isdigit() else "?")
-                except ValueError:
-                    raise ValueError(f"bad exponent in token {token!r}") from None
+                if not (digits.isascii() and digits.isdigit()):  # int() also reads "_" and other scripts' digits
+                    raise ValueError(f"bad exponent in token {token!r}")
+                # more digits than the cap's are more letters, and int() reads no more than 4,300
+                digits = digits.lstrip("0")
+                k = int(digits or "0") if len(digits) <= len(str(MAX_WORD_LETTERS)) else MAX_WORD_LETTERS + 1
                 if k == 0:
                     raise ValueError(f"zero exponent in token {token!r}")
             if name not in tokens:
                 raise ValueError(f"unknown generator {name!r}")
-            code = tokens[name] + (k < 0)
-        if len(codes) + abs(k) > MAX_WORD_LETTERS:
+            code = tokens[name] + (power[:1] == "-")
+        if len(codes) + k > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
-        codes.extend([code] * abs(k))
+        codes.extend([code] * k)
     return codes
 
 

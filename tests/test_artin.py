@@ -349,16 +349,16 @@ def test_merge_endomorphism_identifies_leaves():
     plat = split_at_root(small_tree())
     e = move_endomorphism(plat, ElementaryMove("merge", 3, 4))
     a = plat.presentation.alphabet
-    assert apply_endo(a.letter("p"), e) == a.letter("q")
-    assert apply_endo(a.letter("q"), e) == a.letter("q")
+    assert apply_endo(a.word("p"), e) == a.word("q")
+    assert apply_endo(a.word("q"), e) == a.word("q")
 
 
 def test_swap_endomorphism_exchanges_subtrees():
     plat = split_at_root(small_tree())
     e = move_endomorphism(plat, ElementaryMove("swap", 3, 4))
     a = plat.presentation.alphabet
-    assert apply_endo(a.letter("p"), e) == a.letter("q")
-    assert apply_endo(a.letter("q"), e) == a.letter("p")
+    assert apply_endo(a.word("p"), e) == a.word("q")
+    assert apply_endo(a.word("q"), e) == a.word("p")
     # involution
     assert compose(e, e) == identity_endo(a)
 
@@ -425,8 +425,8 @@ def test_deeper_swap_pairs_whole_subtrees():
     assert [(m.a, m.b) for m in swaps] == [(3, 4)]
     e = move_endomorphism(plat, swaps[0])
     a = plat.presentation.alphabet
-    assert apply_endo(a.letter("s1"), e) == a.letter("s2")
-    assert apply_endo(a.letter("l1"), e) == a.letter("l2")
+    assert apply_endo(a.word("s1"), e) == a.word("s2")
+    assert apply_endo(a.word("l1"), e) == a.word("l2")
     # merges of non-leaf vertices are not offered
     assert all(m.kind == "swap" or {m.a, m.b} != {3, 4} for m in moves)
 
@@ -616,8 +616,9 @@ def test_platform_lists_each_sides_moves_once(monkeypatch):
     assert plat.moves("A") == enumerate_side_moves(plat, "A")
     assert plat.moves("B") == ()
     assert calls == ["A", "B"]
-    with pytest.raises(ValueError):
-        plat.moves("C")
+    for read in (plat.moves, plat.move_endos):
+        with pytest.raises(ValueError, match="^side must be 'A' or 'B', not 'C'$"):
+            read("C")
 
 
 def test_platform_builds_each_sides_endomorphisms_once(monkeypatch):
@@ -735,7 +736,7 @@ def test_same_side_composition_stays_on_side():
     for m in moves[1:]:
         e = compose(move_endomorphism(plat, m), e)
     for v in (0, 2):  # root and side B never move
-        assert apply_endo(a.letter(a.names[v]), e) == a.letter(a.names[v])
+        assert apply_endo(a.word(a.names[v]), e) == a.word(a.names[v])
 
 
 def test_random_endo_deterministic_and_nontrivial():

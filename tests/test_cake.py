@@ -356,6 +356,15 @@ def test_parse_transcript_caps_letters_in_total(monkeypatch):
         parse_transcript(head + "msg 2 bob: a^2 b\n")
 
 
+@pytest.mark.parametrize("n", ["3", "x", "02", "1"])
+def test_parse_transcript_numbers_its_messages_in_order(n):
+    # the k-th message line reads "msg k"; a renumbered or non-numeric one is refused
+    head = "gens: a b\nconfig: 00\nmsg 1 alice: a^2 b\n"
+    assert [s for s, _ in parse_transcript(head + "msg 2 bob: a\n")[1].messages] == ["alice", "bob"]
+    with pytest.raises(ValueError, match=f"^line 4: message '{n}' where 2 was expected$"):
+        parse_transcript(head + f"msg {n} bob: a\n")
+
+
 def test_parse_transcript_names_the_config_line():
     # the config body is read as hex after the file, so its error names the record
     with pytest.raises(ValueError, match=r"^config line: non-hexadecimal"):
@@ -463,6 +472,17 @@ def test_bitstream_warns_once_when_one_bits_go_undisguised():
         warnings.simplefilter("error")
         bitstream_encode(u, [0, 0], Presentation(x, ()), seed=5)  # no 1-bit, no warning
         bitstream_encode(u, [1], p, seed=5)  # disguised
+
+
+def test_bitstream_default_budget_stays_under_the_letter_cap(monkeypatch):
+    # the default word cap is 4|u| letters, at least 64 and at most
+    # MAX_WORD_LETTERS, which a budget may not pass
+    x = Alphabet(("x1", "x2", "x3"))
+    p = Presentation(x, (parse_word(x, "x1^2 x2 x3^2 x2^-1"),))
+    u = random_reduced_word(x, 30, random.Random(3))
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 80)
+    sent = bitstream_encode(u, [1] * 8, p, seed=5)
+    assert all(w != u and len(w) <= 80 for w in sent)
 
 
 def test_bitstream_oracle_strategy_reports_unknowns():

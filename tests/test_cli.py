@@ -463,7 +463,7 @@ def test_bits_with_presentation_and_dehn(capsys, tmp_path):
     f = tmp_path / "surf.txt"
     f.write_text(SURFACE_TEXT)
     args = ["bits", "--presentation", str(f), "--word", "a c", "--bits", "101",
-            "--seed", "3", "--strategy", "dehn"]
+            "--seed", "3"]
     code, out, _ = run(capsys, args)
     assert code == 0
     assert "decoded: 101" in out.splitlines()
@@ -472,7 +472,7 @@ def test_bits_with_presentation_and_dehn(capsys, tmp_path):
 @pytest.mark.filterwarnings("ignore:0-bit words")
 def test_bits_oracle_decodes_ones_and_leaves_zeros_unknown(capsys, ex_file):
     args = ["bits", "--presentation", ex_file, "--word", "x2 x3", "--bits", "1001",
-            "--seed", "16", "--strategy", "oracle", "--depth", "3"]
+            "--seed", "16", "--depth", "3"]
     code, out, err = run(capsys, args)
     assert code == 1
     assert out == (
@@ -486,27 +486,27 @@ def test_bits_oracle_decodes_ones_and_leaves_zeros_unknown(capsys, ex_file):
 
 
 def test_bits_refuses_a_negative_depth_before_sending(capsys, ex_file):
-    args = ["bits", "--presentation", ex_file, "--word", "x1 x2^-1", "--bits", "10",
-            "--seed", "7", "--strategy", "oracle", "--depth", "-1"]
-    code, out, err = run(capsys, args)
-    assert (code, out) == (2, "")
-    assert err == "error: depth and max_len must be non-negative, node_budget at least 1\n"
+    # refused on every presentation, also where Dehn decides every bit
+    for source in (["--presentation", ex_file], ["--gens", "x1 x2 x3"]):
+        args = ["bits", *source, "--word", "x1 x2^-1", "--bits", "10", "--seed", "7", "--depth", "-1"]
+        code, out, err = run(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == "error: depth and max_len must be non-negative, node_budget at least 1\n"
 
 
-def test_bits_refuses_the_free_strategy_once_relators_exist(capsys, ex_file, tmp_path):
-    # literal inequality proves "different" only in a free group, where Dehn
-    # decides the same, so free is no longer a strategy: it is a usage error
+def test_bits_refuses_every_strategy_option(capsys, ex_file, tmp_path):
+    # bits has one decoding order, so any --strategy is a usage error
     args = ["bits", "--presentation", ex_file, "--word", "x1 x2^-1", "--bits", "101",
             "--seed", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main([*args, "--strategy", "free"])
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
-    assert "invalid choice: 'free'" in err and "Traceback" not in err
-    # with no --strategy, Dehn decodes the disguised 1-bits that free read as 0
-    dehn = run(capsys, [*args, "--strategy", "dehn"])
-    assert dehn[0] == 1 and "decoded: 1?1\n" in dehn[1]
-    assert run(capsys, args) == dehn
+    for strategy in ("free", "dehn", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--strategy", strategy])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"unrecognized arguments: --strategy {strategy}" in err and "Traceback" not in err
+    # Dehn decodes the disguised 1-bits, and the search leaves the 0-bit unknown
+    code, out, _ = run(capsys, args)
+    assert code == 1 and "decoded: 1?1\n" in out
     # a file with no relators decodes as --gens does, and warns that the
     # 1-bits go undisguised
     gens_only = tmp_path / "gens.txt"
@@ -515,6 +515,48 @@ def test_bits_refuses_the_free_strategy_once_relators_exist(capsys, ex_file, tmp
     code, out, err = run(capsys, ["bits", "--presentation", str(gens_only), *args])
     assert (code, err) == (0, UNDISGUISED) and out.endswith("decoded: 1011001\nbits: ok\n")
     assert run(capsys, ["bits", "--gens", "g1 g2", *args]) == (code, out, err)
+
+
+@pytest.mark.filterwarnings("ignore:0-bit words")
+def test_bits_decodes_with_dehn_then_the_search_where_dehn_cannot_tell(capsys, tmp_path, monkeypatch):
+    # each received word goes to Dehn first, and to the search only when Dehn answers unknown
+    calls = []
+
+    def logged(name, make):
+        def build(*args):
+            decide = make(*args)
+
+            def eq(a, b):
+                calls.append((name, decide(a, b)))
+                return calls[-1][1]
+            return eq
+        return build
+
+    monkeypatch.setattr(cli, "equality_dehn", logged("dehn", cli.equality_dehn))
+    monkeypatch.setattr(cli, "equality_oracle", logged("search", cli.equality_oracle))
+    # a 0-bit over the genus-2 surface, C'(1/6): Dehn proves it different,
+    # where the search, which never answers False, could not tell
+    surface = tmp_path / "surface.txt"
+    surface.write_text(SURFACE_TEXT)
+    code, out, _ = run(capsys, ["bits", "--presentation", str(surface), "--word", "a c",
+                                "--bits", "0", "--seed", "1", "--depth", "4"])
+    assert (code, out.splitlines()[1:], calls) == (0, ["decoded: 0", "bits: ok"], [("dehn", False)])
+    p = parse_presentation(SURFACE_TEXT)
+    sent = parse_word(p.alphabet, out.splitlines()[0].split(": ", 1)[1])
+    assert cli.equality_oracle(p, 4)(sent, parse_word(p.alphabet, "a c")) is None
+    # over <a, b | [a, b]>, not C'(1/6), Dehn leaves [a^2, b^2] as it is, and
+    # the search proves it trivial at depth 4 but not at depth 3
+    zsq = tmp_path / "zsq.txt"
+    zsq.write_text("gens: a b\nrel: a b a^-1 b^-1\n")
+    monkeypatch.setattr(cli, "bitstream_encode",
+                        lambda u, bits, p, seed: [parse_word(p.alphabet, "a^2 b^2 a^-2 b^-2") * u])
+    for depth, decoded in (("4", "1"), ("3", "?")):
+        calls.clear()
+        code, out, _ = run(capsys, ["bits", "--presentation", str(zsq), "--word", "a", "--bits", "1",
+                                    "--seed", "1", "--depth", depth])
+        assert out.startswith("sent 1: a^2 b^2 a^-2 b^-2 a\n")
+        assert (code, f"decoded: {decoded}\n" in out) == (0 if decoded == "1" else 1, True)
+        assert calls == [("dehn", None), ("search", True if decoded == "1" else None)]
 
 
 def test_bits_requires_exactly_one_alphabet_source(capsys, ex_file):
@@ -637,6 +679,21 @@ def test_oversized_words_are_input_errors(tmp_path, argv, message):
     assert not path.exists()
 
 
+def test_disguise_refuses_a_budget_past_the_letter_cap(ex_file):
+    # 3,000 moves under a 10^9-letter word cap printed nothing in 15 s;
+    # each budget is refused before the first move
+    import subprocess
+    import sys
+
+    for budget in (["--moves", "3000", "--max-len", "1000000000", "--max-conj", "200000"],
+                   ["--moves", "3", "--max-conj", "100000000"]):
+        proc = subprocess.run([sys.executable, "-m", "cakelab", "disguise", "--presentation", ex_file,
+                               "--word", "x1", "--seed", "1", *budget],
+                              env=CHILD_ENV, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: budget lengths must be at most 1000000 letters\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--levels", "3", "--max-degree", "4", "--seed", "11", "--out-tree", "{missing}"],
     ["tietze", "--presentation", "{ex}", "--out", "{missing}"],
@@ -659,8 +716,7 @@ def test_input_errors_leave_stdout_empty(capsys, ex_file, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, stdout, warning", [
-    (["bits", "--presentation", "{surface}", "--word", "a c", "--bits", "00", "--seed", "1",
-      "--strategy", "dehn"],
+    (["bits", "--presentation", "{surface}", "--word", "a c", "--bits", "00", "--seed", "1"],
      "sent 1: a c b\nsent 2: a c^2\ndecoded: 00\nbits: ok\n",
      "0-bit words are only best-effort distinct once relators exist"),
     (["disguise", "--presentation", "{gens_only}", "--word", "a b", "--moves", "3", "--seed", "1"],
@@ -742,11 +798,10 @@ GOLDEN = {
                    "9c752c1b75e0a31ee995f1a32698044e65823441f7f202e82f4adeef26eb0ce3"),
     "bits-gens": ("bits --gens 'g1 g2 g3' --word 'g1 g2^-1 g3' --bits 1011001 --seed 7",
                  "be5d241f009d32467b56459215f0cb499e172fef803741e42321f8986ae80c4a"),
-    "bits-dehn": ("bits --presentation {surface} --word 'a c' --bits 1011 --seed 3"
-                  " --strategy dehn",
+    "bits-dehn": ("bits --presentation {surface} --word 'a c' --bits 1011 --seed 3",
                   "f6a265e9d05a1336fe6eae3ceccded0ee0b091e6368b751971e89bbe0914badc"),
     "bits-oracle": ("bits --presentation {ex} --word 'x2 x3' --bits 1001 --seed 16"
-                    " --strategy oracle --depth 3",
+                    " --depth 3",
                     "4ee07f01d57377fc5000831bd89fb35f59d5f4ddc63eba7e12cc4a07c428b530"),
 }
 

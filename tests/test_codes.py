@@ -159,7 +159,7 @@ def test_oracle_matches_letter_search_on_the_decode_stream():
 
 @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 4)])
 def test_oracle_matches_letter_search_on_l3_commutators(pair):
-    a, b = (L3.alphabet.letter(L3.alphabet.names[g]) for g in pair)
+    a, b = (L3.alphabet.word(L3.alphabet.names[g]) for g in pair)
     assert same_answer(a * b * ~a * ~b, L3, 3, 2_000) is None
 
 
@@ -255,7 +255,7 @@ def test_a_full_l3_search_stays_far_below_the_bound(monkeypatch):
     assert 8 * 2_000_000 <= smallcancel.MAX_SEARCH_LETTERS
     count = count_moves(monkeypatch)
     monkeypatch.setattr(smallcancel, "MAX_SEARCH_LETTERS", 2_000_000)
-    a, b = L3.alphabet.letter("a1"), L3.alphabet.letter("a2")
+    a, b = L3.alphabet.word("a1"), L3.alphabet.word("a2")
     assert bounded_wp_oracle(a * b * ~a * ~b, L3, 3) is None
     assert count[0] == 50_000
 

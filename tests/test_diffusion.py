@@ -318,6 +318,20 @@ def test_disguise_respects_word_cap():
             assert len(mv.post_word) <= 24
 
 
+def test_budget_lengths_stay_under_the_letter_cap(monkeypatch):
+    # a conjugator or word cap above MAX_WORD_LETTERS would let disguise build
+    # what no parser accepts: a 400,000-letter conjugator cap reached 1.4 GB
+    cap = cakelab.words.MAX_WORD_LETTERS
+    assert DisguiseBudget(3, cap, cap).max_word_len == cap
+    for conj, length in ((400_000, 10**9), (cap + 1, 256), (2, cap + 1)):
+        with pytest.raises(ValueError, match=f"^budget lengths must be at most {cap} letters$"):
+            DisguiseBudget(40, conj, length)
+    monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 24)  # read when the budget is made
+    assert DisguiseBudget(5, 2, 24).max_word_len == 24
+    with pytest.raises(ValueError, match="^budget lengths must be at most 24 letters$"):
+        DisguiseBudget(5, 2, 25)
+
+
 def test_disguise_of_empty_word():
     v, log = disguise(Word(X, ()), EX, DisguiseBudget(2), seed=3)
     assert len(v) > 0

@@ -293,14 +293,19 @@ UNREAD_EXPORTS = {
 }
 
 
+def outside_the_tests():
+    """(file name, tree) for the package, the demos and the bench."""
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        yield path.name, ast.parse(path.read_text(), str(path))
+
+
 def test_every_export_is_read_outside_the_tests():
     # a name's own def or class line and its __all__ entry are no reads, and
     # neither is an import: a re-export in __init__ reads nothing
     read = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
-        tree = ast.parse(path.read_text(), str(path))
+    for name, tree in outside_the_tests():
         read.update(loaded_names(tree))
-        if path.name == "tracing.py":  # WRAPPED names the functions it wraps, per layer
+        if name == "tracing.py":  # WRAPPED names the functions it wraps, per layer
             read.update(key.value for layer in assigned(tree, "WRAPPED").values for key in layer.keys)
     unread = [
         f"{module}.{name}"
@@ -309,3 +314,31 @@ def test_every_export_is_read_outside_the_tests():
         if name not in read
     ]
     assert sorted(name.split(".")[1] for name in unread) == sorted(UNREAD_EXPORTS), unread
+
+
+def public_members(tree):
+    """(class, name) for every public method and declared field of the
+    module's classes."""
+    for cls in tree.body:
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                yield cls.name, name
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # a member is read as an attribute of that name, anywhere outside the tests
+    read = {node.attr for _, tree in outside_the_tests() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{module}.{cls}.{name}"
+        for module, tree in modules().items()
+        for cls, name in public_members(tree)
+        if name not in read
+    ]
+    assert unread == []

@@ -901,7 +901,7 @@ def oracle_corpus(p, rng, n):
         elif i % 3 == 1:
             yield False, random_reduced_word(p.alphabet, rng.randint(1, 10), rng)
         else:
-            letter = p.alphabet.letter(rng.choice(p.alphabet.names), rng.choice((1, -1)))
+            letter = p.alphabet.word(rng.choice(p.alphabet.names) + rng.choice(("", "^-1")))
             yield False, conjugate() * letter
 
 
@@ -967,8 +967,8 @@ def test_abelian_exit_never_prunes_relator_products(p, data):
         r = data.draw(st.sampled_from(p.relators))
         c = Word(p.alphabet, ())
         for _ in range(data.draw(st.integers(0, 4))):
-            c = c * p.alphabet.letter(data.draw(st.sampled_from(p.alphabet.names)),
-                                      data.draw(st.sampled_from((1, -1))))
+            c = c * p.alphabet.word(data.draw(st.sampled_from(p.alphabet.names))
+                                    + data.draw(st.sampled_from(("", "^-1"))))
         w = w * c * (r ** data.draw(st.sampled_from((1, -1)))) * ~c
     assert symmetrize(p).abelian_trivial(w)
     assert symmetrize(p).abelian_trivial(~w)
