@@ -36,7 +36,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Records, Word, _draw_letter, _word, random_reduced_word
+from .words import Alphabet, Records, Word, _draw_letter, _word, random_reduced_word, splice
 
 __all__ = [
     "ProtocolSetupError",
@@ -300,16 +300,20 @@ def equality_dehn(p: Presentation) -> Callable:
 
 
 def equality_oracle(p: Presentation, depth: int) -> Callable:
-    """Bounded search; answers True or None (never a definite False beyond
-    free equality).  A negative depth is refused before any word is sent, by
-    the search's own argument check, run once on the empty word."""
+    """Bounded search on the quotient a b^-1; answers True or None, never
+    False.  The quotient's codes are one splice of a's codes and b's inverted
+    codes.  A negative depth is refused before any word is sent, by the
+    search's own argument check, run once on the empty word."""
     bounded_wp_oracle(_word(p.alphabet, ()), p, depth)
 
     def eq(a: Word, b: Word):
-        x = a * b.inverse()
+        if a.alphabet != b.alphabet:
+            raise ValueError("alphabet mismatch")
+        n = len(a.codes)
+        x = splice(a.codes, n, tuple([c ^ 1 for c in reversed(b.codes)]), n)
         if not x:
             return True
-        return True if bounded_wp_oracle(x, p, depth) is not None else None
+        return True if bounded_wp_oracle(_word(a.alphabet, x), p, depth) is not None else None
 
     return eq
 

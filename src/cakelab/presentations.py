@@ -16,7 +16,6 @@ relator-prefix scan.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -299,9 +298,15 @@ class SymmetrizedSet:
 
 
 def _exponent_sums(w: Word) -> list[int]:
-    """The image of w in the abelianization Z^n: one exponent sum per generator."""
-    n = Counter(w.codes)
-    return [n[2 * g] - n[2 * g + 1] for g in range(len(w.alphabet))]
+    """The image of w in the abelianization Z^n: one exponent sum per generator,
+    filled in one pass over the codes (code 2g is generator g, 2g + 1 its inverse)."""
+    v = [0] * len(w.alphabet)
+    for c in w.codes:
+        if c & 1:
+            v[c >> 1] -= 1
+        else:
+            v[c >> 1] += 1
+    return v
 
 
 def symmetrize(p: Presentation) -> SymmetrizedSet:

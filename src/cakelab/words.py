@@ -98,9 +98,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return self.tokens.get(name, 1) & 1 == 0  # a name spells a generator, of even code
-
     def __repr__(self) -> str:
         return f"Alphabet({' '.join(self.names)!r})"
 

@@ -3,16 +3,17 @@ and oracle against their Letter-tuple forms, the Letter boundary, the
 oracle's letter bound, and a guard that the hot paths build no Letter."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cakelab import smallcancel
+from cakelab import cake, smallcancel
 from cakelab.artin import artin_from_graph, braid_presentation, random_tree
-from cakelab.cake import bitstream_encode, run_exchange
+from cakelab.cake import bitstream_encode, equality_oracle, run_exchange
 from cakelab.diffusion import DisguiseBudget, disguise, format_move_log, parse_move_log
-from cakelab.presentations import Presentation, SymmetrizedSet, symmetrize
+from cakelab.presentations import Presentation, SymmetrizedSet, _exponent_sums, symmetrize
 from cakelab.smallcancel import WspWitness, bounded_wp_oracle, dehn_reduce, format_witness
 from cakelab.words import Alphabet, Letter, Word, parse_word, random_reduced_word
 
@@ -21,6 +22,7 @@ EX = Presentation(X, (parse_word(X, "x1^2 x2 x3^2 x2^-1"), parse_word(X, "x2^2 x
 SURF = Alphabet(("a", "b", "c", "d"))
 GENUS2 = Presentation(SURF, (parse_word(SURF, "a b a^-1 b^-1 c d c^-1 d^-1"),))
 L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
+L4 = artin_from_graph(random_tree(4, 4, 7, seed=11).graph)
 L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 U = parse_word(X, "x1 x2^-1")
 
@@ -258,6 +260,127 @@ def test_a_full_l3_search_stays_far_below_the_bound(monkeypatch):
     a, b = L3.alphabet.word("a1"), L3.alphabet.word("a2")
     assert bounded_wp_oracle(a * b * ~a * ~b, L3, 3) is None
     assert count[0] == 50_000
+
+
+# -- the abelian exit and the oracle's quotient --------------------------------
+
+def counter_exponent_sums(w):
+    """The exponent sums as a Counter of the codes read per generator."""
+    n = Counter(w.codes)
+    return [n[2 * g] - n[2 * g + 1] for g in range(len(w.alphabet))]
+
+
+def counter_abelian_rows(p):
+    """``abelian_rows``' echelon basis, over the Counter exponent sums."""
+    pivots = {}
+    for r in p.relators:
+        v = counter_exponent_sums(r)
+        for col in range(len(v)):
+            if v[col] and col not in pivots:
+                pivots[col] = v
+                break
+            while v[col]:
+                q = pivots[col][col] // v[col]
+                pivots[col], v = v, [a - q * b for a, b in zip(pivots[col], v)]
+    return sorted(pivots.items())
+
+
+def counter_abelian_trivial(rows, w):
+    """``abelian_trivial``'s reduction by ``rows``, over the Counter exponent sums."""
+    v = counter_exponent_sums(w)
+    for col, row in rows:
+        q = v[col] // row[col]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("n", [1, 3, 31, 2000])
+def test_exponent_sums_match_the_counter(n):
+    alphabet = Alphabet(tuple(f"g{i}" for i in range(n)))
+    rng = random.Random(n)
+    words = [Word(alphabet, ())] + [random_reduced_word(alphabet, rng.randint(1, 3 * n + 20), rng)
+                                    for _ in range(40)]
+    for w in words:
+        assert _exponent_sums(w) == counter_exponent_sums(w), w
+    assert _exponent_sums(words[0]) == [0] * n
+
+
+def two_generator_presentations(rng, n):
+    AB = Alphabet(("a", "b"))
+    for _ in range(n):
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            r = random_reduced_word(AB, rng.randint(1, 8), rng)
+            if r.is_cyclically_reduced and r not in relators:
+                relators.append(r)
+        yield Presentation(AB, tuple(relators))
+
+
+ABELIAN_CASES = {
+    "EX": [EX], "braid4": [braid_presentation(4)], "L3": [L3], "L4": [L4], "L5": [L5],
+    "free": [Presentation(X, ())],
+    "two_generators": list(two_generator_presentations(random.Random(19), 200)),
+}
+
+
+@pytest.mark.parametrize("case", ABELIAN_CASES)
+def test_abelian_trivial_matches_the_counter_reduction(case):
+    rng, answers = random.Random(20), []
+    for p in ABELIAN_CASES[case]:
+        s = symmetrize(p)
+        rows = counter_abelian_rows(p)
+        assert list(s.abelian_rows) == rows
+        words = [Word(p.alphabet, ())]
+        words += [random_reduced_word(p.alphabet, rng.randint(1, 12), rng) for _ in range(6)]
+        if p.relators:
+            words += list(random_quotients(p, rng, 6))
+        got = [s.abelian_trivial(w) for w in words]
+        assert got == [counter_abelian_trivial(rows, w) for w in words], p
+        answers += got
+    # the empty word and relator products pass the exit, and most random words do not
+    assert any(answers) and not all(answers)
+
+
+def product_oracle(p, depth):
+    """The equality oracle on the quotient built as ``a * b.inverse()``."""
+    def eq(a, b):
+        x = a * b.inverse()
+        if not x:
+            return True
+        return True if bounded_wp_oracle(x, p, depth) is not None else None
+
+    return eq
+
+
+@pytest.mark.filterwarnings("ignore:0-bit words")
+def test_equality_oracle_quotient_is_the_product(monkeypatch):
+    searched = []
+    search = cake.bounded_wp_oracle
+
+    def spy(w, p, depth):
+        searched.append(w)
+        return search(w, p, depth)
+
+    monkeypatch.setattr(cake, "bounded_wp_oracle", spy)
+    eq, ref = equality_oracle(EX, 3), product_oracle(EX, 3)
+    rng = random.Random(21)
+    sent = [x * U for _, x in decode_quotients()]
+    sent += [disguise(U, EX, DisguiseBudget(2, 2, 128), rng.getrandbits(32))[0] for _ in range(200)]
+    pairs = [(w, U) for w in sent] + [(U, w) for w in sent[:20]] + [(U, U), (Word(X, ()), Word(X, ()))]
+    decided = 0
+    for a, b in pairs:
+        searched.clear()
+        got = eq(a, b)
+        assert got == ref(a, b), (a, b)
+        quotient = a * b.inverse()
+        assert searched == ([quotient] if quotient else []), (a, b)
+        decided += got is True
+    assert 4 < decided < len(pairs)
+    other = Alphabet(("x1", "x2")).word("x1")
+    for a, b in [(other, U), (U, other)]:
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            eq(a, b)
 
 
 # -- no Letter on the hot paths ------------------------------------------------

@@ -453,8 +453,8 @@ def split_reference(p, idx, name=None):
     if len(r) < 4:
         raise ValueError(f"relator {str(r)!r} too short to split")
     if name is None:
-        name = next(f"t{k}" for k in itertools.count(1) if f"t{k}" not in p.alphabet)
-    if name in p.alphabet:
+        name = next(f"t{k}" for k in itertools.count(1) if f"t{k}" not in p.alphabet.names)
+    if name in p.alphabet.names:
         raise ValueError(f"generator {name!r} already exists")
     bigger = Alphabet(p.alphabet.names + (name,))
     t = 2 * len(p.alphabet.names)

@@ -134,7 +134,6 @@ def test_word_validation_rejects_foreign_letters():
         Word(ABC, (Letter(7, 1),))
     with pytest.raises(ValueError, match="sign must be"):
         Word(ABC, (Letter(0, 2),))
-    assert ("a" in ABC, "a^-1" in ABC, "z" in ABC) == (True, False, False)
     # every letter is checked before the reduction is
     with pytest.raises(ValueError, match="out of range"):
         Word(ABC, (Letter(0, 1), Letter(0, -1), Letter(7, 1)))
