@@ -86,7 +86,7 @@ def _add_relator(alphabet: Alphabet, r: Word, relators: dict) -> None:
 
 
 class _Verdicts(NamedTuple):  # the small-cancellation table of a symmetrized set
-    min_pieces: tuple  # per element of ``ordered``: fewest pieces spelling it, or None
+    min_pieces: tuple  # per element in lex order (not canonical): fewest pieces spelling it, or None
     relator_pieces: tuple  # the same per relator
     piece_count: int  # distinct pieces
     cprime_sup: Optional[Fraction]  # largest piece-prefix length over element length
@@ -102,13 +102,18 @@ class SymmetrizedSet:
     relators, it is closed under rotation and inversion by construction;
     :func:`symmetrize` builds it once per presentation.
 
-    The rotations are sorted once as letter-code tuples; one pass over that
-    order drops repeats and gives the piece lengths, and a stable sort by
-    length gives the canonical order, inverted in one loop.  ``verdicts``,
-    the table every verdict reads, is built from the codes on first use, as
-    are the element Words in ``ordered`` (no verdict or Dehn step reads
-    them), the element set, the pieces, the first-letter index, the inverse
-    elements in ``inverted`` and the relator lattice.
+    It is compiled in two parts.  The constructor works in lex order: the
+    rotations are sorted once as letter-code tuples, and one pass over that
+    order drops repeats and gives each element's longest piece, the piece
+    count and each rotation cycle's lex positions.  ``len`` and ``verdicts``,
+    the table every verdict reads, need nothing more.  The canonical order
+    (``lengths``, ``piece_lengths`` and the codes and cycles re-indexed to
+    it) is a stable sort by length, inverted in one loop, built whole on the
+    first read of any of its arrays: that is, by the first rewrite, never by
+    ``cakelab check``.  The element Words in ``ordered`` (no verdict or Dehn
+    step reads them), the element set, the pieces, the first-letter index,
+    the inverse elements in ``inverted`` and the relator lattice are built
+    on first use as well.
 
     :meth:`matches` is the relator-prefix scan, counted in place and
     capped by the letters left, once per position: Dehn's algorithm,
@@ -120,8 +125,6 @@ class SymmetrizedSet:
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
-    lengths: tuple[int, ...]
-    piece_lengths: tuple[int, ...]
 
     def __init__(self, p: Presentation):
         # each relator r gives at most 2|r| elements of |r| letters
@@ -134,7 +137,7 @@ class SymmetrizedSet:
                 cycles.append(slice(len(flat), len(flat) + n))
                 flat += [twice[k : k + n] for k in range(n)]
         # one sort: equal rotations fall together, and a longest common prefix is with a lex neighbour
-        lex, lens, shared, at = [], [], [], [0] * len(flat)
+        lex, shared, at = [], [], [0] * len(flat)
         prev, n, top = (), 0, -1  # the last lex element, its length and its lex position
         for j in sorted(range(len(flat)), key=flat.__getitem__):
             x = flat[j]
@@ -145,25 +148,58 @@ class SymmetrizedSet:
                 shared.append(m)
                 lex.append(x)
                 prev, n, top = x, len(x), top + 1
-                lens.append(n)
             at[j] = top
         shared.append(0)
-        # a stable sort by length keeps lex order within a length: (length, codes)
-        order, rank = sorted(range(len(lex)), key=lens.__getitem__), [0] * len(lex)
-        for k, i in enumerate(order):
-            rank[i] = k  # the inverse permutation
-        longest = [a if a > b else b for a, b in zip(shared, shared[1:])]  # per lex position
         object.__setattr__(self, "alphabet", p.alphabet)
         object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "piece_lengths", tuple([longest[i] for i in order]))
-        object.__setattr__(self, "_codes", tuple([lex[i] for i in order]))
-        object.__setattr__(self, "lengths", tuple(sorted(lens)))
-        object.__setattr__(self, "_at", [[rank[i] for i in at[c]] for c in cycles])  # elements per cycle
+        object.__setattr__(self, "_lex", lex)
+        object.__setattr__(self, "_lex_pieces", [a if a > b else b for a, b in zip(shared, shared[1:])])
+        object.__setattr__(self, "_lex_at", [at[c] for c in cycles])  # lex positions per cycle
         # pieces are prefixes up to the piece length, less those the lex predecessor shares
         object.__setattr__(self, "_piece_count", sum([b - a for a, b in zip(shared, shared[1:]) if b > a]))
 
     def __len__(self):
-        return len(self._codes)
+        return len(self._lex)
+
+    def _sort_by_length(self) -> None:
+        """Build the canonical order and store its four arrays as plain
+        attributes, so that later reads skip the properties below.  A stable
+        sort by length keeps lex order within a length: (length, codes)."""
+        lex, longest = self._lex, self._lex_pieces
+        lens = [len(x) for x in lex]
+        order, rank = sorted(range(len(lex)), key=lens.__getitem__), [0] * len(lex)
+        for k, i in enumerate(order):
+            rank[i] = k  # the inverse permutation
+        self.__dict__.update(
+            _codes=tuple([lex[i] for i in order]),
+            lengths=tuple(sorted(lens)),
+            piece_lengths=tuple([longest[i] for i in order]),
+            _at=[[rank[i] for i in a] for a in self._lex_at],  # elements per cycle
+        )
+
+    @cached_property
+    def _codes(self) -> tuple:
+        """The elements' code tuples in canonical order."""
+        self._sort_by_length()
+        return self._codes
+
+    @cached_property
+    def lengths(self) -> tuple:
+        """Each element's length, in canonical order."""
+        self._sort_by_length()
+        return self.lengths
+
+    @cached_property
+    def piece_lengths(self) -> tuple:
+        """Each element's longest piece prefix length, in canonical order."""
+        self._sort_by_length()
+        return self.piece_lengths
+
+    @cached_property
+    def _at(self) -> list:
+        """Per rotation cycle, its elements' canonical indices."""
+        self._sort_by_length()
+        return self._at
 
     @cached_property
     def ordered(self) -> tuple:
@@ -179,7 +215,9 @@ class SymmetrizedSet:
 
     @cached_property
     def verdicts(self) -> _Verdicts:
-        """The small-cancellation table, compiled from the codes.
+        """The small-cancellation table, compiled from the constructor's lex
+        arrays alone, so it never builds the canonical order; ``min_pieces``
+        is per element in lex order.
 
         Pieces are closed under prefixes and, as the set is closed under
         rotation, under non-empty suffixes, so the longest piece at position
@@ -197,10 +235,10 @@ class SymmetrizedSet:
         all three seams cancelling would need an element ending in the
         inverse of its first letter, and every element is cyclically reduced.
         """
-        codes, piece = self._codes, self.piece_lengths
-        fewest: list = [None] * len(codes)
+        cycles, piece = self._lex_at, self._lex_pieces
+        fewest: list = [None] * len(piece)
         top, of = 0, 1  # the largest piece length over element length, by cross-multiplying
-        for at, back in zip(self._at[::2], self._at[1::2]):  # a relator's cycle and its inverse's
+        for at, back in zip(cycles[::2], cycles[1::2]):  # a relator's cycle and its inverse's
             n = len(at)
             ahead = [piece[i] for i in at] * 2  # the piece length at each position, twice round
             for k in range(n):
@@ -213,10 +251,10 @@ class SymmetrizedSet:
             if m * of > top * n:
                 top, of = m, n
         ends: dict[int, set] = {}  # first letter -> the last letters of elements starting with it
-        for c in codes:
+        for c in self._lex:
             ends.setdefault(c[0], set()).add(c[-1])
         t4 = all(lasts.isdisjoint(ends[b ^ 1]) for lasts in ends.values() for b in lasts)
-        relator_pieces = tuple([fewest[at[0]] for at in self._at[::2]])
+        relator_pieces = tuple([fewest[at[0]] for at in cycles[::2]])
         return _Verdicts(tuple(fewest), relator_pieces, self._piece_count,
                          Fraction(top, of) if top else None, t4)
 

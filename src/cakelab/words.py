@@ -10,7 +10,7 @@ since their inputs are reduced.  ``x^3`` is three codes, so subword matching
 is trivial.
 
 >>> X = Alphabet(("a", "b"))
->>> w = X.word("a b^-2 a")
+>>> w = parse_word(X, "a b^-2 a")
 >>> str(w * w.inverse())
 '1'
 """
@@ -100,11 +100,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({' '.join(self.names)!r})"
-
-    def word(self, text: str) -> "Word":
-        """Parse ``text`` in the word grammar; see :func:`parse_word`."""
-        return parse_word(self, text)
-
 
 def _check_name(name: str) -> None:
     """Refuse a generator name that the grammar or the file formats reserve."""
@@ -204,7 +199,7 @@ class Word:
         """Return ``(core, conjugator)`` with ``self == conjugator * core * conjugator**-1``.
 
         >>> X = Alphabet(("x", "y"))
-        >>> core, conj = X.word("x y x^-1").cyclic_reduce()
+        >>> core, conj = parse_word(X, "x y x^-1").cyclic_reduce()
         >>> str(core), str(conj)
         ('y', 'x')
         """

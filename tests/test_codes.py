@@ -161,7 +161,7 @@ def test_oracle_matches_letter_search_on_the_decode_stream():
 
 @pytest.mark.parametrize("pair", [(0, 1), (1, 3), (2, 4)])
 def test_oracle_matches_letter_search_on_l3_commutators(pair):
-    a, b = (L3.alphabet.word(L3.alphabet.names[g]) for g in pair)
+    a, b = (parse_word(L3.alphabet, L3.alphabet.names[g]) for g in pair)
     assert same_answer(a * b * ~a * ~b, L3, 3, 2_000) is None
 
 
@@ -257,7 +257,7 @@ def test_a_full_l3_search_stays_far_below_the_bound(monkeypatch):
     assert 8 * 2_000_000 <= smallcancel.MAX_SEARCH_LETTERS
     count = count_moves(monkeypatch)
     monkeypatch.setattr(smallcancel, "MAX_SEARCH_LETTERS", 2_000_000)
-    a, b = L3.alphabet.word("a1"), L3.alphabet.word("a2")
+    a, b = parse_word(L3.alphabet, "a1"), parse_word(L3.alphabet, "a2")
     assert bounded_wp_oracle(a * b * ~a * ~b, L3, 3) is None
     assert count[0] == 50_000
 
@@ -377,7 +377,7 @@ def test_equality_oracle_quotient_is_the_product(monkeypatch):
         assert searched == ([quotient] if quotient else []), (a, b)
         decided += got is True
     assert 4 < decided < len(pairs)
-    other = Alphabet(("x1", "x2")).word("x1")
+    other = parse_word(Alphabet(("x1", "x2")), "x1")
     for a, b in [(other, U), (U, other)]:
         with pytest.raises(ValueError, match="alphabet mismatch"):
             eq(a, b)

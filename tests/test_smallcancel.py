@@ -410,10 +410,12 @@ def test_verdict_table_matches_references():
         pieces = frozenset(lts[:k] for lts, m in zip([tuple(r) for r in ordered], lengths)
                            for k in range(1, m + 1))
         mins = [min_piece_count_reference(r, pieces) for r in ordered]
+        lex = sorted(range(len(ordered)), key=lambda i: ordered[i].codes)  # the table's order
         report = build_report(p)
         assert "pieces" not in s.__dict__
         assert report.piece_count == len(pieces)
-        assert list(s.verdicts.min_pieces) == mins
+        assert s._lex == [ordered[i].codes for i in lex]
+        assert list(s.verdicts.min_pieces) == [mins[i] for i in lex]
         assert report.min_piece_decomposition == tuple(
             min_piece_count_reference(r, pieces) for r in p.relators)
         assert [check_C(p, b) for b in range(2, 9)] == [
@@ -425,12 +427,12 @@ def test_verdict_table_matches_references():
 
 
 def full_walk_reference(s):
-    """Fewest pieces per element and the C' supremum, walked over every
-    cycle, the inverses' as well as the relators'."""
+    """Fewest pieces per element in lex order and the C' supremum, walked
+    over every cycle, the inverses' as well as the relators'."""
     fewest, sup = [None] * len(s), None
-    for at in s._at:
+    for at in s._lex_at:
         n = len(at)
-        ahead = [s.piece_lengths[i] for i in at] * 2
+        ahead = [s._lex_pieces[i] for i in at] * 2
         for k in range(n):
             count = pos = 0
             while pos < n and ahead[k + pos]:
@@ -463,7 +465,7 @@ def test_mirrored_verdict_walk_matches_the_full_walk():
         fewest, sup = full_walk_reference(s)
         v = s.verdicts
         assert (v.min_pieces, v.cprime_sup) == (fewest, sup), format_presentation(p)
-        assert v.relator_pieces == tuple(fewest[at[0]] for at in s._at[::2])
+        assert v.relator_pieces == tuple(fewest[at[0]] for at in s._lex_at[::2])
 
 
 def test_inverse_elements_match_a_lookup_by_codes():
@@ -481,14 +483,35 @@ def test_element_lengths_match_the_elements():
 
 @pytest.mark.parametrize("level", [None, 3, 4, 5])
 def test_verdicts_build_no_element_words(level):
-    # what check computes reads the codes; the element Words are built on first read
+    # what check computes reads the lex arrays; the canonical order and the
+    # element Words are built on first read
     p = EX if level is None else artin_from_graph(random_tree(level, 4, 7, seed=11).graph)
     p = Presentation(p.alphabet, p.relators)  # a fresh compiled set
     build_report(p)
     check_Cprime(p, Fraction(1, 6))
-    assert "verdicts" in symmetrize(p).__dict__
-    assert "ordered" not in symmetrize(p).__dict__
-    assert symmetrize(p).ordered == symmetrize_reference(p)[0]
+    s = symmetrize(p)
+    assert len(s) == len(symmetrize_reference(p)[0])
+    assert "verdicts" in s.__dict__
+    for name in ("_codes", "lengths", "piece_lengths", "_at", "first_letters", "inverted", "ordered"):
+        assert name not in s.__dict__, name
+    assert s.ordered == symmetrize_reference(p)[0]
+
+
+def test_canonical_order_does_not_depend_on_what_is_read_first():
+    # one set reads its verdicts first, the other a scan or its Words
+    for n, p in enumerate(verdict_corpus()):
+        first, second = SymmetrizedSet(p), SymmetrizedSet(p)
+        v = first.verdicts
+        assert "_codes" not in first.__dict__
+        if n % 2:
+            list(second.matches(p.relators[0].codes))
+        else:
+            second.ordered
+        assert {"_codes", "lengths", "piece_lengths", "_at"} <= second.__dict__.keys()
+        assert first.ordered == second.ordered, format_presentation(p)
+        assert (first.lengths, first.piece_lengths, first.inverted, first.first_letters) == (
+            second.lengths, second.piece_lengths, second.inverted, second.first_letters)
+        assert second.verdicts == v
 
 
 def test_report_bundle():
@@ -591,7 +614,7 @@ def test_dehn_raises_past_its_swap_bound():
     # swaps no longer shorten: a b and b a swap into each other without end
     p = Presentation(AB, ZSQ.relators)
     s = symmetrize(p)
-    object.__setattr__(s, "lengths", (1,) * len(s))
+    object.__setattr__(s, "lengths", (1,) * len(s.lengths))  # read first: its first read builds the order
     with pytest.raises(RuntimeError, match="more swaps"):
         dehn_reduce(parse_word(AB, "a b"), p)
 
@@ -901,7 +924,7 @@ def oracle_corpus(p, rng, n):
         elif i % 3 == 1:
             yield False, random_reduced_word(p.alphabet, rng.randint(1, 10), rng)
         else:
-            letter = p.alphabet.word(rng.choice(p.alphabet.names) + rng.choice(("", "^-1")))
+            letter = parse_word(p.alphabet, rng.choice(p.alphabet.names) + rng.choice(("", "^-1")))
             yield False, conjugate() * letter
 
 
@@ -967,7 +990,7 @@ def test_abelian_exit_never_prunes_relator_products(p, data):
         r = data.draw(st.sampled_from(p.relators))
         c = Word(p.alphabet, ())
         for _ in range(data.draw(st.integers(0, 4))):
-            c = c * p.alphabet.word(data.draw(st.sampled_from(p.alphabet.names))
+            c = c * parse_word(p.alphabet, data.draw(st.sampled_from(p.alphabet.names))
                                     + data.draw(st.sampled_from(("", "^-1"))))
         w = w * c * (r ** data.draw(st.sampled_from((1, -1)))) * ~c
     assert symmetrize(p).abelian_trivial(w)
