@@ -14,14 +14,13 @@ never the relators.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import words
 from .presentations import Presentation, alternating_word
-from .words import Alphabet, Records, Word, _alphabet, _below, _below_each, from_codes
+from .words import Alphabet, Records, Word, _alphabet, _below, _below_each, _Record, from_codes
 
 __all__ = [
     "LabeledGraph",
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Record):
     """Vertices are generator names; an edge (i, j, m) relates them with
     alternating words of length m >= 2.  No loops, no multiple edges: the
     edges are checked when the graph is built, and ``RootedTree``'s walk is
@@ -56,15 +54,15 @@ class LabeledGraph:
     vertices: tuple[str, ...]
     edges: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n:
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple]):
+        vertices, edges = tuple(vertices), frozenset(edges)
+        n = len(vertices)
+        if len(set(vertices)) != n:
             raise ValueError("duplicate vertex names")
         labels: dict[tuple, int] = {}
-        for i, j, m in self.edges:
+        for i, j, m in edges:
             _add_edge(labels, i, j, m, n)
+        vars(self).update(vertices=vertices, edges=edges)
 
     @cached_property
     def alphabet(self) -> Alphabet:  # its names are checked on first read
@@ -131,8 +129,7 @@ def _breadth_first(kids, v: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(_Record):
     """A tree whose root has degree exactly 2 and whose labels are all >= 4.
     Built from a graph and a root, it is checked, and one breadth-first walk
     from the root derives ``parent`` (-1 at the root), ``levels`` (the root
@@ -144,20 +141,19 @@ class RootedTree:
     graph: LabeledGraph
     root: int
 
-    def __post_init__(self):
-        g = self.graph
-        n = len(g.vertices)
-        if not 0 <= self.root < n:
-            raise ValueError(f"root {self.root} out of range")
-        if len(g.edges) != n - 1:
+    def __init__(self, graph: LabeledGraph, root: int):
+        n = len(graph.vertices)
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} out of range")
+        if len(graph.edges) != n - 1:
             raise ValueError("edge count does not match a tree")
         adjacent = [[] for _ in range(n)]  # (neighbour, label), neighbours ascending
-        for i, j, m in sorted(g.edges):
+        for i, j, m in sorted(graph.edges):
             adjacent[i].append((j, m))
             adjacent[j].append((i, m))
         parent, level, label = [-1] * n, [0] * n, [0] * n
-        level[self.root] = 1
-        order = [self.root]
+        level[root] = 1
+        order = [root]
         for v in order:  # the loop reaches what it appends
             for u, m in adjacent[v]:
                 if not level[u]:  # each vertex is met once, so a cycle cannot loop the walk
@@ -165,12 +161,12 @@ class RootedTree:
                     order.append(u)
         if len(order) != n:  # n - 1 edges that reach every vertex make a tree
             raise ValueError("tree is not connected")
-        if len(adjacent[self.root]) != 2:
+        if len(adjacent[root]) != 2:
             raise ValueError("root degree must be exactly 2")
-        if not is_extra_large(g):
+        if not is_extra_large(graph):
             raise ValueError("tree labels must all be >= 4")
         # order is the walk over the children in index order, parents first
-        vars(self).update(parent=tuple(parent), levels=level[order[-1]],
+        vars(self).update(graph=graph, root=root, parent=tuple(parent), levels=level[order[-1]],
                           _children=_children_lists(parent), _edge_labels=tuple(label),
                           _shapes=_shape_ids(parent, label, order)[0])
 
@@ -273,8 +269,7 @@ def random_tree(levels: int, max_degree: int, label_hi: int = 7, seed: int = 0) 
     return build_tree(parent, labels, _shape_ids(parent, labels, range(len(parent)))[0])
 
 
-@dataclass(frozen=True)
-class SplitPlatform:
+class SplitPlatform(_Record):
     """A rooted tree split at its root into two connected sides: ``side_a``
     and ``side_b`` are the subtrees of the root's two children.  The tree's
     alphabet, its Artin presentation and both sides' moves with their
@@ -283,11 +278,9 @@ class SplitPlatform:
 
     tree: RootedTree
 
-    def __post_init__(self):
-        t = self.tree
-        side_a, side_b = [tuple(sorted(_breadth_first(t._children, c))) for c in t.children(t.root)]
-        object.__setattr__(self, "side_a", side_a)
-        object.__setattr__(self, "side_b", side_b)
+    def __init__(self, tree: RootedTree):
+        side_a, side_b = [tuple(sorted(_breadth_first(tree._children, c))) for c in tree.children(tree.root)]
+        vars(self).update(tree=tree, side_a=side_a, side_b=side_b)
 
     def side(self, which: str) -> tuple[int, ...]:
         if which == "A":
@@ -328,8 +321,7 @@ def split_at_root(t: RootedTree) -> SplitPlatform:
     return SplitPlatform(t)
 
 
-@dataclass(frozen=True)
-class GroupEndomorphism:
+class GroupEndomorphism(_Record):
     """The endomorphism induced by a vertex map: generator g goes to
     generator ``vertex_map[g]``, a tuple of indices into the alphabet.  Every
     map is made in this module, from a listed move or by composing such
@@ -337,6 +329,9 @@ class GroupEndomorphism:
 
     alphabet: Alphabet
     vertex_map: tuple[int, ...]
+
+    def __init__(self, alphabet: Alphabet, vertex_map: tuple[int, ...]):
+        vars(self).update(alphabet=alphabet, vertex_map=vertex_map)
 
     @property
     def moved(self) -> frozenset:
@@ -370,8 +365,7 @@ def endos_commute(e1: GroupEndomorphism, e2: GroupEndomorphism) -> bool:
     return compose(e1, e2) == compose(e2, e1)
 
 
-@dataclass(frozen=True)
-class ElementaryMove:
+class ElementaryMove(_Record):
     """Either merge leaf a onto leaf b (same parent, equal edge labels) or
     swap the label-isomorphic sibling subtrees rooted at a and b."""
 
@@ -379,15 +373,14 @@ class ElementaryMove:
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.kind not in ("merge", "swap"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.a == self.b:
+    def __init__(self, kind: str, a: int, b: int):
+        if kind not in ("merge", "swap"):
+            raise ValueError(f"unknown move kind {kind!r}")
+        if a == b:
             raise ValueError("move endpoints must differ")
-        if self.kind == "swap" and self.a > self.b:  # an unordered pair: swap 4 3 is swap 3 4
-            a = self.a
-            object.__setattr__(self, "a", self.b)
-            object.__setattr__(self, "b", a)
+        if kind == "swap" and a > b:  # an unordered pair: swap 4 3 is swap 3 4
+            a, b = b, a
+        vars(self).update(kind=kind, a=a, b=b)
 
 
 def _shape_ids(parent, labels, order) -> tuple[list, list]:

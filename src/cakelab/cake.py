@@ -12,7 +12,6 @@ word, 0-bits as the reference word times one extra generator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from random import Random
@@ -36,7 +35,7 @@ from .artin import (
 from .diffusion import DisguiseBudget, disguise
 from .presentations import Presentation
 from .smallcancel import bounded_wp_oracle, check_Cprime, dehn_reduce
-from .words import Alphabet, Records, Word, _draw_letter, _word, random_reduced_word, splice
+from .words import Alphabet, Records, Word, _draw_letter, _Record, _word, random_reduced_word, splice
 
 __all__ = [
     "ProtocolSetupError",
@@ -96,36 +95,38 @@ def derive_key(w: Word) -> "SessionKey":
     return SessionKey(w, _sha256(str(w)))
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(_Record):
     key_word: Word
     key_bytes: bytes
 
-    def __post_init__(self):
-        if len(self.key_bytes) != 32:
+    def __init__(self, key_word: Word, key_bytes: bytes):
+        if len(key_bytes) != 32:
             raise ValueError("key_bytes must be 32 bytes")
+        vars(self).update(key_word=key_word, key_bytes=key_bytes)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(_Record):
     """Public messages only; private endomorphisms never enter."""
 
     messages: tuple  # of (sender, Word)
     config_digest: bytes
 
+    def __init__(self, messages: tuple, config_digest: bytes):
+        vars(self).update(messages=messages, config_digest=config_digest)
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+
+class ProtocolConfig(_Record):
     """Everything public: the platform, which lists its sides' moves, and the
     word."""
 
     platform: SplitPlatform
     public_word: Word
 
-    def __post_init__(self):
-        sup = _support(self.public_word)
-        if not (sup & set(self.platform.side_a)) or not (sup & set(self.platform.side_b)):
+    def __init__(self, platform: SplitPlatform, public_word: Word):
+        sup = _support(public_word)
+        if not (sup & set(platform.side_a)) or not (sup & set(platform.side_b)):
             raise ValueError("public word must touch both sides")
+        vars(self).update(platform=platform, public_word=public_word)
 
 
 def config_text(config: ProtocolConfig) -> str:

@@ -17,13 +17,12 @@ whole log into a word-search witness for disguised * original^-1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from random import Random
 
 from . import words
 from .presentations import Presentation, symmetrize
 from .smallcancel import WspWitness
-from .words import Records, Word, _word, concat, fields, random_reduced_word, splice
+from .words import Records, Word, _Record, _word, concat, fields, random_reduced_word, splice
 
 __all__ = [
     "DisguiseBudget",
@@ -35,21 +34,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DisguiseBudget:
+class DisguiseBudget(_Record):
     moves: int
-    max_conjugator_len: int = 2
-    max_word_len: int = 256
+    max_conjugator_len: int
+    max_word_len: int
 
-    def __post_init__(self):
-        if self.moves < 0 or self.max_conjugator_len < 0 or self.max_word_len < 0:
+    def __init__(self, moves: int, max_conjugator_len: int = 2, max_word_len: int = 256):
+        if moves < 0 or max_conjugator_len < 0 or max_word_len < 0:
             raise ValueError("budget fields must be non-negative")
-        if max(self.max_conjugator_len, self.max_word_len) > words.MAX_WORD_LETTERS:
+        if max(max_conjugator_len, max_word_len) > words.MAX_WORD_LETTERS:
             raise ValueError(f"budget lengths must be at most {words.MAX_WORD_LETTERS} letters")
+        vars(self).update(moves=moves, max_conjugator_len=max_conjugator_len, max_word_len=max_word_len)
 
 
-@dataclass(frozen=True)
-class RewriteMove:
+class RewriteMove(_Record):
     """One logged move; ``post_word`` is its replay on ``pre_word``:
     ``conjugator relator^exponent conjugator^-1`` spliced in at ``position``.
 
@@ -63,25 +61,27 @@ class RewriteMove:
     exponent: int
     conjugator: Word
     pre_word: Word
-    post_word: Word = field(init=False)
+    post_word: Word  # derived, not an argument
 
-    def __post_init__(self):
-        c, pre, at, r = self.conjugator, self.pre_word, self.position, self.relator
-        if self.kind not in ("insert-conjugate", "subword-swap"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.exponent not in (1, -1):
+    def __init__(self, kind: str, position: int, relator: Word, exponent: int, conjugator: Word,
+                 pre_word: Word):
+        c, pre, at, r = conjugator, pre_word, position, relator
+        if kind not in ("insert-conjugate", "subword-swap"):
+            raise ValueError(f"unknown move kind {kind!r}")
+        if exponent not in (1, -1):
             raise ValueError("exponent must be 1 or -1")
         if not 0 <= at <= len(pre):
             raise ValueError("move position out of range")
-        if self.kind == "subword-swap":
+        if kind == "subword-swap":
             if c:
                 raise ValueError("swaps carry no conjugator")
-            if self.exponent != -1:
+            if exponent != -1:
                 raise ValueError("swaps have exponent -1")
             if not r or pre.codes[at : at + 1] != r.codes[:1]:  # the first letters match
                 raise ValueError(f"word does not match the relator prefix at {at}")
-        post = splice(pre.codes, at, (c * r ** self.exponent * c.inverse()).codes, at)
-        object.__setattr__(self, "post_word", _word(pre.alphabet, post))
+        post = splice(pre.codes, at, (c * r ** exponent * c.inverse()).codes, at)
+        vars(self).update(kind=kind, position=position, relator=relator, exponent=exponent,
+                          conjugator=conjugator, pre_word=pre_word, post_word=_word(pre.alphabet, post))
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):

@@ -16,16 +16,16 @@ relator-prefix scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import words
 from .words import (
     Alphabet,
     Records,
     Word,
+    _Record,
     _check_name,
     _reduced,
     _spell,
@@ -53,19 +53,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Generators plus cyclically reduced, pairwise distinct relators."""
 
     alphabet: Alphabet
-    relators: tuple[Word, ...] = ()
+    relators: tuple[Word, ...]
 
-    def __post_init__(self):
-        relators = tuple(self.relators)
-        object.__setattr__(self, "relators", relators)
+    def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = ()):
+        relators = tuple(relators)
         added: dict[Word, None] = {}
         for r in relators:
-            _add_relator(self.alphabet, r, added)
+            _add_relator(alphabet, r, added)
+        vars(self).update(alphabet=alphabet, relators=relators)
 
     @cached_property
     def _symmetrized(self) -> "SymmetrizedSet":
@@ -93,8 +92,7 @@ class _Verdicts(NamedTuple):  # the small-cancellation table of a symmetrized se
     t4: bool
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class SymmetrizedSet:
+class SymmetrizedSet(_Record):
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
     ``ordered``, with ``lengths[i]`` the length of ``ordered[i]`` and
@@ -126,6 +124,8 @@ class SymmetrizedSet:
     alphabet: Alphabet
     relators: tuple[Word, ...]
 
+    __eq__, __hash__ = object.__eq__, object.__hash__  # one set per presentation: identity
+
     def __init__(self, p: Presentation):
         # each relator r gives at most 2|r| elements of |r| letters
         if 2 * sum(len(r) ** 2 for r in p.relators) > words.MAX_WORD_LETTERS:
@@ -150,13 +150,12 @@ class SymmetrizedSet:
                 prev, n, top = x, len(x), top + 1
             at[j] = top
         shared.append(0)
-        object.__setattr__(self, "alphabet", p.alphabet)
-        object.__setattr__(self, "relators", p.relators)
-        object.__setattr__(self, "_lex", lex)
-        object.__setattr__(self, "_lex_pieces", [a if a > b else b for a, b in zip(shared, shared[1:])])
-        object.__setattr__(self, "_lex_at", [at[c] for c in cycles])  # lex positions per cycle
-        # pieces are prefixes up to the piece length, less those the lex predecessor shares
-        object.__setattr__(self, "_piece_count", sum([b - a for a, b in zip(shared, shared[1:]) if b > a]))
+        vars(self).update(
+            alphabet=p.alphabet, relators=p.relators, _lex=lex,
+            _lex_pieces=[a if a > b else b for a, b in zip(shared, shared[1:])],
+            _lex_at=[at[c] for c in cycles],  # lex positions per cycle
+            # pieces are prefixes up to the piece length, less those the lex predecessor shares
+            _piece_count=sum([b - a for a, b in zip(shared, shared[1:]) if b > a]))
 
     def __len__(self):
         return len(self._lex)
@@ -406,22 +405,22 @@ class _Replay:
         return h
 
 
-@dataclass(frozen=True)
-class PresentationHistory:
+class PresentationHistory(_Record, hide=("end",)):
     """A chain of splits: ``start`` and its ``steps``, which the constructor
     replays and checks.  ``end``, the presentation they lead to, is derived
-    by that replay, in time linear in the letters."""
+    by that replay, in time linear in the letters; it is neither compared
+    nor shown."""
 
     start: Presentation
     steps: tuple[TietzeStep, ...]
-    end: Presentation = field(init=False, repr=False, compare=False)
+    end: Presentation
 
-    def __post_init__(self):
-        replay = _Replay(self.start)
-        for st in self.steps:
+    def __init__(self, start: Presentation, steps: Iterable[TietzeStep]):
+        replay = _Replay(start)
+        for st in steps:
             if replay.split(st.replaced_relator_index, st.new_gen) != st.defined_as:
                 raise ValueError(f"step for {st.new_gen!r} does not match its presentation")
-        self.__dict__.update(steps=tuple(replay.steps), end=replay.end())
+        vars(self).update(start=start, steps=tuple(replay.steps), end=replay.end())
 
 
 def shorten_all(p: Presentation) -> PresentationHistory:

@@ -22,12 +22,11 @@ the relator lattice, and once its seen words pass ``MAX_SEARCH_LETTERS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .presentations import Presentation, SymmetrizedSet, symmetrize
-from .words import MAX_WORD_LETTERS, Alphabet, Records, Word, _word, fields
+from .words import MAX_WORD_LETTERS, Alphabet, Records, Word, _Record, _word, fields
 
 __all__ = [
     "CancellationReport",
@@ -115,13 +114,16 @@ def check_T4(p: Presentation) -> bool:
     return symmetrize(p).verdicts.t4
 
 
-@dataclass(frozen=True)
-class CancellationReport:
+class CancellationReport(_Record):
     piece_count: int
     min_piece_decomposition: tuple  # per original relator: int or None
     c_verdicts: dict  # {4: C(4)}
     cprime_sup: Optional[Fraction]
     t4: bool
+
+    def __init__(self, piece_count, min_piece_decomposition, c_verdicts, cprime_sup, t4):
+        vars(self).update(piece_count=piece_count, min_piece_decomposition=min_piece_decomposition,
+                          c_verdicts=c_verdicts, cprime_sup=cprime_sup, t4=t4)
 
 
 def build_report(p: Presentation) -> CancellationReport:
@@ -166,12 +168,14 @@ def dehn_reduce(w: Word, p: Presentation) -> Word:
 
 # -- bounded word-problem oracle ------------------------------------------
 
-@dataclass(frozen=True)
-class WspWitness:
+class WspWitness(_Record):
     """Factors (conjugator, relator, exponent) whose product, freely reduced,
     is the witnessed word."""
 
     factors: tuple  # of (Word, Word, int)
+
+    def __init__(self, factors: tuple):
+        vars(self).update(factors=factors)
 
 
 def replay_witness(witness: WspWitness, alphabet: Alphabet) -> Word:

@@ -17,9 +17,7 @@ is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -54,8 +52,41 @@ class Letter(NamedTuple):
         return Letter(self.gen, -self.sign)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """A frozen record, written out where ``dataclass`` would generate it at
+    import.  Its fields are the names its class annotates, less those the
+    class lists in ``hide``.  It compares equal to a record of its own class
+    with equal fields, hashes as the tuple of its fields, shows them in its
+    ``repr``, and refuses assignment and deletion with ``AttributeError``.
+    Each ``__init__`` checks its arguments and sets the fields with
+    ``vars(self).update``; a cached property writes to ``__dict__`` too."""
+
+    def __init_subclass__(cls, hide=()):
+        cls._fields = tuple([f for f in cls.__annotations__ if f not in hide])
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Record):
     """An ordered tuple of distinct generator names.
 
     Names may not contain whitespace or any of ``^ = @ : #`` and may not be
@@ -65,9 +96,8 @@ class Alphabet:
 
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         seen = set()
         for name in names:
             _check_name(name)
@@ -75,7 +105,7 @@ class Alphabet:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
         # every Word hash reads it, so the names are hashed once, not per call
-        object.__setattr__(self, "_hash", hash(names))
+        vars(self).update(names=names, _hash=hash(names))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -117,8 +147,7 @@ def _spell(name: str) -> tuple[str, str]:
     return name, name + "^-1"
 
 
-@dataclass(frozen=True, init=False)
-class Word:
+class Word(_Record):
     """A freely reduced word of letter ``codes``.  ``Word(alphabet, letters)``
     checks each Letter and that no two neighbours cancel; arithmetic builds
     its results unchecked.  Iteration and indexing are Letter views.
@@ -144,8 +173,15 @@ class Word:
             codes.append(2 * gen + (sign < 0))
         if any(a == b ^ 1 for a, b in zip(codes, codes[1:])):
             raise ValueError("letter sequence is not freely reduced")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "codes", tuple(codes))
+        vars(self).update(alphabet=alphabet, codes=tuple(codes))
+
+    def __eq__(self, other) -> bool:  # the record's, written out: Words are compared and hashed often
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.codes == other.codes and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.codes))
 
     # -- basic container behaviour ------------------------------------
 
@@ -165,10 +201,14 @@ class Word:
 
     def __str__(self) -> str:
         names, spell = self.alphabet.names, self.alphabet.spellings
-        parts = []
-        for c, run in groupby(self.codes):
-            k = len(list(run))
-            parts.append(spell[c] if k == 1 else f"{names[c >> 1]}^{-k if c & 1 else k}")
+        parts, prev, k = [], -1, 0  # k counts the run of prev
+        for c in (*self.codes, -1):  # -1 ends the last run
+            if c == prev:
+                k += 1
+            else:
+                if k:
+                    parts.append(spell[prev] if k == 1 else f"{names[prev >> 1]}^{-k if prev & 1 else k}")
+                prev, k = c, 1
         return " ".join(parts) or "1"
 
     def __repr__(self) -> str:

@@ -1,6 +1,9 @@
 """Module layering and unused imports, read from the source with ``ast``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cakelab
@@ -279,6 +282,28 @@ def test_no_module_imports_hashlib_on_import():
         if module.split(".")[0] in ("hashlib", "_hashlib")
     ]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # every record class is written out: ``dataclass`` execs six generated
+    # functions per class at import, most of a bare ``import cakelab``
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert found == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # inspect, which dataclasses loads, brings ast, dis, tokenize and more
+    code = "import cakelab, sys; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -411,18 +411,18 @@ def test_parse_history_replays_each_step_once(monkeypatch):
     h = shorten_all(P)
     text = format_history(h)
     splits, built = [], []
-    split, post_init = _Replay.split, Presentation.__post_init__
+    split, init = _Replay.split, Presentation.__init__
 
     def spy_split(self, idx, name):
         splits.append(name)
         return split(self, idx, name)
 
-    def spy_post_init(self):
-        built.append(self.alphabet.names)
-        post_init(self)
+    def spy_init(self, alphabet, relators=()):
+        built.append(alphabet.names)
+        init(self, alphabet, relators)
 
     monkeypatch.setattr(_Replay, "split", spy_split)
-    monkeypatch.setattr(Presentation, "__post_init__", spy_post_init)
+    monkeypatch.setattr(Presentation, "__init__", spy_init)
     assert parse_history(text) == h
     names = [st.new_gen for st in h.steps]
     assert splits == names and len(names) > 1
