@@ -13,8 +13,9 @@ Dehn reduction and the oracle rewrite letter-code tuples and read the
 relator-prefix scan ``SymmetrizedSet.matches``, which disguise shares.  Dehn
 swaps with ``SymmetrizedSet.swap``; the oracle swaps at every match, so it
 walks that swap's seams inline, with no call per candidate.  It searches
-breadth-first over subword swaps alone and builds Words only for the witness
-it returns.
+breadth-first over subword swaps alone, keeps its tree in flat lists (a kept
+word is the one object a node adds, and each candidate is hashed once, by one
+``seen.add``), and builds Words only for the witness it returns.
 It answers Trivial (with a replayable witness) or Unknown, never a false
 Trivial: Unknown without a search when the word's abelianization lies outside
 the relator lattice, and once its seen words pass ``MAX_SEARCH_LETTERS``.
@@ -226,13 +227,15 @@ def bounded_wp_oracle(
     if max_len is None:
         max_len = 2 * len(w) + s.lengths[-1]  # canonical order sorts by length
     seen, held = {w.codes}, len(w)  # held: the letters in seen
-    # a node is (codes, move): its move (x, pos, element, x's move) took x to
-    # C r^-1 C^-1 x, C = x[:pos], so w is its path's C r C^-1 in move order
-    frontier: list[tuple[tuple, Optional[tuple]]] = [(w.codes, None)]
-    budget, inverted = node_budget, s.inverted
+    # the search tree in flat lists, node t for the t-th word seen, so
+    # len(seen) == len(nodes) and a level is a run of indices: node t's move
+    # took x = nodes[parent[t]] to C r^-1 C^-1 x, C = x[:at[t]] and r the
+    # element elem[t], so w is its path's C r C^-1 in move order; node 0 is w
+    nodes, parent, at, elem = [w.codes], [0], [0], [0]
+    frontier, budget, inverted = range(1), node_budget, s.inverted
     for _ in range(depth):
-        nxt: list[tuple[tuple, Optional[tuple]]] = []
-        for x, path in frontier:
+        for u in frontier:
+            x = nodes[u]
             n = len(x)
             for pos, i, k in s.matches(x):
                 budget -= 1
@@ -240,7 +243,8 @@ def bounded_wp_oracle(
                 # mid[:m], the inverse element less its last k letters; the
                 # right seam never cancels, as the match stopped at an end or
                 # at a letter other than r[k], whose inverse ends mid[:m]
-                mid, a, b, j = inverted[i], pos, pos + k, 0
+                mid = inverted[i]
+                a, b, j = pos, pos + k, 0
                 m = len(mid) - k
                 while a and j < m and x[a - 1] == mid[j] ^ 1:
                     a, j = a - 1, j + 1
@@ -249,20 +253,24 @@ def bounded_wp_oracle(
                         a, b = a - 1, b + 1
                 post = x[:a] + mid[j:m] + x[b:]
                 if not post:
-                    move, factors = (x, pos, i, path), []
-                    while move is not None:
-                        at, start, j, move = move
-                        factors.append((_word(w.alphabet, at[:start]), s.ordered[j], 1))
+                    factors = [(_word(w.alphabet, x[:pos]), s.ordered[i], 1)]
+                    while u:
+                        factors.append((_word(w.alphabet, nodes[parent[u]][:at[u]]), s.ordered[elem[u]], 1))
+                        u = parent[u]
                     return WspWitness(tuple(factors[::-1]))
-                if len(post) <= max_len and post not in seen:
-                    seen.add(post)
-                    nxt.append((post, (x, pos, i, path)))
-                    held += len(post)
+                if len(post) <= max_len:
+                    seen.add(post)  # one hash: the set grows only for a new word
+                    if len(seen) > len(nodes):
+                        nodes.append(post)
+                        parent.append(u)
+                        at.append(pos)
+                        elem.append(i)
+                        held += len(post)
                 if budget <= 0 or held > MAX_SEARCH_LETTERS:
                     return None
-        if not nxt:  # every later level would be empty too
+        if frontier.stop == len(nodes):  # every later level would be empty too
             return None
-        frontier = nxt
+        frontier = range(frontier.stop, len(nodes))
     return None
 
 

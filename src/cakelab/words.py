@@ -278,8 +278,7 @@ def _reduced(codes: Iterable[int]) -> tuple[int, ...]:
 def _word(alphabet: Alphabet, codes: tuple[int, ...]) -> Word:
     """Unchecked: ``codes`` is a reduced code tuple, as in any slice or product of Words."""
     w = object.__new__(Word)
-    object.__setattr__(w, "alphabet", alphabet)
-    object.__setattr__(w, "codes", codes)
+    w.__dict__.update(alphabet=alphabet, codes=codes)
     return w
 
 

@@ -708,7 +708,7 @@ def test_oracle_search_matches_a_swap_reference(monkeypatch, p):
 
     monkeypatch.setattr(SymmetrizedSet, "matches", spy)
     monkeypatch.setattr(SymmetrizedSet, "abelian_trivial", lambda self, w: True)
-    capped = run_on = found = spent_all = 0
+    runs = []
     for t in range(36):
         r = s.ordered[rng.randrange(len(s))]
         if t < 12:
@@ -717,14 +717,34 @@ def test_oracle_search_matches_a_swap_reference(monkeypatch, p):
         else:  # swaps that cancel into the conjugator, or all but one letter
             c = random_reduced_word(p.alphabet, rng.randint(1, 3), rng)
             x = c * (r if t < 24 else r[:-1]) * ~c
+        runs.append((x, 2000))
+    if p is EX:  # three factors at depth 3, so the witness walks its whole path
+        r1, r2 = EX.relators
+        runs += [(r1 * r2 * r1, 5000), (r2 * ~r1 * r2, 5000), (r1 * r1 * r2, 5000)]
+        # a budget that runs out inside level 2: level 1 spent, then 5 more
+        x = r1 * r2 * r1
+        first = list(matches(s, x.codes))
+        level1 = {s.swap(x.codes, *m) for m in first} - {x.codes}
+        runs.append((x, len(first) + 5))
+    capped = run_on = found = spent_all = longest = 0
+    for x, budget in runs:
         searches = []
         for search in (swap_search_reference, bounded_wp_oracle):
             nodes.clear()
             count[0] = 0
-            searches.append((search(x, p, 3, node_budget=2000), nodes[:], count[0]))
-        assert searches[0] == searches[1], x
-        found += searches[0][0] is not None
-        spent_all += count[0] == 2000
+            searches.append((search(x, p, 3, node_budget=budget), nodes[:], count[0]))
+        (ref, ref_nodes, ref_count), (wit, wit_nodes, wit_count) = searches
+        assert (wit_nodes, wit_count) == (ref_nodes, ref_count), x
+        assert (wit is None) == (ref is None), x
+        if ref is not None:
+            assert len(wit.factors) == len(ref.factors), x
+            for wit_factor, ref_factor in zip(wit.factors, ref.factors):
+                assert wit_factor == ref_factor, x
+            longest = max(longest, len(ref.factors))
+        found += ref is not None
+        spent_all += count[0] == budget
+        if budget < 2000:  # stopped with level-1 words left to expand
+            assert ref is None and count[0] == budget and len(wit_nodes) - 1 < len(level1)
         # matches and swap against every element tried at every position;
         # unchecked, so an unreduced code tuple would not compare equal
         got = [(s.swap(x.codes, pos, i, k), pos, i, k) for pos, i, k in s.matches(x.codes)]
@@ -737,6 +757,8 @@ def test_oracle_search_matches_a_swap_reference(monkeypatch, p):
             # all n - k inserted letters cancelled, and the seam ran on into x
             run_on += k < n and len(post) < len(x) - n
     assert capped and run_on and found and spent_all
+    if p is EX:
+        assert longest == 3
 
 
 def test_oracle_empty_word_is_trivial_with_empty_witness():
