@@ -284,6 +284,14 @@ def bitstream_decode(v: Word, received, oracle: Callable) -> list:
             for verdict in (oracle(w, v) for w in received)]
 
 
+def _quotient(a: Word, b: Word) -> Word:
+    """a b^-1, which both equality oracles decide: one splice of a's codes and b's inverted codes."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("alphabet mismatch")
+    n = len(a.codes)
+    return _word(a.alphabet, splice(a.codes, n, tuple([c ^ 1 for c in reversed(b.codes)]), n))
+
+
 def equality_dehn(p: Presentation) -> Callable:
     """Dehn-reduce the quotient: True when it vanishes.  Otherwise False on
     C'(1/6) presentations, where Dehn's algorithm is complete, and None
@@ -293,28 +301,20 @@ def equality_dehn(p: Presentation) -> Callable:
     complete = check_Cprime(p, Fraction(1, 6))
 
     def eq(a: Word, b: Word):
-        if not dehn_reduce(a * b.inverse(), p):
-            return True
-        return False if complete else None
+        return True if not dehn_reduce(_quotient(a, b), p) else (False if complete else None)
 
     return eq
 
 
 def equality_oracle(p: Presentation, depth: int) -> Callable:
     """Bounded search on the quotient a b^-1; answers True or None, never
-    False.  The quotient's codes are one splice of a's codes and b's inverted
-    codes.  A negative depth is refused before any word is sent, by the
+    False.  A negative depth is refused before any word is sent, by the
     search's own argument check, run once on the empty word."""
     bounded_wp_oracle(_word(p.alphabet, ()), p, depth)
 
     def eq(a: Word, b: Word):
-        if a.alphabet != b.alphabet:
-            raise ValueError("alphabet mismatch")
-        n = len(a.codes)
-        x = splice(a.codes, n, tuple([c ^ 1 for c in reversed(b.codes)]), n)
-        if not x:
-            return True
-        return True if bounded_wp_oracle(_word(a.alphabet, x), p, depth) is not None else None
+        x = _quotient(a, b)
+        return True if not x or bounded_wp_oracle(x, p, depth) is not None else None
 
     return eq
 

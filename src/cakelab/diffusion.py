@@ -3,13 +3,13 @@
 Two move kinds, both multiplications by a conjugated relator and therefore
 invisible in the group: inserting c r^e c^-1 at a position, and swapping a
 matched relator prefix u for the inverted complement v^-1; both replay by
-``words.splice``.  Swap slots come from the symmetrized set's relator-prefix
-scan (``SymmetrizedSet.matches``), the scan that Dehn reduction and the
-oracle read: a k-letter match on an element r offers the takes 1..k
-with |u| < |v|, min(k, (|r| - 1) // 2) slots, summed inline once per move
-and walked again only for a swap draw.  Every take up to k swaps to the same
-word (free reduction cancels the rest of the match), so a swap lengthens
-the word by at most |r| - 2k, and not every swap lengthens it.
+two ``words.splice`` calls on codes: r^e between c and c^-1, then into the
+word.  Swap slots come from the relator-prefix scan that Dehn reduction and
+the oracle read (``SymmetrizedSet.matches``): a k-letter match on r offers
+the takes 1..k with |u| < |v|, min(k, cap) slots for r's compiled cap
+(|r| - 1) // 2, summed once per move and walked again only for a swap draw.
+Every take up to k swaps to the same word (free reduction cancels the rest
+of the match), so a swap lengthens the word by at most |r| - 2k.
 Every move is logged with enough context to replay it and to convert the
 whole log into a word-search witness for disguised * original^-1.
 """
@@ -48,8 +48,8 @@ class DisguiseBudget(_Record):
 
 
 class RewriteMove(_Record):
-    """One logged move; ``post_word`` is its replay on ``pre_word``:
-    ``conjugator relator^exponent conjugator^-1`` spliced in at ``position``.
+    """One logged move; ``post_word`` is its replay on ``pre_word``: ``relator^exponent``'s
+    codes spliced between ``conjugator`` and its inverse, and that spliced in at ``position``.
 
     A swap has exponent -1 and no conjugator, and its relator matches
     ``pre_word`` at ``position`` in at least one letter.
@@ -72,6 +72,8 @@ class RewriteMove(_Record):
             raise ValueError("exponent must be 1 or -1")
         if not 0 <= at <= len(pre):
             raise ValueError("move position out of range")
+        if r.alphabet != pre.alphabet or c.alphabet != pre.alphabet:
+            raise ValueError("alphabet mismatch")
         if kind == "subword-swap":
             if c:
                 raise ValueError("swaps carry no conjugator")
@@ -79,24 +81,26 @@ class RewriteMove(_Record):
                 raise ValueError("swaps have exponent -1")
             if not r or pre.codes[at : at + 1] != r.codes[:1]:  # the first letters match
                 raise ValueError(f"word does not match the relator prefix at {at}")
-        post = splice(pre.codes, at, (c * r ** exponent * c.inverse()).codes, at)
+        n, rc = len(c), r.codes if exponent == 1 else tuple([k ^ 1 for k in reversed(r.codes)])
+        conjugated = splice(c.codes + tuple([k ^ 1 for k in reversed(c.codes)]), n, rc, n)  # between c and c^-1
+        post = splice(pre.codes, at, conjugated, at)
         vars(self).update(kind=kind, position=position, relator=relator, exponent=exponent,
                           conjugator=conjugator, pre_word=pre_word, post_word=_word(pre.alphabet, post))
 
 
 def _one_pass(w: Word, p: Presentation, budget: DisguiseBudget, rng: Random):
     s = symmetrize(p)
-    elems, lengths = s.ordered, s.lengths
+    elems, caps = s.ordered, s.swap_caps
     cur, log = w, []
     for _ in range(budget.moves):
         # slots: the growth swaps, counted from the scan, then every (position, element) insert
-        n_swaps = sum([min(k, (lengths[i] - 1) // 2) for _, i, k in s.matches(cur.codes)])
+        n_swaps = sum([min(k, caps[i]) for _, i, k in s.matches(cur.codes)])
         n_slots = n_swaps + (len(cur) + 1) * len(elems)
         for _ in range(16):  # resample when the length cap rejects a slot
             k = rng.randrange(n_slots)
             if k < n_swaps:  # walk the scan again, to the match holding slot k
                 for pos, i, m in s.matches(cur.codes):
-                    k -= min(m, (lengths[i] - 1) // 2)
+                    k -= min(m, caps[i])
                     if k < 0:
                         break
                 move = RewriteMove("subword-swap", pos, elems[i], -1, Word(cur.alphabet), cur)

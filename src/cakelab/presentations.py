@@ -110,13 +110,13 @@ class SymmetrizedSet(_Record):
     first read of any of its arrays: that is, by the first rewrite, never by
     ``cakelab check``.  The element Words in ``ordered`` (no verdict or Dehn
     step reads them), the element set, the pieces, the first-letter index,
-    the inverse elements in ``inverted`` and the relator lattice are built
-    on first use as well.
+    the inverse elements in ``inverted``, disguise's per-element swap caps in
+    ``swap_caps`` and the relator lattice are built on first use as well.
 
     :meth:`matches` is the relator-prefix scan, counted in place and
-    capped by the letters left, once per position: Dehn's algorithm,
-    disguise and the oracle read it.  Dehn rewrites code tuples with
-    :meth:`swap`; a disguise move splices its conjugated relator in with
+    capped by each element's compiled length and the letters left: Dehn's
+    algorithm, disguise and the oracle read it.  Dehn rewrites code tuples
+    with :meth:`swap`; a disguise move splices its conjugated relator in with
     ``words.splice``, the seam rewrite under :meth:`swap`, and the oracle,
     which swaps at every match, walks that swap's seams inline.
     """
@@ -267,6 +267,11 @@ class SymmetrizedSet(_Record):
         return tuple(inverse)
 
     @cached_property
+    def swap_caps(self) -> tuple:
+        """Per element in canonical order, the longest prefix a growth swap takes: (length - 1) // 2."""
+        return tuple([(n - 1) // 2 for n in self.lengths])
+
+    @cached_property
     def pieces(self) -> frozenset:
         """Code tuples of the pieces: each element's prefixes up to its piece length."""
         return frozenset(c[:k] for c, m in zip(self._codes, self.piece_lengths)
@@ -316,12 +321,13 @@ class SymmetrizedSet(_Record):
         code at pos of the code tuple ``x``, by position, then in canonical
         order; k is the length of the common prefix of ``x[pos:]`` and it,
         counted in place from the second letter, as the first is equal, up to
-        the letters left in ``x``, counted once per position: the one scan."""
-        codes, starting, left = self._codes, self.first_letters, len(x)
+        ``lengths[i]`` or the letters left in ``x``, counted once per position: the one scan."""
+        codes, lengths, starting, left = self._codes, self.lengths, self.first_letters, len(x)
         for pos, c in enumerate(x):
             for i in starting[c]:
-                r, k = codes[i], 1
-                stop = left if len(r) > left else len(r)
+                r, k, stop = codes[i], 1, lengths[i]
+                if stop > left:
+                    stop = left
                 while k < stop and x[pos + k] == r[k]:
                     k += 1
                 yield pos, i, k

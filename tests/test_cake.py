@@ -408,6 +408,17 @@ def test_dehn_equality_is_literal_equality_without_relators():
     assert min(checked.values()) > 100
 
 
+def test_both_equality_oracles_refuse_words_over_another_alphabet():
+    # the one quotient build checks the two words' alphabets before any reduction or search
+    ab = Alphabet(("a", "b"))
+    p = Presentation(ab, (parse_word(ab, "a b a^-1 b^-1"),))
+    a, other = parse_word(ab, "a"), parse_word(Alphabet(("a",)), "a")
+    for eq in (equality_dehn(p), equality_oracle(p, 2)):
+        for pair in ((other, a), (a, other)):
+            with pytest.raises(ValueError, match="^alphabet mismatch$"):
+                eq(*pair)
+
+
 def test_dehn_and_the_oracle_each_decide_what_the_other_cannot():
     # why bits keeps two strategies: the search never proves "different",
     # and off C'(1/6) Dehn can stop short of 1 on a trivial word

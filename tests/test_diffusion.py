@@ -33,6 +33,10 @@ L3 = artin_from_graph(random_tree(3, 4, 7, seed=11).graph)
 L4 = artin_from_graph(random_tree(4, 4, 7, seed=11).graph)
 L5 = artin_from_graph(random_tree(5, 4, 7, seed=11).graph)
 
+# relators of 1, 2 and 3 letters: swap caps 0, 0 and 1
+ABC = Alphabet(("a", "b", "c"))
+SHORT = Presentation(ABC, (parse_word(ABC, "a"), parse_word(ABC, "b c"), parse_word(ABC, "a b^-1 c")))
+
 
 # ------------------------------------------------------------ primitives
 
@@ -174,6 +178,34 @@ def test_rewrite_move_replays_as_the_four_product_algebra(p):
         seen.add((mv.kind, mv.exponent, len(mv.conjugator)))
     inserts = {("insert-conjugate", e, n) for e in (1, -1) for n in (0, 1, 2)}
     assert seen == inserts | {("subword-swap", -1, 0)}
+    # longer conjugators, and conjugators c = d r^-e whose tail cancels r^e
+    # whole, so that the seams of d and d^-1 meet; with d the inverse of the
+    # letters before the position, d r^e d^-1 cancels into the word there too
+    kinds = set()
+    for _ in range(400):
+        w = random_reduced_word(p.alphabet, rng.randint(0, 20), rng)
+        at, r, e = rng.randint(0, len(w)), rng.choice(s.ordered), rng.choice((1, -1))
+        kind = rng.randrange(3)
+        if kind == 0:
+            conj = random_reduced_word(p.alphabet, rng.randint(3, 6), rng)
+        else:
+            if kind == 2:  # the inverse of the 1-4 letters before the position
+                d = w[max(0, at - rng.randint(1, 4)) : at].inverse()
+            else:
+                d = random_reduced_word(p.alphabet, rng.randint(0, 3), rng)
+            conj = d * r ** -e
+            if len(conj) != len(d) + len(r):  # d r^-e must stay a reduced product
+                continue
+        mv = RewriteMove("insert-conjugate", at, r, e, conj, w)
+        assert mv.post_word == four_product_reference(mv)
+        kinds.add(kind)
+        if kind == 0:
+            assert 3 <= len(conj) <= 6
+        else:  # what r^e leaves is d r^e d^-1, spliced in at the position
+            assert mv.post_word == w[:at] * d * r ** e * d.inverse() * w[at:]
+            if kind == 2 and d:
+                assert len(mv.post_word) < len(w) + len(r) + 2 * len(d)
+    assert kinds == {0, 1, 2}
 
 
 # --------------------------------------------------------------- disguise
@@ -207,8 +239,8 @@ def list_one_pass(w, p, budget, rng):
     return cur, log, rejected
 
 
-@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L4, L5],
-                         ids=["EX", "braid4", "L3", "L4", "L5"])
+@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L4, L5, SHORT],
+                         ids=["EX", "braid4", "L3", "L4", "L5", "short"])
 def test_counted_slots_draw_as_the_listed_slots(p):
     # same seed, same word, same log and the same RNG draws as the listed pass;
     # a 24-letter cap forces resampling and passes whose every draw is rejected
@@ -250,7 +282,8 @@ def brute_growth_slots(x, s):
                for take in range(1, len(r) + 1) if 2 * take < len(r) and pos + take <= len(x))
 
 
-@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L5], ids=["EX", "braid4", "L3", "L5"])
+@pytest.mark.parametrize("p", [EX, braid_presentation(4), L3, L5, SHORT],
+                         ids=["EX", "braid4", "L3", "L5", "short"])
 def test_disguise_counts_the_brute_force_growth_slots(p):
     # a one-move pass draws its first slot from all of them: growth swaps, then inserts
     s = symmetrize(p)

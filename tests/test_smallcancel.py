@@ -481,6 +481,13 @@ def test_element_lengths_match_the_elements():
         assert s.lengths == tuple(len(w) for w in symmetrize_reference(p)[0]), p
 
 
+def test_swap_caps_match_the_element_lengths():
+    # disguise's growth-swap cap per element, compiled with the canonical order
+    for p in verdict_corpus():
+        s = symmetrize(p)
+        assert s.swap_caps == tuple((len(r) - 1) // 2 for r in s.ordered), p
+
+
 @pytest.mark.parametrize("level", [None, 3, 4, 5])
 def test_verdicts_build_no_element_words(level):
     # what check computes reads the lex arrays; the canonical order and the
@@ -492,7 +499,8 @@ def test_verdicts_build_no_element_words(level):
     s = symmetrize(p)
     assert len(s) == len(symmetrize_reference(p)[0])
     assert "verdicts" in s.__dict__
-    for name in ("_codes", "lengths", "piece_lengths", "_at", "first_letters", "inverted", "ordered"):
+    for name in ("_codes", "lengths", "swap_caps", "piece_lengths", "_at", "first_letters", "inverted",
+                 "ordered"):
         assert name not in s.__dict__, name
     assert s.ordered == symmetrize_reference(p)[0]
 
@@ -509,8 +517,8 @@ def test_canonical_order_does_not_depend_on_what_is_read_first():
             second.ordered
         assert {"_codes", "lengths", "piece_lengths", "_at"} <= second.__dict__.keys()
         assert first.ordered == second.ordered, format_presentation(p)
-        assert (first.lengths, first.piece_lengths, first.inverted, first.first_letters) == (
-            second.lengths, second.piece_lengths, second.inverted, second.first_letters)
+        assert (first.lengths, first.swap_caps, first.piece_lengths, first.inverted, first.first_letters) == (
+            second.lengths, second.swap_caps, second.piece_lengths, second.inverted, second.first_letters)
         assert second.verdicts == v
 
 
