@@ -132,11 +132,10 @@ def _breadth_first(kids, v: int) -> list:
 class RootedTree(_Record):
     """A tree whose root has degree exactly 2 and whose labels are all >= 4.
     Built from a graph and a root, it is checked, and one breadth-first walk
-    from the root derives ``parent`` (-1 at the root), ``levels`` (the root
-    is level 1), the children in index order, every vertex's parent-edge
-    label (0 at the root) and its shape, for the move rule; ``build_tree``
-    sets the same fields from the sampler's arrays, which need no check and
-    no walk."""
+    from the root derives ``parent`` (-1 at the root), the children in index
+    order, every vertex's parent-edge label (0 at the root) and its shape,
+    for the move rule; ``build_tree`` sets the same fields from the sampler's
+    arrays, which need no check and no walk."""
 
     graph: LabeledGraph
     root: int
@@ -151,7 +150,7 @@ class RootedTree(_Record):
         for i, j, m in sorted(graph.edges):
             adjacent[i].append((j, m))
             adjacent[j].append((i, m))
-        parent, level, label = [-1] * n, [0] * n, [0] * n
+        parent, level, label = [-1] * n, [0] * n, [0] * n  # a vertex's level marks it visited
         level[root] = 1
         order = [root]
         for v in order:  # the loop reaches what it appends
@@ -166,7 +165,7 @@ class RootedTree(_Record):
         if not is_extra_large(graph):
             raise ValueError("tree labels must all be >= 4")
         # order is the walk over the children in index order, parents first
-        vars(self).update(graph=graph, root=root, parent=tuple(parent), levels=level[order[-1]],
+        vars(self).update(graph=graph, root=root, parent=tuple(parent),
                           _children=_children_lists(parent), _edge_labels=tuple(label),
                           _shapes=_shape_ids(parent, label, order)[0])
 
@@ -251,11 +250,8 @@ def build_tree(parent: list, labels: list, shapes: list) -> RootedTree:
     graph = object.__new__(LabeledGraph)
     vars(graph).update(vertices=alphabet.names, alphabet=alphabet,
                        edges=frozenset(zip(parent[1:], range(1, n), labels[1:])))
-    levels, v = 1, n - 1
-    while v:  # the last vertex is on the deepest level
-        levels, v = levels + 1, parent[v]
     t = object.__new__(RootedTree)
-    vars(t).update(graph=graph, root=0, parent=tuple(parent), levels=levels,
+    vars(t).update(graph=graph, root=0, parent=tuple(parent),
                    _children=_children_lists(parent), _edge_labels=tuple(labels), _shapes=shapes)
     return t
 

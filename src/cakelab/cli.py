@@ -58,7 +58,10 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {e.strerror or e}") from None
     if len(data) > MAX_INPUT_BYTES:
         raise ValueError(f"{path} is larger than {MAX_INPUT_BYTES} bytes")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -103,14 +106,14 @@ def _cmd_tietze(args) -> int:
     p = parse_presentation(_read(args.presentation))
     h = shorten_all(p)
     history_text = format_history(h)
-    lifted = lift_word(parse_word(h.end.alphabet, args.lift), h) if args.lift else None
+    lifted = None if args.lift is None else lift_word(parse_word(h.end.alphabet, args.lift), h)
     if args.out:
         _write(args.out, history_text)
     for line in history_text.splitlines():
         if line.startswith("step:"):
             print(line)
     sys.stdout.write(format_presentation(h.end))
-    if args.lift:
+    if lifted is not None:
         print(f"lift: {lifted}")
     return 0
 

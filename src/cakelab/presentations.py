@@ -95,23 +95,22 @@ class _Verdicts(NamedTuple):  # the small-cancellation table of a symmetrized se
 class SymmetrizedSet(_Record):
     """The compiled form of a presentation: all cyclic rotations of the
     relators and of their inverses, in canonical (length, letters) order in
-    ``ordered``, with ``lengths[i]`` the length of ``ordered[i]`` and
-    ``piece_lengths[i]`` that of its longest piece prefix.  Built from the
-    relators, it is closed under rotation and inversion by construction;
-    :func:`symmetrize` builds it once per presentation.
+    ``ordered``, with ``lengths[i]`` the length of ``ordered[i]``.  Built
+    from the relators, it is closed under rotation and inversion by
+    construction; :func:`symmetrize` builds it once per presentation.
 
     It is compiled in two parts.  The constructor works in lex order: the
     rotations are sorted once as letter-code tuples, and one pass over that
     order drops repeats and gives each element's longest piece, the piece
-    count and each rotation cycle's lex positions.  ``len`` and ``verdicts``,
-    the table every verdict reads, need nothing more.  The canonical order
-    (``lengths``, ``piece_lengths`` and the codes and cycles re-indexed to
-    it) is a stable sort by length, inverted in one loop, built whole on the
-    first read of any of its arrays: that is, by the first rewrite, never by
-    ``cakelab check``.  The element Words in ``ordered`` (no verdict or Dehn
-    step reads them), the element set, the pieces, the first-letter index,
-    the inverse elements in ``inverted``, disguise's per-element swap caps in
-    ``swap_caps`` and the relator lattice are built on first use as well.
+    count and each rotation cycle's lex positions.  ``len``, ``verdicts``,
+    the table every verdict reads, and ``pieces`` need nothing more.  The
+    canonical order is one stable sort of the lex order by length, built on
+    the first read of its codes: that is, by the first rewrite, never by
+    ``cakelab check``.  Each array derived from it is built on its own first
+    read: the element lengths, the element Words in ``ordered`` (no verdict
+    or Dehn step reads them), the element set, the first-letter index, the
+    inverse elements in ``inverted`` and disguise's per-element swap caps in
+    ``swap_caps``; so is the relator lattice, from the relators.
 
     :meth:`matches` is the relator-prefix scan, counted in place and
     capped by each element's compiled length and the letters left: Dehn's
@@ -160,45 +159,16 @@ class SymmetrizedSet(_Record):
     def __len__(self):
         return len(self._lex)
 
-    def _sort_by_length(self) -> None:
-        """Build the canonical order and store its four arrays as plain
-        attributes, so that later reads skip the properties below.  A stable
-        sort by length keeps lex order within a length: (length, codes)."""
-        lex, longest = self._lex, self._lex_pieces
-        lens = [len(x) for x in lex]
-        order, rank = sorted(range(len(lex)), key=lens.__getitem__), [0] * len(lex)
-        for k, i in enumerate(order):
-            rank[i] = k  # the inverse permutation
-        self.__dict__.update(
-            _codes=tuple([lex[i] for i in order]),
-            lengths=tuple(sorted(lens)),
-            piece_lengths=tuple([longest[i] for i in order]),
-            _at=[[rank[i] for i in a] for a in self._lex_at],  # elements per cycle
-        )
-
     @cached_property
     def _codes(self) -> tuple:
-        """The elements' code tuples in canonical order."""
-        self._sort_by_length()
-        return self._codes
+        """The elements' code tuples in canonical order: a stable sort of the
+        lex order by length keeps lex order within a length, (length, codes)."""
+        return tuple(sorted(self._lex, key=len))
 
     @cached_property
     def lengths(self) -> tuple:
         """Each element's length, in canonical order."""
-        self._sort_by_length()
-        return self.lengths
-
-    @cached_property
-    def piece_lengths(self) -> tuple:
-        """Each element's longest piece prefix length, in canonical order."""
-        self._sort_by_length()
-        return self.piece_lengths
-
-    @cached_property
-    def _at(self) -> list:
-        """Per rotation cycle, its elements' canonical indices."""
-        self._sort_by_length()
-        return self._at
+        return tuple(map(len, self._codes))
 
     @cached_property
     def ordered(self) -> tuple:
@@ -259,12 +229,8 @@ class SymmetrizedSet(_Record):
 
     @cached_property
     def inverted(self) -> tuple:
-        """Each element's inverse, as codes: that of rotation k of r is rotation -k mod |r| of r^-1."""
-        codes, inverse = self._codes, [()] * len(self._codes)
-        for a, b in zip(self._at[::2], self._at[1::2]):
-            for i, j in zip(a, b[:1] + b[:0:-1]):
-                inverse[i], inverse[j] = codes[j], codes[i]
-        return tuple(inverse)
+        """Each element's inverse, as codes, in canonical order."""
+        return tuple([tuple([c ^ 1 for c in reversed(x)]) for x in self._codes])
 
     @cached_property
     def swap_caps(self) -> tuple:
@@ -274,8 +240,7 @@ class SymmetrizedSet(_Record):
     @cached_property
     def pieces(self) -> frozenset:
         """Code tuples of the pieces: each element's prefixes up to its piece length."""
-        return frozenset(c[:k] for c, m in zip(self._codes, self.piece_lengths)
-                         for k in range(1, m + 1))
+        return frozenset(c[:k] for c, m in zip(self._lex, self._lex_pieces) for k in range(1, m + 1))
 
     @cached_property
     def first_letters(self) -> tuple:

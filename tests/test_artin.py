@@ -74,6 +74,22 @@ def test_is_extra_large():
 
 # ------------------------------------------------------------------ trees
 
+def depth(t):
+    """t's number of levels, the root being level 1, from its parent table:
+    each vertex's chain is walked up only to the first vertex with a level."""
+    level = [0] * len(t.parent)
+    level[t.root] = 1
+    for v in range(len(level)):
+        chain = []
+        while not level[v]:
+            chain.append(v)
+            v = t.parent[v]
+        for u in reversed(chain):
+            level[u] = level[v] + 1
+            v = u
+    return max(level)
+
+
 def labels_at(graph):
     """Each vertex's neighbours, mapped to the labels of their edges, read
     from ``graph.edges`` alone, so the references here stay independent of
@@ -100,7 +116,7 @@ def test_tree_validation_rejects_small_labels():
 def test_tree_validation_rejects_wrong_levels():
     g = LabeledGraph(("r", "u", "v"), frozenset({(0, 1, 4), (0, 2, 4)}))
     t = RootedTree(g, 0)
-    assert t.levels == 2
+    assert depth(t) == 2
 
 
 def test_tree_validation_rejects_cyclic_parent_table():
@@ -128,7 +144,7 @@ def test_build_tree_derives_the_sampled_parent_and_levels():
     for levels, max_degree, seed in cases:
         parent, labels = sample_tree(levels, max_degree, 7, seed)
         t = random_tree(levels, max_degree, 7, seed)
-        assert t.parent == tuple(parent) and t.levels == levels, seed
+        assert t.parent == tuple(parent) and depth(t) == levels, seed
         # children in ascending index order
         kids = [[] for _ in parent]
         for v, p in enumerate(parent[1:], 1):
@@ -162,7 +178,7 @@ def test_array_built_trees_equal_checked_trees(levels):
             ([build_tree(parent, labels, shapes)] if shapes else [])
         for t in built:
             assert t == reference, seed
-            assert (t.parent, t.levels) == (reference.parent, reference.levels), seed
+            assert (t.parent, depth(t)) == (reference.parent, depth(reference)), seed
             assert [t.children(v) for v in range(len(parent))] == \
                 [reference.children(v) for v in range(len(parent))], seed
             assert t._edge_labels == reference._edge_labels == tuple(labels), seed
@@ -197,7 +213,7 @@ def test_checked_trees_under_any_numbering_equal_array_built_trees(levels):
         t = RootedTree(LabeledGraph(tuple(names), edges), to[0])
         built = random_tree(levels, max_degree, label_hi, seed)
         assert [t.parent[to[v]] for v in range(n)] == [-1] + [to[p] for p in parent[1:]], seed
-        assert t.levels == built.levels == levels, seed
+        assert depth(t) == depth(built) == levels, seed
         assert [t._edge_labels[to[v]] for v in range(n)] == labels, seed
         same = {(built._shapes[v], t._shapes[to[v]]) for v in range(n)}
         assert len(same) == len(set(built._shapes)) == len(set(t._shapes)), seed
@@ -223,7 +239,7 @@ def test_deep_thin_tree_builds_and_formats_in_linear_time():
     # 20,000 levels on 20,001 vertices, well under the vertex cap: walking
     # each vertex's parent chain would take about 2 * 10^8 steps
     t = random_tree(20_000, 2, 7, seed=1)
-    assert t.levels == 20_000 and len(t.parent) == 20_001
+    assert depth(t) == 20_000 and len(t.parent) == 20_001
     text = format_tree(t)
     assert text.count("\n") == 20_001
     assert format_tree(parse_tree(text)) == text
@@ -234,7 +250,7 @@ def test_random_tree_invariants():
         levels = 2 + seed % 4
         t = random_tree(levels, 4, 7, seed=seed)
         g = t.graph
-        assert t.levels == levels
+        assert depth(t) == levels
         assert len(labels_at(g)[t.root]) == 2
         assert is_extra_large(g)
         assert all(4 <= m <= 7 for _, _, m in g.edges)

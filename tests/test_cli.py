@@ -120,6 +120,14 @@ def test_check_refuses_file_over_size_cap(capsys, ex_file, monkeypatch):
     assert err == f"error: {ex_file} is larger than {size - 1} bytes\n"
 
 
+def test_check_names_a_file_that_is_not_utf8(capsys, tmp_path):
+    f = tmp_path / "utf16.txt"
+    f.write_bytes(EX_TEXT.encode("utf-16"))  # starts with the byte-order mark ff fe
+    code, out, err = run(capsys, ["check", "--presentation", str(f)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {f} is not UTF-8: invalid start byte at byte 0\n"
+
+
 def test_check_caps_relator_letters_in_total(capsys, tmp_path, monkeypatch):
     # the cap is the words module's, read when the file is parsed
     monkeypatch.setattr(cakelab.words, "MAX_WORD_LETTERS", 10)
@@ -242,6 +250,15 @@ def test_tietze_steps_and_end_presentation(capsys, ex_file, tmp_path):
     with open(hist_f) as fh:
         h = parse_history(fh.read())
     assert len(h.steps) == 6
+
+
+@pytest.mark.parametrize("word", ["", "   "])
+def test_tietze_prints_the_lift_of_an_empty_word(capsys, ex_file, word):
+    # an empty --lift is a word, the identity, as blank space is
+    code, out, err = run(capsys, ["tietze", "--presentation", ex_file, "--lift", word])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "lift: 1"
+    assert out.count("lift: ") == 1
 
 
 LONG_RELATOR = "gens: a b\nrel: a^100000 b\n"  # 26 bytes, 99,998 splits
